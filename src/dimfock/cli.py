@@ -8,6 +8,7 @@ errors.  Reports are deterministic in the seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -27,11 +28,8 @@ def suite(name):
     return wrap
 
 
-def _points(opts, n_weights, level_cap, slot="none"):
-    return [
-        make_point(opts.seed + 97 * i, n_weights, level_cap, slot)
-        for i in range(opts.points)
-    ]
+def _points(opts, n_weights, level_cap):
+    return [make_point(opts.seed + 97 * i, n_weights, level_cap) for i in range(opts.points)]
 
 
 @suite("symfunc")
@@ -290,7 +288,7 @@ def run_kacdet(opts):
 @suite("agt-generic")
 def run_agt_generic(opts):
     from .kacdet import whittaker_norm
-    from .nekrasov import conjecture_checks, z_pure
+    from .nekrasov import conjecture_checks
     from .phi import phi_element_conjecture_check
 
     report = CheckReport("agt-generic")
@@ -300,8 +298,8 @@ def run_agt_generic(opts):
     with timed(report, "whittaker-vs-instanton", "pure-gauge-norm-identity") as tm:
         ok = True
         for pt in pts:
-            k = pt.fresh_rational("whit-k")
-            ok = ok and whittaker_norm(order, k, pt) == z_pure(order, k * k, pt)
+            k, instanton = _whittaker_k(order, pt)
+            ok = ok and whittaker_norm(order, k, pt) == instanton
         tm.result(ok)
     with timed(report, "integral-form-norms", "nekrasov-norm-conjecture") as tm:
         ok = all(conjecture_checks(1, pt, n_comp=2) == [] for pt in pts)
@@ -316,6 +314,22 @@ def run_agt_generic(opts):
         ok = ok and phi_element_conjecture_check(2, pt1, pt1.with_weights("phiv"), 1) == []
         tm.result(ok)
     return report
+
+
+def _whittaker_k(order, pt):
+    """(k, instanton series at Q = k^2) for the first k drawn off the (q, t) lattice.
+
+    Tags "whit-k", ("whit-k", 1), ... are tried in turn; a k whose Q makes an
+    instanton denominator vanish is skipped.
+    """
+    from .nekrasov import NonGenericPoint, z_pure
+
+    for attempt in itertools.count():
+        k = pt.fresh_rational(("whit-k", attempt) if attempt else "whit-k")
+        try:
+            return k, z_pure(order, k * k, pt)
+        except NonGenericPoint:
+            pass
 
 
 @suite("agt-crystal")
@@ -566,7 +580,6 @@ def main(argv=None):
     parser.add_argument("--level", type=int, default=None)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--points", type=int, default=3)
-    parser.add_argument("--symbolic", choices=["none", "q", "lambda", "z"], default="none")
     parser.add_argument("--out", default=None)
     opts = parser.parse_args(argv)
     if (opts.suite is None) == (opts.dump is None):

@@ -330,15 +330,6 @@ class LinOp:
     def __call__(self, state):
         return self._apply(state)
 
-    def __add__(self, other):
-        return LinOp(lambda s: state_add(self(s), other(s)), "(%s+%s)" % (self.name, other.name))
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c):
-        return LinOp(lambda s: state_scale(self(s), c), "(%s*c)" % self.name)
-
     def after(self, other):
         """self . other (apply other first)."""
         return LinOp(lambda s: self(other(s)), "(%s.%s)" % (self.name, other.name))
@@ -348,30 +339,6 @@ class LinOp:
             lambda s: state_add(self(other(s)), state_scale(other(self(s)), Fraction(-1))),
             "[%s,%s]" % (self.name, other.name),
         )
-
-
-def zero_op():
-    return LinOp(lambda s: {}, "0")
-
-
-def cached_linop(cache, key, raw_apply, name=""):
-    """Memoize a linear operator on basis monomials; extend linearly."""
-
-    def apply_fn(state):
-        out = {}
-        for tup, c in state.items():
-            k = key + (tup,)
-            if k not in cache:
-                cache[k] = raw_apply({tup: ONE})
-            for t2, v in cache[k].items():
-                acc = out.get(t2, ZERO) + c * v
-                if acc:
-                    out[t2] = acc
-                else:
-                    out.pop(t2, None)
-        return out
-
-    return LinOp(apply_fn, name)
 
 
 def vertex_mode(op: VertexOperator, k: int, module: BosonModule, name="") -> LinOp:
@@ -417,7 +384,52 @@ def bra_apply(op: LinOp, bra, module, max_level):
 # Generator families
 
 
-class GeneratorFamily:
+class ModeFamily:
+    """Generators on a module whose modes are sums of vertex-operator modes.
+
+    A family names the vertex operators that sum to mode n of generator gen
+    (``mode_terms``); ``x_mode`` turns them into one operator, memoizing the
+    image of each basis monomial per family under the key (gen, n, monomial).
+    """
+
+    def __init__(self, module: BosonModule):
+        self.module = module
+        self._mode_cache = {}
+        self._apply_cache = {}
+
+    def mode_terms(self, gen, n):
+        raise NotImplementedError
+
+    def x_mode(self, gen, n) -> LinOp:
+        """Mode n of generator gen; lowers the level by n."""
+        key = (gen, n)
+        if key in self._mode_cache:
+            return self._mode_cache[key]
+        terms = self.mode_terms(gen, n)
+        module, cache = self.module, self._apply_cache
+
+        def apply_fn(state):
+            out = {}
+            for tup, c in state.items():
+                k = key + (tup,)
+                if k not in cache:
+                    img = {}
+                    for term in terms:
+                        img = state_add(img, term.mode_apply(n, {tup: ONE}, module))
+                    cache[k] = img
+                for t2, v in cache[k].items():
+                    acc = out.get(t2, ZERO) + c * v
+                    if acc:
+                        out[t2] = acc
+                    else:
+                        out.pop(t2, None)
+            return out
+
+        op = self._mode_cache[key] = LinOp(apply_fn, "X(%d)_%d" % key)
+        return op
+
+
+class GeneratorFamily(ModeFamily):
     """Modes of the level-N currents on a generic (q,t) module.
 
     X^(i)(z) is the sum over i-element index subsets of merged normal-ordered
@@ -426,13 +438,11 @@ class GeneratorFamily:
     """
 
     def __init__(self, module: BosonModule, crystal_normalized=False):
-        self.module = module
+        super().__init__(module)
         self.point = module.point
         self.crystal_normalized = crystal_normalized
         self._lambda_cache = {}
         self._x_cache = {}
-        self._mode_cache = {}
-        self._apply_cache = {}
 
     # dressed single-boson currents
     def _eta(self, i):
@@ -498,25 +508,8 @@ class GeneratorFamily:
         self._x_cache[i] = terms
         return terms
 
-    def x_mode(self, i, k) -> LinOp:
-        if (i, k) not in self._mode_cache:
-            terms = self.x_terms(i)
-            mod = self.module
-
-            def apply_raw(state, _terms=terms, _k=k, _mod=mod):
-                out = {}
-                for t in _terms:
-                    out = state_add(out, t.mode_apply(_k, state, _mod))
-                return out
-
-            self._mode_cache[(i, k)] = cached_linop(
-                self._apply_cache, (i, k), apply_raw, "X(%d)_%d" % (i, k)
-            )
-        return self._mode_cache[(i, k)]
-
-
-def generator_X(i, k, module, crystal_normalized=False) -> LinOp:
-    return GeneratorFamily(module, crystal_normalized).x_mode(i, k)
+    def mode_terms(self, gen, n):
+        return self.x_terms(gen)
 
 
 def structure_series(point, kind, order) -> Series:
@@ -540,11 +533,14 @@ def structure_series(point, kind, order) -> Series:
 # -- deformed Virasoro -------------------------------------------------------
 
 
-class VirasoroFamily:
-    """T(z) = sum of two dressed currents on a single (q,t) boson; K acts as k."""
+class VirasoroFamily(ModeFamily):
+    """T(z) = sum of two dressed currents on a single (q,t) boson; K acts as k.
+
+    T has the single generator index 1.
+    """
 
     def __init__(self, module: BosonModule, k_weight):
-        self.module = module
+        super().__init__(module)
         self.k_weight = k_weight
         pt = module.point
         L = module.level_max
@@ -565,33 +561,19 @@ class VirasoroFamily:
             1 / k_weight,
         )
 
-    def t_mode(self, n) -> LinOp:
-        mod = self.module
-
-        def apply_raw(state):
-            return state_add(
-                self.plus.mode_apply(n, state, mod), self.minus.mode_apply(n, state, mod)
-            )
-
-        if not hasattr(self, "_apply_cache"):
-            self._apply_cache = {}
-        return cached_linop(self._apply_cache, (n,), apply_raw, "T_%d" % n)
-
-
-def virasoro_T(n, k_weight, point, level_max) -> LinOp:
-    module = BosonModule(point, 1, [k_weight], level_max, kind="qt")
-    return VirasoroFamily(module, k_weight).t_mode(n)
+    def mode_terms(self, gen, n):
+        return [self.plus, self.minus]
 
 
 # -- crystal generators ------------------------------------------------------
 
 
-class CrystalVirasoro:
-    """q -> 0 scaled Virasoro modes on the t-boson module."""
+class CrystalVirasoro(ModeFamily):
+    """q -> 0 scaled Virasoro modes on the t-boson module (generator index 1)."""
 
     def __init__(self, module: BosonModule, k_weight):
         assert module.kind == "crystal"
-        self.module = module
+        super().__init__(module)
         pt = module.point
         L = module.level_max
         self.k_weight = k_weight
@@ -606,28 +588,16 @@ class CrystalVirasoro:
             1 / k_weight,
         )
 
-    def t_mode(self, n) -> LinOp:
-        mod = self.module
-
-        def apply_raw(state):
-            out = {}
-            if n <= 0:
-                out = state_add(out, self.lam_plus.mode_apply(n, state, mod))
-            if n >= 0:
-                out = state_add(out, self.lam_minus.mode_apply(n, state, mod))
-            return out
-
-        if not hasattr(self, "_apply_cache"):
-            self._apply_cache = {}
-        return cached_linop(self._apply_cache, (n,), apply_raw, "Tc_%d" % n)
+    def mode_terms(self, gen, n):
+        return [op for op, used in ((self.lam_plus, n <= 0), (self.lam_minus, n >= 0)) if used]
 
 
-class CrystalGenerators:
+class CrystalGenerators(ModeFamily):
     """q -> 0 limits of the two-boson currents on crystal bosons."""
 
     def __init__(self, module: BosonModule):
         assert module.kind == "crystal" and module.n_bosons == 2
-        self.module = module
+        super().__init__(module)
         pt = module.point
         L = module.level_max
         u1, u2 = module.weights
@@ -648,31 +618,10 @@ class CrystalGenerators:
             x2_ann[(1, n)] = -(1 - pt.t_pow(n)) / n
         self.x2 = VertexOperator(x2_cre, x2_ann, u1 * u2)
 
-    def x1_mode(self, n) -> LinOp:
-        mod = self.module
-
-        def apply_raw(state):
-            out = {}
-            if n >= 0:
-                out = state_add(out, self.lam1.mode_apply(n, state, mod))
-            if n <= 0:
-                out = state_add(out, self.lam2.mode_apply(n, state, mod))
-            return out
-
-        if not hasattr(self, "_apply_cache"):
-            self._apply_cache = {}
-        return cached_linop(self._apply_cache, (1, n), apply_raw, "Xc1_%d" % n)
-
-    def x2_mode(self, n) -> LinOp:
-        mod = self.module
-        if not hasattr(self, "_apply_cache"):
-            self._apply_cache = {}
-        return cached_linop(
-            self._apply_cache, (2, n), lambda s: self.x2.mode_apply(n, s, mod), "Xc2_%d" % n
-        )
-
-    def mode(self, gen, n) -> LinOp:
-        return self.x1_mode(n) if gen == 1 else self.x2_mode(n)
+    def mode_terms(self, gen, n):
+        if gen == 2:
+            return [self.x2]
+        return [op for op, used in ((self.lam1, n >= 0), (self.lam2, n <= 0)) if used]
 
 
 # -- Jing operators ----------------------------------------------------------
@@ -707,46 +656,34 @@ def jing_build(lam: Partition, point, level_max=None):
 # PBW words, states and Gram matrices
 
 
-def pbw_word(tup: PartitionTuple, prime=False, crystal=False):
+def pbw_word(tup: PartitionTuple, prime=False):
     """Mode word of the PBW vector; entries (generator index, part)."""
     n = tup.n_components
-    word = []
-    if crystal:
-        order = [2, 1] if n == 2 else list(range(n, 0, -1))
-        for i in order:
-            word.extend((i, p) for p in tup[i - 1].parts)
-        return word
     comp_order = range(n, 0, -1) if prime else range(1, n + 1)
-    for i in comp_order:
-        word.extend((i, p) for p in tup[i - 1].parts)
-    return word
+    return [(i, p) for i in comp_order for p in tup[i - 1].parts]
 
 
-def pbw_state(tup, family, crystal=False, prime=False):
+def pbw_state(tup, family, prime=False):
     """Apply the negative-mode word to the vacuum."""
-    module = family.module
-    state = module.vacuum()
-    for i, part in reversed(pbw_word(tup, prime=prime, crystal=crystal)):
-        op = family.mode(i, -part) if crystal else family.x_mode(i, -part)
-        state = op(state)
+    state = family.module.vacuum()
+    for i, part in reversed(pbw_word(tup, prime=prime)):
+        state = family.x_mode(i, -part)(state)
     return state
 
 
-def pbw_bra(tup, family, crystal=False, prime=False):
+def pbw_bra(tup, family, prime=False):
     """The adjoint-ordered positive-mode word applied to the vacuum bra."""
     module = family.module
     bra = vacuum_bra(module)
-    max_level = module.level_max
-    for i, part in reversed(pbw_word(tup, prime=prime, crystal=crystal)):
-        op = family.mode(i, part) if crystal else family.x_mode(i, part)
-        bra = bra_apply(op, bra, module, max_level)
+    for i, part in reversed(pbw_word(tup, prime=prime)):
+        bra = bra_apply(family.x_mode(i, part), bra, module, module.level_max)
     return bra
 
 
-def pbw_gram(level, family, crystal=False, prime=False):
+def pbw_gram(level, family, prime=False):
     """Gram matrix <X_lam | X_mu> over the canonical tuple order."""
     module = family.module
     tuples = module.basis(level)
-    kets = [pbw_state(t, family, crystal=crystal, prime=prime) for t in tuples]
-    bras = [pbw_bra(t, family, crystal=crystal, prime=prime) for t in tuples]
+    kets = [pbw_state(t, family, prime=prime) for t in tuples]
+    bras = [pbw_bra(t, family, prime=prime) for t in tuples]
     return [[module.pair(b, k) for k in kets] for b in bras], tuples

@@ -34,15 +34,12 @@ from .fock import (
     state_scale,
     vacuum_bra,
 )
+from .linalg import EigenvalueCollision  # noqa: F401  -- re-exported
 from .scalars import PoleAtZero, eigenvalue_of
 from .symfunc import SymFunc, macdonald_p, monomial_in_p
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class EigenvalueCollision(ArithmeticError):
-    pass
 
 
 def product_state(module, tup, func_per_component):
@@ -106,23 +103,7 @@ class GenMacBasis:
             if x0_pp[j][j] != self.eigenvalues[j]:
                 raise AssertionError("diagonal eigenvalue mismatch at %r" % (self.tuples[j],))
         # right eigenvectors, unitriangular over the product-Macdonald basis
-        self.coeff = []
-        for j in range(n):
-            vec = [ZERO] * n
-            vec[j] = ONE
-            for i in range(j + 1, n):
-                acc = ZERO
-                for k in range(j, i):
-                    if x0_pp[i][k] and vec[k]:
-                        acc = acc + x0_pp[i][k] * vec[k]
-                if acc:
-                    denom = self.eigenvalues[j] - self.eigenvalues[i]
-                    if not denom:
-                        raise EigenvalueCollision(
-                            "%r vs %r" % (self.tuples[j], self.tuples[i])
-                        )
-                    vec[i] = acc / denom
-            self.coeff.append(vec)
+        self.coeff = [linalg.triangular_eigenvector(x0_pp, j, self.tuples) for j in range(n)]
         # Dual side: the zero mode is not self-adjoint for the monomial Gram,
         # so the bra expansion needs the right action on bra-products.
         grams = [module.monomial_gram(m) for m in monomials]
@@ -140,23 +121,13 @@ class GenMacBasis:
                     )
             if y[j][j] != self.eigenvalues[j]:
                 raise AssertionError("dual diagonal mismatch at %r" % (self.tuples[j],))
-        self.dual_coeff = []
-        for j in range(n):
-            vec = [ZERO] * n
-            vec[j] = ONE
-            for i in range(j - 1, -1, -1):
-                acc = ZERO
-                for k in range(i + 1, j + 1):
-                    if y[k][i] and vec[k]:
-                        acc = acc + vec[k] * y[k][i]
-                if acc:
-                    denom = self.eigenvalues[j] - self.eigenvalues[i]
-                    if not denom:
-                        raise EigenvalueCollision(
-                            "%r vs %r" % (self.tuples[j], self.tuples[i])
-                        )
-                    vec[i] = acc / denom
-            self.dual_coeff.append(vec)
+        # left eigenvectors of y: right eigenvectors of its transpose, which
+        # is lower triangular once the index order is reversed
+        y_rev = [row[::-1] for row in linalg.transpose(y)][::-1]
+        rev = self.tuples[::-1]
+        self.dual_coeff = [
+            linalg.triangular_eigenvector(y_rev, n - 1 - j, rev)[::-1] for j in range(n)
+        ]
         self._bra_rows = rmat
         self._states = {}
         self._monomials = monomials
@@ -494,21 +465,7 @@ def gen_jack(level, beta, uprime):
                     "limit Hamiltonian not triangular: %r -> %r" % (tuples[j], tuples[i])
                 )
     eigvals = [h_mm[j][j] for j in range(n)]
-    rows = []
-    for j in range(n):
-        vec = [ZERO] * n
-        vec[j] = ONE
-        for i in range(j + 1, n):
-            acc = ZERO
-            for k in range(j, i):
-                if h_mm[i][k] and vec[k]:
-                    acc = acc + h_mm[i][k] * vec[k]
-            if acc:
-                denom = eigvals[j] - eigvals[i]
-                if not denom:
-                    raise EigenvalueCollision("%r vs %r" % (tuples[j], tuples[i]))
-            vec[i] = acc / denom if acc else ZERO
-        rows.append(vec)
+    rows = [linalg.triangular_eigenvector(h_mm, j, tuples) for j in range(n)]
     return tuples, rows, eigvals
 
 

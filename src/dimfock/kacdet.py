@@ -20,7 +20,6 @@ from .combinat import (
     b_factor,
     b_factor_neg,
     enumerate_tuples,
-    partitions,
     tuple_count,
 )
 from .fock import (
@@ -28,12 +27,10 @@ from .fock import (
     CrystalVirasoro,
     GeneratorFamily,
     VirasoroFamily,
-    bra_apply,
+    bra_apply,  # unused; perfbench test_rebinding_reaches_names_bound_by_from_imports needs it
     pbw_gram,
     state_scale,
-    vacuum_bra,
 )
-from .genmac import EigenvalueCollision, GenMacBasis, gen_macdonald
 from .scalars import Series, eigenvalue_of
 from .symfunc import macdonald_p
 
@@ -81,27 +78,11 @@ def kac_det_check(n, n_comp, point):
 # Whittaker vectors
 
 
-def virasoro_shapovalov(n, k_weight, point):
-    """Gram matrix B_{lam,mu} = <T_lam | T_-mu> at level n, PBW order."""
-    module = BosonModule(point, 1, [k_weight], n, kind="qt")
-    fam = VirasoroFamily(module, k_weight)
-    basis = list(partitions(n))
-    kets = []
-    bras = []
-    for lam in basis:
-        state = module.vacuum()
-        for part in reversed(lam.parts):
-            state = fam.t_mode(-part)(state)
-        kets.append(state)
-        bra = vacuum_bra(module)
-        for part in reversed(lam.parts):
-            bra = bra_apply(fam.t_mode(part), bra, module, n)
-        bras.append(bra)
-    return [[module.pair(b, k) for k in kets] for b in bras], basis
-
-
 def whittaker_norm(order, k_weight, point):
-    """<G|G> = sum_n Lambda^(4n) B^((1^n),(1^n)) as a series in Lambda."""
+    """<G|G> = sum_n Lambda^(4n) B^((1^n),(1^n)) as a series in Lambda.
+
+    B is the Shapovalov (PBW Gram) matrix of the deformed Virasoro modes.
+    """
     series_order = 4 * order + 1
     out = Series("lambda", series_order)
     for n in range(order + 1):
@@ -110,10 +91,8 @@ def whittaker_norm(order, k_weight, point):
         if n == 0:
             coeff = ONE
         else:
-            gram, basis = virasoro_shapovalov(n, k_weight, point)
-            inv = linalg.inverse(gram)
-            column = basis.index(Partition((1,) * n))
-            coeff = inv[column][column]
+            module = BosonModule(point, 1, [k_weight], n, kind="qt")
+            coeff = _ones_inverse_entry(n, VirasoroFamily(module, k_weight))
         out = out + Series.monomial("lambda", series_order, 4 * n, coeff)
     return out
 
@@ -127,33 +106,20 @@ def crystal_whittaker_norm(order, point, direct=False):
         if 4 * n >= series_order:
             break
         if direct:
-            gram, basis = crystal_virasoro_shapovalov(n, point)
-            inv = linalg.inverse(gram)
-            column = basis.index(Partition((1,) * n)) if n else 0
-            coeff = inv[column][column]
+            k_weight = point.fresh_rational("crystal-k")
+            module = BosonModule(point, 1, [k_weight], n, kind="crystal")
+            coeff = _ones_inverse_entry(n, CrystalVirasoro(module, k_weight))
         else:
             coeff = 1 / b_factor(Partition((1,) * n), 1 / t)
         out = out + Series.monomial("lambda", series_order, 4 * n, coeff)
     return out
 
 
-def crystal_virasoro_shapovalov(n, point, k_weight=None):
-    k_weight = k_weight or point.fresh_rational("crystal-k")
-    module = BosonModule(point, 1, [k_weight], n, kind="crystal")
-    fam = CrystalVirasoro(module, k_weight)
-    basis = list(partitions(n))
-    kets = []
-    bras = []
-    for lam in basis:
-        state = module.vacuum()
-        for part in reversed(lam.parts):
-            state = fam.t_mode(-part)(state)
-        kets.append(state)
-        bra = vacuum_bra(module)
-        for part in reversed(lam.parts):
-            bra = bra_apply(fam.t_mode(part), bra, module, n)
-        bras.append(bra)
-    return [[module.pair(b, k) for k in kets] for b in bras], basis
+def _ones_inverse_entry(n, family):
+    """Diagonal entry of the inverse level-n Gram at the PBW word (1^n)."""
+    gram, tuples = pbw_gram(n, family)
+    column = tuples.index(PartitionTuple([Partition((1,) * n)]))
+    return linalg.inverse(gram)[column][column]
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +199,7 @@ def single_eigenvector(level, family, tup):
             pmat[midx[mono]][j] = c
     x0 = operator_matrix(family.x_mode(1, 0), module, level, level)
     x0_pp = linalg.mat_mul(linalg.inverse(pmat), linalg.mat_mul(x0, pmat))
-    j = tuples.index(tup)
-    n = len(tuples)
-    vec = [Fraction(0)] * n
-    vec[j] = Fraction(1)
-    for i in range(j + 1, n):
-        acc = Fraction(0)
-        for k in range(j, i):
-            if x0_pp[i][k] and vec[k]:
-                acc = acc + x0_pp[i][k] * vec[k]
-        if acc:
-            denom = x0_pp[j][j] - x0_pp[i][i]
-            if not denom:
-                raise EigenvalueCollision("%r vs %r" % (tup, tuples[i]))
-            vec[i] = acc / denom
+    vec = linalg.triangular_eigenvector(x0_pp, tuples.index(tup), tuples)
     coords = linalg.mat_vec(pmat, vec)
     state = {m: c for m, c in zip(monomials, coords) if c}
     # exact eigenvector property at the closed-form eigenvalue

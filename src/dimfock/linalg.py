@@ -17,6 +17,10 @@ class SingularMatrix(ArithmeticError):
     pass
 
 
+class EigenvalueCollision(ArithmeticError):
+    pass
+
+
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
@@ -43,6 +47,30 @@ def mat_vec(a, v):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def triangular_eigenvector(a, j, labels):
+    """Eigenvector of a lower-triangular a for its diagonal entry a[j][j].
+
+    The vector has a 1 in slot j and zeros above it; the slots below follow
+    by back-substitution, each divided by a difference of diagonal entries.
+    A zero difference that a nonzero numerator needs raises
+    EigenvalueCollision naming labels[j] and the colliding label.
+    """
+    n = len(a)
+    vec = [ZERO] * n
+    vec[j] = ONE
+    for i in range(j + 1, n):
+        acc = ZERO
+        for k in range(j, i):
+            if a[i][k] and vec[k]:
+                acc = acc + a[i][k] * vec[k]
+        if acc:
+            denom = a[j][j] - a[i][i]
+            if not denom:
+                raise EigenvalueCollision("%r vs %r" % (labels[j], labels[i]))
+            vec[i] = acc / denom
+    return vec
 
 
 def gauss_eliminate(a, rhs):

@@ -69,7 +69,7 @@ class PhiMatrix:
             if not col:
                 continue
             for s2, m in col.items():
-                val = c * m * _int_pow(w_value, s2.size - s.size)
+                val = c * m * w_value ** (s2.size - s.size)
                 if val:
                     out[s2] = out.get(s2, ZERO) + val
         return out
@@ -83,12 +83,8 @@ class PhiMatrix:
             for s2, m in col.items():
                 b = bra_state.get(s2)
                 if b:
-                    total = total + b * c * m * _int_pow(w_value, s2.size - s.size)
+                    total = total + b * c * m * w_value ** (s2.size - s.size)
         return total
-
-
-def _int_pow(x, k):
-    return x**k if k >= 0 else 1 / x ** (-k)
 
 
 def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=False):
@@ -229,8 +225,8 @@ def phi_element_formula(lam_tup, mu_tup, point_u, point_v, w_value):
     for i in range(n):
         e_u, e_v = e_u * u[i], e_v * v[i]
     val = Fraction(-1) ** (big + (n - 1) * small)
-    val = val * _int_pow(t / q, n * (big - small)) * _int_pow(e_u, big)
-    val = val * _int_pow(e_v, big - small) * _int_pow(w_value, big - small)
+    val = val * (t / q) ** (n * (big - small)) * e_u**big
+    val = val * e_v ** (big - small) * w_value ** (big - small)
     for i in range(n):
         val = val * u[i] ** (n * mu_tup[i].size)
         val = val * q ** (n * n_stat(mu_tup[i].conjugate())) * t ** (-n * n_stat(mu_tup[i]))
@@ -295,7 +291,7 @@ class CrystalPhi:
         if level not in self._pbw:
             tuples = list(self.mod.basis(level))
             words = [
-                tuple((a, -m) for a, m in pbw_word(t, crystal=True)) for t in tuples
+                tuple((a, -m) for a, m in pbw_word(t, prime=True)) for t in tuples
             ]
             monos = list(self.mod.basis(level))
             midx = {m: i for i, m in enumerate(monos)}
@@ -311,7 +307,7 @@ class CrystalPhi:
         """Apply a signed mode word (leftmost outermost) to the ket vacuum."""
         state = self.mod.vacuum()
         for a, m in reversed(word):
-            state = self.gens.mode(a, m)(state)
+            state = self.gens.x_mode(a, m)(state)
         return state
 
     # -- vacuum row ------------------------------------------------------
@@ -327,7 +323,7 @@ class CrystalPhi:
             val = self.vac_on_word(((a, m + 1),) + rest) / (self.v1v2 * self.z)
         else:
             rest_state = self._eval_word(rest)
-            zero_mode = self.gens.mode(a, 0)(rest_state)
+            zero_mode = self.gens.x_mode(a, 0)(rest_state)
             head = self.vac_on_state(zero_mode)
             tail = self.vac_on_state(rest_state)
             scalar = self.v1v2 if a == 2 else self.vsum
@@ -365,7 +361,7 @@ class CrystalPhi:
         if not left:
             state = self.mod.vacuum()
             for a, m in reversed(right):
-                state = self.gens.mode(a, m)(state)
+                state = self.gens.x_mode(a, m)(state)
             val = self.mod.vacuum_coefficient(state)
         else:
             (a, m) = left[-1]
@@ -381,11 +377,11 @@ class CrystalPhi:
         return val
 
     def bra_tuple_on_vacuum(self, tup: PartitionTuple):
-        word = tuple(reversed([(a, m) for a, m in pbw_word(tup, crystal=True)]))
+        word = tuple(reversed([(a, m) for a, m in pbw_word(tup, prime=True)]))
         return self.braword_on_vacuum(word)
 
     def vac_on_tuple(self, tup: PartitionTuple):
-        word = tuple((a, -m) for a, m in pbw_word(tup, crystal=True))
+        word = tuple((a, -m) for a, m in pbw_word(tup, prime=True))
         if not word:
             return ONE
         return self.vac_on_word(word)
@@ -411,7 +407,7 @@ def crystal_four_point_pbw(order, point, u, v, w, z1, z2):
     fam_v = CrystalGenerators(mod_v_inner)
     coeffs = [ONE]
     for n in range(1, order + 1):
-        gram, tuples = pbw_gram(n, fam_v, crystal=True)
+        gram, tuples = pbw_gram(n, fam_v, prime=True)
         ginv = linalg.inverse(gram)
         left = [phi21.vac_on_tuple(t) for t in tuples]
         right = [phi10.bra_tuple_on_vacuum(t) for t in tuples]
@@ -422,5 +418,5 @@ def crystal_four_point_pbw(order, point, u, v, w, z1, z2):
             for j in range(len(tuples)):
                 if ginv[i][j] and right[j]:
                     total = total + left[i] * ginv[i][j] * right[j]
-        coeffs.append(total / _int_pow(x_val, n))
+        coeffs.append(total / x_val**n)
     return coeffs

@@ -76,6 +76,8 @@ class timed:
         self.details = details
 
     def __exit__(self, exc_type, exc, tb):
+        if exc is not None and not isinstance(exc, Exception):
+            return False  # KeyboardInterrupt and SystemExit end the run
         dt = time.time() - self.t0
         if exc is not None:
             self.report.add(self.check_id, self.anchor, False, dt, "error: %r" % (exc,))

@@ -268,10 +268,7 @@ def involution_check(level, point3):
     monos = basis._monomials
     midx = {m: i for i, m in enumerate(monos)}
     swapped = point.with_u(swap_weights(point.u[:2], 1, 2))
-    ks_sw = {swap_tuple(t, 1, 2): None for t in ks}
-    block_sw, basis_sw = two_boson_block(
-        level, swapped, {t: k_from_spectator_swapped(level, point3)[t] for t in ks_sw}
-    )
+    block_sw, _ = two_boson_block(level, swapped, k_from_spectator_swapped(level, point3))
     perm = [[ONE if midx[swap_tuple(monos[i], 1, 2)] == j else ZERO for j in range(len(monos))] for i in range(len(monos))]
     conj = linalg.mat_mul(perm, linalg.mat_mul(block_sw.boson_matrix, perm))
     prod = linalg.mat_mul(conj, block.boson_matrix)

@@ -322,7 +322,7 @@ class ScalarPoint:
     """
 
     def __init__(self, seed, n_weights, level_max, symbolic_slot="none", _resample=0):
-        if symbolic_slot not in ("none", "q", "lambda", "z"):
+        if symbolic_slot not in ("none", "q"):
             raise ValueError("unknown symbolic slot %r" % symbolic_slot)
         self.seed = seed
         self.n_weights = n_weights

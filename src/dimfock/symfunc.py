@@ -324,7 +324,6 @@ def principal_specialization(lam: Partition, r, point=None, tval=None):
 
 
 def principal_specialization_closed(lam: Partition, r, tval):
-    out = tval ** n_stat(lam) if n_stat(lam) >= 0 else None
     out = tval ** n_stat(lam)
     for i in range(1, lam.length + 1):
         out = out * (1 - tval ** (1 - i) * r)

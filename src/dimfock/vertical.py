@@ -73,24 +73,22 @@ def edge_series(lam: Partition, sign: int, order: int, point) -> Series:
     asserted to cancel identically (all later factors are 1).
     """
     q, t = point.q, point.t
-    qi = lambda n: _ipow(q, n)
-    ti = lambda n: _ipow(t, n)
     if sign > 0:
-        mul = [t * qi(lam.part(1) - 1)]
-        div = [qi(lam.part(1))]
+        mul = [t * q ** (lam.part(1) - 1)]
+        div = [q ** lam.part(1)]
         for i in range(1, lam.length + 2):
-            mul.append(qi(lam.part(i)) * ti(-i))
-            mul.append(qi(lam.part(i + 1) - 1) * ti(-i + 1))
-            div.append(qi(lam.part(i + 1)) * ti(-i))
-            div.append(qi(lam.part(i) - 1) * ti(-i + 1))
+            mul.append(q ** lam.part(i) * t ** -i)
+            mul.append(q ** (lam.part(i + 1) - 1) * t ** (-i + 1))
+            div.append(q ** lam.part(i + 1) * t ** -i)
+            div.append(q ** (lam.part(i) - 1) * t ** (-i + 1))
     else:
-        mul = [qi(1 - lam.part(1)) / t]
-        div = [qi(-lam.part(1))]
+        mul = [q ** (1 - lam.part(1)) / t]
+        div = [q ** (-lam.part(1))]
         for i in range(1, lam.length + 2):
-            mul.append(qi(-lam.part(i)) * ti(i))
-            mul.append(qi(1 - lam.part(i + 1)) * ti(i - 1))
-            div.append(qi(-lam.part(i + 1)) * ti(i))
-            div.append(qi(1 - lam.part(i)) * ti(i - 1))
+            mul.append(q ** (-lam.part(i)) * t**i)
+            mul.append(q ** (1 - lam.part(i + 1)) * t ** (i - 1))
+            div.append(q ** (-lam.part(i + 1)) * t**i)
+            div.append(q ** (1 - lam.part(i)) * t ** (i - 1))
     assert sorted(mul[-2:]) == sorted(div[-2:]), "edge product failed to stabilize"
     out = Series.const("z", order)
     for c in mul:
@@ -153,7 +151,7 @@ def vertical_action(gen: str, lam: Partition, point, u_weight):
 def x_plus_mode(n, lam, point, u_weight):
     out = {}
     for target, coeff, support in vertical_action("x+", lam, point, u_weight):
-        val = coeff * _ipow(support, n)
+        val = coeff * support**n
         out[target] = out.get(target, ZERO) + val
     return out
 
@@ -161,7 +159,7 @@ def x_plus_mode(n, lam, point, u_weight):
 def x_minus_mode(n, lam, point, u_weight):
     out = {}
     for target, coeff, support in vertical_action("x-", lam, point, u_weight):
-        val = coeff * _ipow(support, n)
+        val = coeff * support**n
         out[target] = out.get(target, ZERO) + val
     return out
 
@@ -173,15 +171,11 @@ def psi_mode(sign, k, lam, point, u_weight, order=None):
         series = edge_series(lam, +1, order, point)
         if k < 0:
             return ZERO
-        return point.p_half() * series[k] * _ipow(u_weight, k)
+        return point.p_half() * series[k] * u_weight**k
     series = edge_series(lam, -1, order, point)
     if k > 0:
         return ZERO
-    return point.p_half(-1) * series[-k] * _ipow(u_weight, k)
-
-
-def _ipow(x, n):
-    return x**n if n >= 0 else 1 / x ** (-n)
+    return point.p_half(-1) * series[-k] * u_weight**k
 
 
 def dim_relation_check(level, point, u_weight, mode_range=2):
@@ -235,7 +229,7 @@ def higher_eigenvalue(k, tup: PartitionTuple, point):
     prod = Series.const("z", k + 1)
     for i, lam in enumerate(tup.components):
         comp = edge_series(lam, +1, k + 1, point)
-        scaled = Series("z", k + 1, [comp[m] * _ipow(u[i], m) for m in range(k + 1)])
+        scaled = Series("z", k + 1, [comp[m] * u[i] ** m for m in range(k + 1)])
         prod = prod * scaled
     pref = (1 - q) ** (k - 1) * (1 - 1 / t) ** (k - 1) / (1 - t / q)
     return pref * prod[k]
@@ -286,7 +280,7 @@ def xi_plus(box: BoxCoord, point, n_comp):
     num = ONE
     for k in range(1, n_comp - ell + 1):
         num = num * u[ell + k - 1]
-    return out * num * _ipow(u[ell - 1], -(n_comp - ell - 1))
+    return out * num * u[ell - 1] ** -(n_comp - ell - 1)
 
 
 def xi_minus(box: BoxCoord, point, n_comp):
@@ -298,7 +292,7 @@ def xi_minus(box: BoxCoord, point, n_comp):
     num = ONE
     for k in range(1, ell):
         num = num * u[k - 1]
-    return out * num * _ipow(u[ell - 1], -(ell - 2))
+    return out * num * u[ell - 1] ** -(ell - 2)
 
 
 def box_coefficient(sign, lam_tup, mu_tup, point, n_comp):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from dimfock.cli import main
+from dimfock.report import CheckReport, timed
 
 
 def run_cli(args):
@@ -14,6 +15,32 @@ def run_cli(args):
 def test_usage_errors():
     assert run_cli([]) == 2
     assert run_cli(["--suite", "symfunc", "--level", "99"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--suite", "symfunc", "--level", "1", "--points", "1", "--symbolic", "q"])
+    assert exc.value.code == 2
+
+
+def test_timed_records_exception_as_fail():
+    report = CheckReport("t")
+    with timed(report, "boom", "anchor"):
+        raise ValueError("bad input")
+    (entry,) = report.entries
+    assert entry.status == "fail" and "ValueError" in entry.details
+
+
+def test_timed_lets_keyboard_interrupt_through():
+    report = CheckReport("t")
+    with pytest.raises(KeyboardInterrupt):
+        with timed(report, "stop", "anchor"):
+            raise KeyboardInterrupt
+    assert report.entries == []
+
+
+def test_whittaker_at_lattice_seed(capsys):
+    # the first k drawn at seed 102 gives Q = k^2 = 1/t, a pole of the instanton sum
+    args = ["--suite", "agt-generic", "--points", "1", "--level", "2", "--seed", "102"]
+    assert run_cli(args) == 0
+    capsys.readouterr()
 
 
 def test_suite_report_roundtrip(tmp_path, capsys):

@@ -18,7 +18,6 @@ from dimfock.fock import (
     state_scale,
     states_equal,
     vacuum_bra,
-    virasoro_T,
 )
 from dimfock.relations import (
     check_crystal_pbw_hl,
@@ -105,8 +104,9 @@ def test_commutator_example(point2):
 def test_virasoro_highest_weight(point2):
     k = point2.fresh_rational("k")
     vac = {PartitionTuple([EMPTY]): ONE}
-    assert virasoro_T(0, k, point2, 3)(vac) == state_scale(vac, k + 1 / k)
-    assert virasoro_T(1, k, point2, 3)(vac) == {}
+    fam = VirasoroFamily(BosonModule(point2, 1, [k], 3, kind="qt"), k)
+    assert fam.x_mode(1, 0)(vac) == state_scale(vac, k + 1 / k)
+    assert fam.x_mode(1, 1)(vac) == {}
 
 
 def test_virasoro_relation(point2):
@@ -142,11 +142,11 @@ def test_crystal_virasoro_pbw_and_gram(point2):
         for lam in basis:
             st = mod.vacuum()
             for part in reversed(lam.parts):
-                st = fam.t_mode(-part)(st)
+                st = fam.x_mode(1, -part)(st)
             kets.append(st)
             bra = vacuum_bra(mod)
             for part in reversed(lam.parts):
-                bra = bra_apply(fam.t_mode(part), bra, mod, 3)
+                bra = bra_apply(fam.x_mode(1, part), bra, mod, 3)
             bras.append(bra)
         for i, lam in enumerate(basis):
             for j, mu in enumerate(basis):
@@ -188,9 +188,9 @@ def test_mode_oracle(point2):
 
 def test_crystal_whittaker_gram(point2):
     # diagonal inverse entries feed the crystal norm series
-    from dimfock.kacdet import crystal_virasoro_shapovalov
-
-    gram, basis = crystal_virasoro_shapovalov(3, point2)
+    k = point2.fresh_rational("crystal-k")
+    gram, tuples = pbw_gram(3, CrystalVirasoro(BosonModule(point2, 1, [k], 3, kind="crystal"), k))
+    basis = [tup[0] for tup in tuples]
     tinv = 1 / point2.t
     for i, lam in enumerate(basis):
         for j, mu in enumerate(basis):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dimfock.combinat import EMPTY, Partition, PartitionTuple, b_factor, b_factor_neg, partitions
+from dimfock.fock import BosonModule, VirasoroFamily, pbw_gram
 from dimfock.kacdet import (
     constrained_point_single,
     crystal_whittaker_norm,
@@ -14,7 +15,6 @@ from dimfock.kacdet import (
     singular_vector_check_multi,
     staircase_tuple_A,
     staircase_tuple_B,
-    virasoro_shapovalov,
     whittaker_norm,
 )
 
@@ -60,7 +60,7 @@ def test_whittaker_level0_and_shapovalov(point2):
     k = point2.fresh_rational("whit-k")
     series = whittaker_norm(1, k, point2)
     assert series[0] == 1
-    gram, basis = virasoro_shapovalov(1, k, point2)
+    gram, basis = pbw_gram(1, VirasoroFamily(BosonModule(point2, 1, [k], 1, kind="qt"), k))
     assert series[4] == 1 / gram[0][0]
 
 
