@@ -581,7 +581,10 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--points", type=int, default=3)
     parser.add_argument("--out", default=None)
-    opts = parser.parse_args(argv)
+    try:
+        opts = parser.parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0): return it like the checks below
+        return exc.code
     if (opts.suite is None) == (opts.dump is None):
         parser.print_usage()
         return 2

@@ -323,26 +323,23 @@ def _add_parts(tup, adds):
 class LinOp:
     """Sum of vertex-operator modes plus finite compositions thereof."""
 
-    def __init__(self, apply_fn, name=""):
+    def __init__(self, apply_fn, _label=None):
+        # _label is ignored; perfbench/test_perfbench.py still passes one
         self._apply = apply_fn
-        self.name = name
 
     def __call__(self, state):
         return self._apply(state)
 
     def after(self, other):
         """self . other (apply other first)."""
-        return LinOp(lambda s: self(other(s)), "(%s.%s)" % (self.name, other.name))
+        return LinOp(lambda s: self(other(s)))
 
     def commutator(self, other):
-        return LinOp(
-            lambda s: state_add(self(other(s)), state_scale(other(self(s)), Fraction(-1))),
-            "[%s,%s]" % (self.name, other.name),
-        )
+        return LinOp(lambda s: state_add(self(other(s)), state_scale(other(self(s)), Fraction(-1))))
 
 
-def vertex_mode(op: VertexOperator, k: int, module: BosonModule, name="") -> LinOp:
-    return LinOp(lambda s: op.mode_apply(k, s, module), name or ("mode%d" % k))
+def vertex_mode(op: VertexOperator, k: int, module: BosonModule) -> LinOp:
+    return LinOp(lambda s: op.mode_apply(k, s, module))
 
 
 def operator_matrix(op: LinOp, module: BosonModule, level_from: int, level_to: int):
@@ -425,7 +422,7 @@ class ModeFamily:
                         out.pop(t2, None)
             return out
 
-        op = self._mode_cache[key] = LinOp(apply_fn, "X(%d)_%d" % key)
+        op = self._mode_cache[key] = LinOp(apply_fn)
         return op
 
 

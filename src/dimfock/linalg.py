@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over any field whose elements support the
+"""Exact linear algebra over any field whose elements support the
 Python arithmetic operators (Fraction or univariate rational functions).
 
 Matrices are plain lists of lists.  Fraction(0)/Fraction(1) serve as the
@@ -7,6 +7,7 @@ neutral elements; they coerce into the richer field automatically.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -103,37 +104,77 @@ def gauss_eliminate(a, rhs):
     return piv_cols, r
 
 
-def solve(a, b):
-    """Solve a @ x = b for a square nonsingular a; b is a vector."""
-    n = len(a)
-    work = [row[:] for row in a]
-    rhs = [[x] for x in b]
-    piv, rank = gauss_eliminate(work, rhs)
-    if rank < n:
-        raise SingularMatrix("rank %d < %d" % (rank, n))
-    return [rhs[piv.index(c)][0] if c in piv else ZERO for c in range(n)]
-
-
 def solve_unique(a, b):
-    """Least-structured solve of a possibly overdetermined consistent system.
+    """Exact solution of a possibly overdetermined consistent system.
 
-    a is rows x n, b the matching vector.  Raises SingularMatrix when the
-    system is inconsistent or does not pin every unknown.
+    a is a dense list of rows x n, b the matching vector.  Raises
+    SingularMatrix when there are no rows, when the system is inconsistent,
+    or when it does not pin every unknown, in that order of precedence.
+
+    Sparse elimination with a Markowitz-style pivot order: rows become
+    {column: value} dicts and are taken fewest nonzeros first.  Each row is
+    reduced against the pivot rows found so far, oldest pivot first; what is
+    left gives a new pivot, normalized to 1, in the column of that row with
+    the fewest nonzeros in a.  A pivot row only has entries in columns that
+    had no pivot when it was made, so the reduction never revisits a pivot.
+    Once every unknown has a pivot, back-substitution gives the solution and
+    each row not yet used is checked by exact substitution.
     """
     if not a:
         raise SingularMatrix("no equations")
     n = len(a[0])
-    work = [row[:] for row in a]
-    rhs = [[x] for x in b]
-    piv, rank = gauss_eliminate(work, rhs)
-    for i in range(rank, len(work)):
-        if rhs[i][0]:
-            raise SingularMatrix("inconsistent system")
-    if rank < n:
-        raise SingularMatrix("underdetermined: rank %d of %d unknowns" % (rank, n))
+    rows = [({j: x for j, x in enumerate(row) if x}, rhs) for row, rhs in zip(a, b)]
+    col_count = [0] * n
+    for row, _ in rows:
+        for j in row:
+            col_count[j] += 1
+    order = sorted(range(len(rows)), key=lambda i: len(rows[i][0]))
+    rank_of = {}  # pivot column -> its rank, the order in which it was found
+    pivots = []  # by rank: (column, other entries of the row, rhs)
+    used = 0
+    while used < len(order) and len(pivots) < n:
+        row, rhs = rows[order[used]]  # reduced in place; only unused rows are read again
+        used += 1
+        # negated ranks in ascending order: pop() takes the oldest pivot
+        todo = sorted(-rank_of[j] for j in row if j in rank_of)
+        while todo:
+            c, prow, prhs = pivots[-todo.pop()]
+            f = row.pop(c, None)
+            if f is None:
+                continue  # queued twice: cancelled, then brought back
+            for j, v in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * v
+                    if j in rank_of:
+                        insort(todo, -rank_of[j])
+                else:
+                    x = x - f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            if prhs:
+                rhs = rhs - f * prhs
+        if not row:
+            if rhs:
+                raise SingularMatrix("inconsistent system")
+            continue
+        c = min(row, key=lambda j: (col_count[j], j))
+        inv = ONE / row.pop(c)
+        rank_of[c] = len(pivots)
+        pivots.append((c, {j: x * inv for j, x in row.items()}, rhs * inv))
+    if len(pivots) < n:
+        raise SingularMatrix("underdetermined: rank %d of %d unknowns" % (len(pivots), n))
     sol = [ZERO] * n
-    for r, c in enumerate(piv):
-        sol[c] = rhs[r][0]
+    for c, prow, acc in reversed(pivots):
+        for j, v in prow.items():
+            acc = acc - v * sol[j]
+        sol[c] = acc
+    for i in order[used:]:
+        row, rhs = rows[i]
+        if sum((x * sol[j] for j, x in row.items()), ZERO) != rhs:
+            raise SingularMatrix("inconsistent system")
     return sol
 
 

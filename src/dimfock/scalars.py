@@ -340,7 +340,6 @@ class ScalarPoint:
             raise ScalarError("could not sample generic (q0, t0) after 1000 tries")
         self.q0, self.t0 = q0, t0
         self.u = self._sample_weights(rng, q0**4, t0**4, n_weights, 2 * level_max)
-        self._rng_state = rng
 
     @staticmethod
     def _qt_ok(q0, t0, bound):
@@ -458,7 +457,6 @@ class ScalarPoint:
         other.u = self._sample_weights(
             rng, self.q0**4, self.t0**4, self.n_weights, 2 * self.level_max, forbid=tuple(self.u)
         )
-        other._rng_state = rng
         return other
 
     def with_u(self, u):
@@ -474,7 +472,6 @@ class ScalarPoint:
         other.symbolic_slot = self.symbolic_slot
         other.q0, other.t0 = Fraction(q0), Fraction(t0)
         other.u = list(u)
-        other._rng_state = stable_rng("dimfock-withu", self.seed)
         return other
 
     def describe(self):
@@ -530,7 +527,6 @@ def _specialized_view(point):
     view.symbolic_slot = "none"
     view.q0, view.t0 = point.q0, point.t0
     view.u = point.u
-    view._rng_state = None
     return view
 
 

@@ -1,9 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from dimfock import genmac
-from dimfock.linalg import EigenvalueCollision, mat_vec, triangular_eigenvector
+from dimfock.linalg import (
+    EigenvalueCollision,
+    SingularMatrix,
+    gauss_eliminate,
+    mat_vec,
+    solve_unique,
+    triangular_eigenvector,
+)
+from dimfock.scalars import RatFunc
 
 F = Fraction
 
@@ -26,3 +36,87 @@ def test_triangular_eigenvector_collision():
     uncoupled = [[F(2), F(0), F(0)], [F(0), F(2), F(0)], [F(1), F(0), F(5)]]
     assert triangular_eigenvector(uncoupled, 0, ["a", "b", "c"]) == [1, 0, F(-1, 3)]
     assert genmac.EigenvalueCollision is EigenvalueCollision
+
+
+def dense_solve(a, b):
+    """Dense Gauss-Jordan oracle for solve_unique, same errors and precedence."""
+    if not a:
+        raise SingularMatrix("no equations")
+    n = len(a[0])
+    work = [row[:] for row in a]
+    rhs = [[x] for x in b]
+    piv, rank = gauss_eliminate(work, rhs)
+    if any(rhs[i][0] for i in range(rank, len(work))):
+        raise SingularMatrix("inconsistent system")
+    if rank < n:
+        raise SingularMatrix("underdetermined: rank %d of %d unknowns" % (rank, n))
+    sol = [F(0)] * n
+    for r, c in enumerate(piv):
+        sol[c] = rhs[r][0]
+    return sol
+
+
+def outcome(solver, a, b):
+    try:
+        return solver(a, b)
+    except SingularMatrix as exc:
+        return str(exc)
+
+
+# half zeros: sparse enough for rank defects, dense enough for fill-in
+entries = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 8))
+    a = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    x = [draw(entries) for _ in range(n)]
+    b = mat_vec(a, x)
+    if draw(st.booleans()):
+        shift = draw(st.fractions(min_value=1, max_value=3, max_denominator=3))
+        b[draw(st.integers(0, m - 1))] += shift
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_solve_unique_matches_dense_oracle(system):
+    a, b = system
+    want = outcome(dense_solve, a, b)
+    if isinstance(want, str):
+        event(want.split(":")[0])
+    else:
+        event("overdetermined" if len(a) > len(a[0]) else "unique")
+    assert outcome(solve_unique, a, b) == want
+
+
+def test_solve_unique_cases_and_precedence():
+    assert solve_unique([[F(2), F(1)], [F(1), F(3)]], [F(3), F(4)]) == [1, 1]
+    # overdetermined and consistent; the sparsest row is eliminated first
+    assert solve_unique([[F(1), F(1)], [F(0), F(2)], [F(1), F(0)]], [F(3), F(4), F(1)]) == [1, 2]
+    # fill-in: reducing the second row by the first brings in column 1
+    cyclic = [[F(1), F(1), F(0)], [F(1), F(0), F(1)], [F(0), F(1), F(1)]]
+    assert solve_unique(cyclic, [F(2), F(3), F(5)]) == [0, 2, 3]
+    with pytest.raises(SingularMatrix, match="no equations"):
+        solve_unique([], [])
+    # full rank, but a row left over after elimination disagrees
+    with pytest.raises(SingularMatrix, match="inconsistent system"):
+        solve_unique([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]], [F(1), F(1), F(3)])
+    # inconsistent takes precedence over underdetermined
+    with pytest.raises(SingularMatrix, match="inconsistent system"):
+        solve_unique([[F(1), F(0)], [F(2), F(0)]], [F(1), F(3)])
+    with pytest.raises(SingularMatrix, match="underdetermined: rank 1 of 2 unknowns"):
+        solve_unique([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])
+
+
+def test_solve_unique_over_rational_functions():
+    s = RatFunc.variable()
+    a = [[s, F(1)], [F(1), s], [s + 1, s + 1], [F(0), s * s]]
+    x = [1 / (s - 1), s * s + F(1, 2)]
+    b = [row[0] * x[0] + row[1] * x[1] for row in a]
+    assert solve_unique(a, b) == x == dense_solve(a, b)
+    b[2] = b[2] + s
+    with pytest.raises(SingularMatrix, match="inconsistent system"):
+        solve_unique(a, b)

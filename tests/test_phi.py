@@ -23,6 +23,11 @@ def test_rank1_solver_matches_closed_form(point1):
     assert closed.entries[vac][vac] == 1
 
 
+def test_rank1_solver_matches_closed_form_level4(point1):
+    ptv = point1.with_weights("phiv")
+    assert solve_vertex_phi(point1, ptv, 1, 4).entries == phi_matrix_rank1(point1, ptv, 4).entries
+
+
 def test_rank1_level1_element(point1):
     # first creation coefficient of the exponential form
     ptv = point1.with_weights("phiv")
@@ -37,6 +42,11 @@ def test_rank1_level1_element(point1):
 def test_element_conjecture(point1, point2):
     assert phi_element_conjecture_check(2, point1, point1.with_weights("phiv"), 1) == []
     assert phi_element_conjecture_check(1, point2, point2.with_weights("phiv"), 2) == []
+
+
+def test_element_conjecture_solved_n2_level2(point2):
+    # N=2 has no closed form for Phi: this solves the exchange relations
+    assert phi_element_conjecture_check(2, point2, point2.with_weights("phiv"), 2) == []
 
 
 def crystal_setup(pt, tag="c"):
