@@ -218,7 +218,7 @@ def run_genmac(opts):
         tm.result(ok)
     with timed(report, "crystal-limit", "q-to-zero-transition") as tm:
         spt = make_point(opts.seed, 2, level + 1, "q")
-        table, dual, poles = gen_hall_littlewood(min(level, 2), spt)
+        table, dual, poles = gen_hall_littlewood(min(level, 3), spt)
         tm.result(poles == [], "poles: %d" % len(poles))
     with timed(report, "jack-tables", "degenerate-limit-eigenfunctions") as tm:
         beta = Fraction(3, 7)
@@ -515,59 +515,66 @@ def run_all(opts):
 # Fixture dumps
 
 
-def dump_fixture(obj, opts):
+def _dump_genmac_transition(opts, level):
+    from .genmac import gen_macdonald
+
     pt = make_point(opts.seed, max(opts.n_comp or 2, 2), (opts.level or 2) + 1)
-    level = opts.level or 1
-    if obj == "genmac-transition":
-        from .genmac import gen_macdonald
+    basis = gen_macdonald(level, pt, n_comp=opts.n_comp or 2)
+    rows = basis.monomial_transition()
+    return {
+        "level": level,
+        "point": pt.describe(),
+        "tuples": [to_json(t) for t in basis.tuples],
+        "matrix": [[str(c) for c in row] for row in rows],
+    }
 
-        basis = gen_macdonald(level, pt, n_comp=opts.n_comp or 2)
-        rows = basis.monomial_transition()
-        return {
-            "object": obj,
-            "level": level,
-            "point": pt.describe(),
-            "tuples": [to_json(t) for t in basis.tuples],
-            "matrix": [[str(c) for c in row] for row in rows],
-        }
-    if obj == "k-constants":
-        from .rmatrix import solve_r_block
 
-        pt3 = make_point(opts.seed, 3, level + 1)
-        out = {}
-        for n in range(1, level + 1):
-            block = solve_r_block(n, pt3, (1, 2))
-            out[str(n)] = {
-                json.dumps(to_json(t)): str(k) for t, k in block.k_values.items()
-            }
-        return {"object": obj, "point": pt3.describe(), "constants": out}
-    if obj == "r-block":
-        from .rmatrix import solve_r_block
+def _dump_k_constants(opts, level):
+    from .rmatrix import solve_r_block
 
-        pt3 = make_point(opts.seed, 3, level + 1)
-        block = solve_r_block(level, pt3, (1, 2))
-        return {
-            "object": obj,
-            "level": level,
-            "point": pt3.describe(),
-            "boson_matrix": [[str(c) for c in row] for row in block.boson_matrix],
-            "eigen_matrix": [[str(c) for c in row] for row in block.eigen_matrix],
-        }
-    if obj == "gen-jack":
-        from .genmac import gen_jack
+    pt3 = make_point(opts.seed, 3, level + 1)
+    out = {}
+    for n in range(1, level + 1):
+        block = solve_r_block(n, pt3, (1, 2))
+        out[str(n)] = {json.dumps(to_json(t)): str(k) for t, k in block.k_values.items()}
+    return {"point": pt3.describe(), "constants": out}
 
-        beta = Fraction(3, 7)
-        uprime = [Fraction(5, 3), Fraction(2, 9)]
-        tuples, rows, eig = gen_jack(level, beta, uprime)
-        return {
-            "object": obj,
-            "level": level,
-            "beta": str(beta),
-            "uprime": [str(x) for x in uprime],
-            "tuples": [to_json(t) for t in tuples],
-            "matrix": [[str(c) for c in row] for row in rows],
-        }
-    raise SystemExit(2)
+
+def _dump_r_block(opts, level):
+    from .rmatrix import solve_r_block
+
+    pt3 = make_point(opts.seed, 3, level + 1)
+    block = solve_r_block(level, pt3, (1, 2))
+    return {
+        "level": level,
+        "point": pt3.describe(),
+        "boson_matrix": [[str(c) for c in row] for row in block.boson_matrix],
+        "eigen_matrix": [[str(c) for c in row] for row in block.eigen_matrix],
+    }
+
+
+def _dump_gen_jack(opts, level):
+    from .genmac import gen_jack
+
+    beta = Fraction(3, 7)
+    uprime = [Fraction(5, 3), Fraction(2, 9)]
+    tuples, rows, _ = gen_jack(level, beta, uprime)
+    return {
+        "level": level,
+        "beta": str(beta),
+        "uprime": [str(x) for x in uprime],
+        "tuples": [to_json(t) for t in tuples],
+        "matrix": [[str(c) for c in row] for row in rows],
+    }
+
+
+# --dump name -> payload builder; both the argparse choices and the dispatch read it
+DUMPS = {
+    "genmac-transition": _dump_genmac_transition,
+    "k-constants": _dump_k_constants,
+    "r-block": _dump_r_block,
+    "gen-jack": _dump_gen_jack,
+}
 
 
 def main(argv=None):
@@ -575,7 +582,7 @@ def main(argv=None):
         prog="dimfock", description="exact verification suites for the Fock calculus"
     )
     parser.add_argument("--suite", choices=sorted(SUITES), help="suite to run")
-    parser.add_argument("--dump", choices=["genmac-transition", "k-constants", "r-block", "gen-jack"])
+    parser.add_argument("--dump", choices=list(DUMPS))
     parser.add_argument("--N", dest="n_comp", type=int, default=None)
     parser.add_argument("--level", type=int, default=None)
     parser.add_argument("--seed", type=int, default=7)
@@ -592,7 +599,7 @@ def main(argv=None):
         print("level cap exceeded (max 6)", file=sys.stderr)
         return 2
     if opts.dump:
-        payload = dump_fixture(opts.dump, opts)
+        payload = {"object": opts.dump, **DUMPS[opts.dump](opts, opts.level or 1)}
         text = json.dumps(payload, indent=1, sort_keys=True)
         if opts.out:
             with open(opts.out, "w") as fh:

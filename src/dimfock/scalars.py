@@ -7,7 +7,9 @@ Two scalar modes:
   t = t0^4, so all half and quarter powers appearing in free-field formulas
   (p^(1/2), (t/q)^(1/4), q^(1/2), ...) are themselves rational.
 
-* one formal symbol -- scalars are univariate rational functions over Q.
+* one formal symbol -- scalars are univariate rational functions over Q,
+  stored as an integer numerator and denominator in Z[s] and reduced with a
+  primitive-PRS gcd, so no Fraction arithmetic runs inside them.
   For the q-slot the internal variable is s = (q/t)^(1/2), i.e. q = t*s^2
   with t rational; every half-integer power of p = q/t is then an exact
   monomial in s, the q -> 0 limit is evaluation at s = 0, and poles at
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from .combinat import enumerate_tuples
@@ -43,99 +46,112 @@ class PoleAtZero(ScalarError):
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over Q
-
-
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
+# Dense univariate polynomials over Z and their fractions
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction; index = degree."""
+    """Dense univariate polynomial over Z; index = degree, no trailing zeros."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim(Fraction(c) for c in coeffs)
+        c = list(coeffs)
+        if not all(isinstance(x, int) for x in c):
+            raise TypeError("Poly coefficients must be ints: %r" % (c,))
+        while c and not c[-1]:
+            c.pop()
+        self.coeffs = tuple(c)
 
     @classmethod
-    def const(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, deg, c=1):
-        return cls((0,) * deg + (c,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self):
-        return not self.coeffs
+    def _of(cls, coeffs):
+        """Wrap a tuple of ints that is already trimmed, without checks."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        )
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return Poly._of(tuple(out) + a[len(b) :])
+        while out and not out[-1]:
+            out.pop()
+        return Poly._of(tuple(out))
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return Poly._of(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Poly(out)
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return _ZERO
+        if len(b) == 1:
+            c = b[0]
+            return Poly._of(a if c == 1 else tuple(c * x for x in a))
+        n = len(a)
+        out = [0] * (n + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                out[j : j + n] = [o + x * y for o, x in zip(out[j : j + n], a)]
+        return Poly._of(tuple(out))
 
-    def scale(self, c):
-        c = Fraction(c)
-        return Poly(ci * c for ci in self.coeffs)
-
-    def divmod(self, other):
-        if other.is_zero():
+    def exquo(self, other):
+        """The quotient by a divisor over Z; ScalarError if it leaves a remainder."""
+        r = list(self.coeffs)
+        b = other.coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d, lead = other.degree, other.coeffs[-1]
-        while len(rem) - 1 >= d and any(rem):
-            k = len(rem) - 1
-            if not rem[k]:
-                rem.pop()
-                continue
-            f = rem[k] / lead
-            quo[k - d] = f
-            for j, c in enumerate(other.coeffs):
-                rem[k - d + j] -= f * c
-            rem.pop()
-        return Poly(quo), Poly(rem)
+        n = len(b) - 1
+        lead = b[-1]
+        q = [0] * max(0, len(r) - n)
+        for k in range(len(q) - 1, -1, -1):
+            f, m = divmod(r[k + n], lead)
+            if m:
+                raise ScalarError("inexact polynomial division")
+            q[k] = f
+            if f:
+                r[k : k + n] = [c - f * x for c, x in zip(r[k : k + n], b)]
+        if any(r[:n]):
+            raise ScalarError("inexact polynomial division")
+        return Poly._of(tuple(q))
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.coeffs[-1])  # monic
+        """Primitive gcd over Z: content 1 and a positive leading coefficient.
+
+        A primitive polynomial remainder sequence (G. Collins, J. ACM 1967;
+        W. S. Brown, J. ACM 1971): every pseudo-remainder is divided by its
+        content, so no rational arithmetic is needed and the coefficients
+        stay small.  A common power of s is split off first.  gcd(0, 0) = 0.
+        """
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly._of(_primitive(a or b))
+        za, zb = _low_zeros(a), _low_zeros(b)
+        a, b = _primitive(a[za:]), _primitive(b[zb:])
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        if b:  # a nonzero constant remainder: coprime
+            a = (1,)
+        return Poly._of((0,) * min(za, zb) + a)
 
     def eval(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at a rational x, as a Fraction."""
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        coeffs = self.coeffs
+        if not coeffs:
+            return Fraction(0)
+        acc, scale = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, scale)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -147,85 +163,110 @@ class Poly:
         return "Poly(%r)" % (self.coeffs,)
 
 
+_ZERO = Poly._of(())
+_ONE = Poly._of((1,))
+
+
+def _low_zeros(t):
+    """The power of s dividing a nonzero coefficient tuple."""
+    k = 0
+    while not t[k]:
+        k += 1
+    return k
+
+
+def _primitive(t):
+    """A coefficient tuple divided by its content, leading coefficient positive."""
+    if not t:
+        return t
+    g = gcd(*t)
+    if t[-1] < 0:
+        g = -g
+    return t if g == 1 else tuple(c // g for c in t)
+
+
+def _pseudo_remainder(a, b):
+    """A nonzero integer multiple of the remainder of a by b, len(a) >= len(b).
+
+    Each step scales the running remainder by lc(b)/g only, where g is the
+    gcd of the two leading coefficients, instead of by lc(b).
+    """
+    r = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    while len(r) > n:
+        g = gcd(r[-1], lead)
+        m, f = lead // g, r[-1] // g
+        if m != 1:
+            r = [c * m for c in r]
+        k = len(r) - 1 - n
+        r[k : k + n] = [c - f * x for c, x in zip(r[k : k + n], b)]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
 class RatFunc:
-    """Reduced fraction of two Polys; denominator kept monic and nonzero."""
+    """An element of Q(s) as num/den with num, den in Z[s].
+
+    Canonical form: num and den have no common factor over Q[s], their joint
+    integer content is 1 and den has a positive leading coefficient.  Equal
+    elements therefore have equal (num, den); a constant n/d is stored as
+    (n)/(d) and hashes like Fraction(n, d).
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
-        if not isinstance(num, Poly):
-            num = Poly.const(num)
-        if den is None:
-            den = Poly.const(1)
-        elif not isinstance(den, Poly):
-            den = Poly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if reduce:
-            g = num.gcd(den)
-            if not g.is_zero() and g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=1):
+        """num/den for Polys, ints or Fractions, brought to the canonical form."""
+        q = _mul(_lift(num), _inverse(_lift(den)))
+        self.num, self.den = q.num, q.den
 
     @classmethod
     def variable(cls):
-        return cls(Poly.monomial(1))
+        return _rat(Poly._of((0, 1)), _ONE)
 
     @classmethod
     def _coerce(cls, other):
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction)):
-            return cls(Poly.const(other), reduce=False)
+            n = other.numerator
+            return _rat(Poly._of((n,)) if n else _ZERO, Poly._of((other.denominator,)))
         return None
 
     def is_zero(self):
-        return self.num.is_zero()
-
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def as_fraction(self):
-        if not self.is_constant():
-            raise ScalarError("not a constant: %r" % self)
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return not self.num.coeffs
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _add(self, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return _rat(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _add(self, -o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _add(o, -self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        return _mul(self, o)
 
     __rmul__ = __mul__
 
@@ -233,70 +274,127 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return _mul(self, _inverse(o))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _mul(o, _inverse(self))
 
     def __pow__(self, n):
-        if n < 0:
-            return (Fraction(1) / self) ** (-n)
-        out = RatFunc(Poly.const(1), reduce=False)
-        base = self
+        # num^n and den^n are again coprime with joint content 1 (Gauss's lemma)
+        base = self if n >= 0 else _inverse(self)
+        p, q = base.num, base.den
+        num = den = _ONE
+        n = abs(n)
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                num, den = num * p, den * q
             n >>= 1
-        return out
+            if n:
+                p, q = p * p, q * q
+        return _rat(num, den)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.num.coeffs == o.num.coeffs and self.den.coeffs == o.den.coeffs
 
     def __hash__(self):
-        if self.is_constant():
-            return hash(self.as_fraction())
-        return hash((self.num.coeffs, self.den.coeffs))
+        n, d = self.num.coeffs, self.den.coeffs
+        if len(n) <= 1 and len(d) == 1:
+            return hash(Fraction(n[0] if n else 0, d[0]))
+        return hash((n, d))
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.coeffs)
 
     def eval(self, x):
+        """Exact value at a rational x, as a Fraction; PoleAtZero at a pole."""
         d = self.den.eval(x)
         if d == 0:
             raise PoleAtZero("pole at x=%s" % (x,))
         return self.num.eval(x) / d
 
-    def has_pole_at(self, x) -> bool:
-        return self.den.eval(x) == 0
-
     def __repr__(self):
         return "RatFunc(%r, %r)" % (self.num.coeffs, self.den.coeffs)
 
 
-def as_fraction(x):
-    """Collapse a scalar known to be constant down to a Fraction."""
-    if isinstance(x, RatFunc):
-        return x.as_fraction()
-    return Fraction(x)
+def _rat(num, den):
+    """A RatFunc from Polys already in canonical form."""
+    r = object.__new__(RatFunc)
+    r.num = num
+    r.den = den
+    return r
 
 
-def scalar_to_json(x):
-    """Rationals as "num/den" strings, rational functions as coefficient maps."""
-    if isinstance(x, RatFunc):
-        return {
-            "num": [str(c) for c in x.num.coeffs],
-            "den": [str(c) for c in x.den.coeffs],
-        }
-    return str(Fraction(x))
+def _lift(x):
+    if isinstance(x, Poly):
+        return _rat(x, _ONE)
+    r = RatFunc._coerce(x)
+    if r is None:
+        raise TypeError("cannot make a rational function of %r" % (x,))
+    return r
+
+
+def _canonical(num, den):
+    """num/den with joint content 1, for num, den coprime over Q[s] and lc(den) > 0.
+
+    Every den passed here is a product or exact quotient of canonical
+    denominators and primitive gcds, so its leading coefficient is positive.
+    """
+    if not num.coeffs:
+        return _rat(_ZERO, _ONE)
+    g = gcd(*num.coeffs, *den.coeffs)
+    if g != 1:
+        num = Poly._of(tuple(c // g for c in num.coeffs))
+        den = Poly._of(tuple(c // g for c in den.coeffs))
+    return _rat(num, den)
+
+
+def _cancel(p, q):
+    """p and q divided by their gcd; a constant on either side skips the gcd."""
+    if len(p.coeffs) < 2 or len(q.coeffs) < 2:
+        return p, q
+    g = p.gcd(q)
+    if len(g.coeffs) < 2:
+        return p, q
+    return p.exquo(g), q.exquo(g)
+
+
+def _inverse(x):
+    num, den = x.num, x.den
+    if not num.coeffs:
+        raise ZeroDivisionError("division by zero rational function")
+    if num.coeffs[-1] < 0:
+        return _rat(-den, -num)
+    return _rat(den, num)
+
+
+def _add(x, y):
+    a, b, c, d = x.num, x.den, y.num, y.den
+    if not a.coeffs:
+        return y
+    if not c.coeffs:
+        return x
+    if b.coeffs == d.coeffs:  # equal denominators: no cross product
+        return _canonical(*_cancel(a + c, b))
+    if len(b.coeffs) > 1 and len(d.coeffs) > 1:
+        # Henrici: with g = gcd(b, d), the sum's only common factor lies in g
+        g = b.gcd(d)
+        if len(g.coeffs) > 1:
+            b1, d1 = b.exquo(g), d.exquo(g)
+            t, h = _cancel(a * d1 + c * b1, g)
+            return _canonical(t, b1 * d1 * h)
+    return _canonical(a * d + c * b, b * d)
+
+
+def _mul(x, y):
+    a, d = _cancel(x.num, y.den)
+    c, b = _cancel(y.num, x.den)
+    return _canonical(a * c, b * d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,17 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from dimfock.combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples, partitions
+from dimfock.combinat import (
+    EMPTY,
+    Partition,
+    PartitionTuple,
+    enumerate_tuples,
+    partitions,
+    to_json,
+)
 from dimfock.fock import state_scale
 from dimfock.genmac import (
     gen_hall_littlewood,
@@ -11,7 +20,7 @@ from dimfock.genmac import (
     integral_forms,
     ordering_vanishing_check,
 )
-from dimfock.scalars import eigenvalue_of
+from dimfock.scalars import eigenvalue_of, make_point
 from dimfock.symfunc import convert, macdonald_p
 
 
@@ -215,6 +224,24 @@ def test_gen_hall_littlewood_tables(sym_point2):
             assert tab2[o[i]][o[j]] == want
             dwant = dual_expected.get((i, j), Fraction(1) if i == j else Fraction(0))
             assert dual2[o[i]][o[j]] == dwant
+
+
+def test_gen_hall_littlewood_level4_unitriangular():
+    table, dual, poles = gen_hall_littlewood(4, make_point(7, 2, 5, "q"))
+    assert poles == []
+    order = list(table)
+    assert len(order) == 20 and list(dual) == order
+    for i, lam in enumerate(order):
+        assert table[lam][lam] == dual[lam][lam] == 1
+        assert all(table[lam][mu] == 0 for mu in order[:i])
+        assert all(dual[lam][mu] == 0 for mu in order[i + 1 :])
+    # digest of the exact tables as computed over Fraction coefficients
+    text = json.dumps(
+        [[to_json(lam) for lam in order]]
+        + [[[str(tab[lam][mu]) for mu in order] for lam in order] for tab in (table, dual)]
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "2f19544c8ca217b63db232ad3be5755ddf403c3f04ecc542d34301e11598c50b"
 
 
 def test_gen_hall_littlewood_rank1_matches_hl(sym_point2):

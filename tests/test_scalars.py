@@ -1,7 +1,11 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from dimfock.scalars import (
     Poly,
@@ -72,6 +76,140 @@ def test_ratfunc_field_axioms():
         assert RatFunc(a.num, a.den) == a  # reduction idempotent
     f = (x**2 - 1) / (x - 1)
     assert f == x + 1
+
+
+def assert_canonical(f):
+    """num/den coprime over Q[s], joint integer content 1, lc(den) > 0, reduced again unchanged."""
+    num, den = f.num.coeffs, f.den.coeffs
+    assert all(type(c) is int for c in num + den)
+    assert den and den[-1] > 0
+    assert gcd(*num, *den) == 1
+    assert f.num.gcd(f.den).coeffs == (1,)
+    again = RatFunc(f.num, f.den)
+    assert (again.num.coeffs, again.den.coeffs) == (num, den)
+
+
+def test_ratfunc_canonical_form():
+    s = RatFunc.variable()
+    f = RatFunc(Poly([2, 4]), Poly([6, -4]))  # (1 + 2s) / (3 - 2s)
+    assert (f.num.coeffs, f.den.coeffs) == ((-1, -2), (-3, 2))
+    g = s / 2 + Fraction(1, 3)
+    assert (g.num.coeffs, g.den.coeffs) == ((2, 3), (6,))
+    h = RatFunc(Poly([0, 0, 3, 3]), Poly([0, 6, 6]))  # 3s^2(1 + s) / 6s(1 + s)
+    assert (h.num.coeffs, h.den.coeffs) == ((0, 1), (2,))
+    assert (s - s).den.coeffs == (1,) and (s / (s + 1) * 0).den.coeffs == (1,)
+    for x in (f, g, h, f * g / h, f + g - h, (f - 1) ** -2, 1 / (g - s / 2)):
+        assert_canonical(x)
+    with pytest.raises(ZeroDivisionError):
+        RatFunc(s, Poly())
+    with pytest.raises(TypeError):
+        Poly([Fraction(1, 2)])
+
+
+def test_ratfunc_constants_hash_like_fractions():
+    for c in (0, 1, -1, 7, Fraction(1, 2), Fraction(-3, 4), Fraction(10, 6), Fraction(-8, 1)):
+        r = RatFunc(c)
+        assert r == Fraction(c) and Fraction(c) == r and r == c
+        assert hash(r) == hash(Fraction(c))
+        assert_canonical(r)
+    s = RatFunc.variable()
+    one = (s + 1) / (s + 1)
+    assert one == 1 and hash(one) == hash(1)
+    half = (s * 3 + 3) / (s * 6 + 6)
+    assert half == Fraction(1, 2) and {Fraction(1, 2): "half"}[half] == "half"
+    assert (s / 2) * 2 == s and hash((s / 2) * 2) == hash(s)
+
+
+# irreducible and pairwise distinct primitive factors with positive leading coefficient
+FACTORS = [
+    Poly([0, 1]),
+    Poly([1, 1]),
+    Poly([-2, 1]),
+    Poly([3, 2]),
+    Poly([-1, 3]),
+    Poly([1, 0, 1]),
+    Poly([5, -1, 1]),
+    Poly([2, 0, 0, 1]),
+]
+NONZERO = [c for c in range(-12, 13) if c]
+
+
+def _product(indices, content=1):
+    out = Poly([content])
+    for i in indices:
+        out = out * FACTORS[i]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, len(FACTORS) - 1), max_size=4),
+    st.lists(st.integers(0, len(FACTORS) - 1), max_size=4),
+    st.lists(st.integers(0, len(FACTORS) - 1), max_size=4),
+    st.sampled_from(NONZERO),
+    st.sampled_from(NONZERO),
+)
+def test_poly_gcd_of_known_factorizations(common, left, right, ca, cb):
+    # left and right share no factor, so the gcd is the common product, made primitive
+    right = [i for i in right if i not in left]
+    g = _product(common)
+    a, b = _product(common + left, ca), _product(common + right, cb)
+    assert a.gcd(b) == g == b.gcd(a)
+    assert a.exquo(g) == _product(left, ca) and b.exquo(g) == _product(right, cb)
+    if left:
+        with pytest.raises(ScalarError, match="inexact"):
+            _product(right, cb).exquo(_product(left))
+    assert a.gcd(Poly()) == _product(common + left)  # the primitive part of a
+    assert Poly().gcd(Poly()) == Poly()
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+CONSTANTS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+EXPRESSIONS = st.recursive(
+    st.one_of(st.just("s"), CONSTANTS),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(sorted(OPS)), inner, inner),
+        st.tuples(st.just("**"), inner, st.integers(-2, 3)),
+    ),
+    max_leaves=8,
+)
+
+
+def evaluate(expr, s):
+    if expr == "s":
+        return s
+    if not isinstance(expr, tuple):
+        return expr
+    op, a, b = expr
+    x = evaluate(a, s)
+    y = b if op == "**" else evaluate(b, s)
+    if not isinstance(x, RatFunc) and not isinstance(y, RatFunc):
+        x = Fraction(x)  # int leaves meet RatFuncs as ints, but int / int is a float
+    return x**y if op == "**" else OPS[op](x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS, st.lists(st.fractions(-3, 3, max_denominator=7), min_size=1, max_size=4))
+def test_ratfunc_matches_fraction_arithmetic(expr, xs):
+    try:
+        f = evaluate(expr, RatFunc.variable())
+    except ZeroDivisionError:
+        assume(False)  # divides by the zero function
+    f = RatFunc(f) if not isinstance(f, RatFunc) else f
+    assert_canonical(f)
+    event("constant" if len(f.num.coeffs) <= 1 and len(f.den.coeffs) == 1 else "in s")
+    checked = 0
+    for x in xs:
+        try:
+            want = evaluate(expr, x)
+        except ZeroDivisionError:
+            continue  # an intermediate value has a pole at x
+        assert f.eval(x) == want
+        checked += 1
+    event("points checked: %d" % checked)
 
 
 def test_series_exp_log_roundtrip():
