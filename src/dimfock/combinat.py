@@ -92,13 +92,15 @@ EMPTY = Partition(())
 class PartitionTuple:
     """Ordered N-tuple of partitions."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_hash")
 
     def __init__(self, components):
         comps = tuple(c if isinstance(c, Partition) else Partition(c) for c in components)
         if not comps:
             raise ValueError("need at least one component")
         self.components = comps
+        # tuples key every state and operator column, so hash them once
+        self._hash = hash(comps)
 
     @property
     def n_components(self) -> int:
@@ -121,7 +123,7 @@ class PartitionTuple:
         return isinstance(other, PartitionTuple) and self.components == other.components
 
     def __hash__(self):
-        return hash(self.components)
+        return self._hash
 
     def __repr__(self):
         return "PartitionTuple(%s)" % (", ".join(repr(c.parts) for c in self.components),)

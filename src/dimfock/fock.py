@@ -113,6 +113,16 @@ def state_add(a, b):
     return out
 
 
+def state_accumulate(acc, state, c):
+    """acc += c * state in place; entries that cancel are dropped."""
+    for k, v in state.items():
+        s = acc.get(k, ZERO) + c * v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
 def state_scale(a, c):
     if not c:
         return {}
@@ -321,14 +331,40 @@ def _add_parts(tup, adds):
 
 
 class LinOp:
-    """Sum of vertex-operator modes plus finite compositions thereof."""
+    """A linear operator on a module, memoized column by column.
+
+    apply_fn maps a state to a state.  A call evaluates apply_fn once per
+    basis monomial, on {monomial: 1}, caches that image (the operator's
+    column) on the operator, and returns the combination of the cached
+    columns as a fresh dict.  Composites built with ``after`` and
+    ``commutator`` are LinOps too, so a composite applied repeatedly (a
+    nested commutator of ``vertical.hamiltonian``) keeps its own columns.
+    A composite refers to its factors and never the reverse, so the caches
+    form no reference cycle: they are freed with the last reference to the
+    operator, which for family modes is the family.
+    """
+
+    __slots__ = ("_apply", "_columns", "__weakref__")
 
     def __init__(self, apply_fn, _label=None):
         # _label is ignored; perfbench/test_perfbench.py still passes one
         self._apply = apply_fn
+        self._columns = {}
 
     def __call__(self, state):
-        return self._apply(state)
+        columns = self._columns
+        out = {}
+        for tup, c in state.items():
+            col = columns.get(tup)
+            if col is None:
+                img = self._apply({tup: ONE})
+                col = columns[tup] = {k: v for k, v in img.items() if v}
+            # {tup: 1} returns a copy of the column; a symbolic 1 still
+            # multiplies, so the values keep the type the caller's field gives
+            if len(state) == 1 and type(c) is Fraction and c == 1:
+                return dict(col)
+            state_accumulate(out, col, c)
+        return out
 
     def after(self, other):
         """self . other (apply other first)."""
@@ -385,14 +421,14 @@ class ModeFamily:
     """Generators on a module whose modes are sums of vertex-operator modes.
 
     A family names the vertex operators that sum to mode n of generator gen
-    (``mode_terms``); ``x_mode`` turns them into one operator, memoizing the
-    image of each basis monomial per family under the key (gen, n, monomial).
+    (``mode_terms``); ``x_mode`` turns them into one LinOp, built once per
+    (gen, n), which memoizes its image of each basis monomial.  The caches
+    live as long as the family, which a check builds and drops.
     """
 
     def __init__(self, module: BosonModule):
         self.module = module
         self._mode_cache = {}
-        self._apply_cache = {}
 
     def mode_terms(self, gen, n):
         raise NotImplementedError
@@ -400,30 +436,19 @@ class ModeFamily:
     def x_mode(self, gen, n) -> LinOp:
         """Mode n of generator gen; lowers the level by n."""
         key = (gen, n)
-        if key in self._mode_cache:
-            return self._mode_cache[key]
-        terms = self.mode_terms(gen, n)
-        module, cache = self.module, self._apply_cache
+        if key not in self._mode_cache:
+            # the closure holds the terms and the module, not the family,
+            # so family -> operator is the only reference between them
+            terms, module = self.mode_terms(gen, n), self.module
 
-        def apply_fn(state):
-            out = {}
-            for tup, c in state.items():
-                k = key + (tup,)
-                if k not in cache:
-                    img = {}
-                    for term in terms:
-                        img = state_add(img, term.mode_apply(n, {tup: ONE}, module))
-                    cache[k] = img
-                for t2, v in cache[k].items():
-                    acc = out.get(t2, ZERO) + c * v
-                    if acc:
-                        out[t2] = acc
-                    else:
-                        out.pop(t2, None)
-            return out
+            def apply_fn(state):
+                img = {}
+                for term in terms:
+                    img = state_add(img, term.mode_apply(n, state, module))
+                return img
 
-        op = self._mode_cache[key] = LinOp(apply_fn)
-        return op
+            self._mode_cache[key] = LinOp(apply_fn)
+        return self._mode_cache[key]
 
 
 class GeneratorFamily(ModeFamily):

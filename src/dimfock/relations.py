@@ -22,6 +22,7 @@ from .fock import (
     pbw_bra,
     pbw_gram,
     pbw_state,
+    state_accumulate,
     state_add,
     state_scale,
     states_equal,
@@ -36,16 +37,27 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _apply_pair(a, b, state):
-    """state -> A(B(state)) for two operators."""
-    mid = b(state)
-    if not mid:
-        return {}
-    return a(mid)
+def _pair_products(st):
+    """pair(a, b) = A(B(st)) and comm(a, b) = [A, B](st) for one state st.
 
+    Pair products are memoized by operator pair for this st only: a check
+    meets each (pair, monomial) key under one monomial, so a longer-lived
+    memo would only hold memory.  The returned states are shared; callers
+    read them and never mutate them.
+    """
+    memo = {}
 
-def _commutator_value(a, b, state):
-    return state_add(_apply_pair(a, b, state), state_scale(_apply_pair(b, a, state), Fraction(-1)))
+    def pair(a, b):
+        img = memo.get((a, b))
+        if img is None:
+            mid = b(st)
+            img = memo[(a, b)] = a(mid) if mid else {}
+        return img
+
+    def comm(a, b):
+        return state_add(pair(a, b), state_scale(pair(b, a), Fraction(-1)))
+
+    return pair, comm
 
 
 # ---------------------------------------------------------------------------
@@ -63,54 +75,38 @@ def check_x_relations_n2(level, point, mode_bound=2):
     f1 = structure_series(point, "x1", series_order)
     f2 = structure_series(point, "x2", series_order)
     cc = (1 - q) * (1 - 1 / t) / (1 - p)
+    modes = range(-mode_bound, mode_bound + 1)
     failures = []
     for n_lvl in range(level + 1):
         for tup in module.basis(n_lvl):
             st = {tup: ONE}
-            for n in range(-mode_bound, mode_bound + 1):
-                for m in range(-mode_bound, mode_bound + 1):
+            pair, comm = _pair_products(st)
+            for n in modes:
+                for m in modes:
                     # relation of the first current with itself
-                    lhs = _commutator_value(x1(n), x1(m), st)
                     rhs = {}
                     for l in range(1, n_lvl - m + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(x1(n - l), x1(m + l), st), -f1[l])
-                        )
+                        state_accumulate(rhs, pair(x1(n - l), x1(m + l)), -f1[l])
                     for l in range(1, n_lvl - n + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(x1(m - l), x1(n + l), st), f1[l])
-                        )
-                    rhs = state_add(rhs, state_scale(x2(n + m)(st), cc * (p**m - p**n)))
-                    if not states_equal(lhs, rhs):
+                        state_accumulate(rhs, pair(x1(m - l), x1(n + l)), f1[l])
+                    state_accumulate(rhs, x2(n + m)(st), cc * (p**m - p**n))
+                    if not states_equal(comm(x1(n), x1(m)), rhs):
                         failures.append(("x1-x1", n, m, tup))
                     # second current with itself
-                    lhs = _commutator_value(x2(n), x2(m), st)
                     rhs = {}
                     for l in range(1, n_lvl - m + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(x2(n - l), x2(m + l), st), -f2[l])
-                        )
+                        state_accumulate(rhs, pair(x2(n - l), x2(m + l)), -f2[l])
                     for l in range(1, n_lvl - n + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(x2(m - l), x2(n + l), st), f2[l])
-                        )
-                    if not states_equal(lhs, rhs):
+                        state_accumulate(rhs, pair(x2(m - l), x2(n + l)), f2[l])
+                    if not states_equal(comm(x2(n), x2(m)), rhs):
                         failures.append(("x2-x2", n, m, tup))
                     # mixed relation
-                    lhs = state_add(
-                        _apply_pair(x1(n), x2(m), st),
-                        state_scale(_apply_pair(x2(m), x1(n), st), Fraction(-1)),
-                    )
                     rhs = {}
                     for l in range(1, n_lvl - m + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(x1(n - l), x2(m + l), st), -f1[l] * p**l)
-                        )
+                        state_accumulate(rhs, pair(x1(n - l), x2(m + l)), -f1[l] * p**l)
                     for l in range(1, n_lvl - n + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(x2(m - l), x1(n + l), st), f1[l])
-                        )
-                    if not states_equal(lhs, rhs):
+                        state_accumulate(rhs, pair(x2(m - l), x1(n + l)), f1[l])
+                    if not states_equal(comm(x1(n), x2(m)), rhs):
                         failures.append(("x1-x2", n, m, tup))
     return failures
 
@@ -125,28 +121,23 @@ def check_virasoro_relation(level, point, k_weight, mode_bound=2):
     q, t, p = point.q, point.t, point.p
     f = structure_series(point, "virasoro", level + 2 * mode_bound + 3)
     cc = (1 - q) * (1 - 1 / t) / (1 - p)
+    modes = range(-mode_bound, mode_bound + 1)
     failures = []
     tmode = lambda k: fam.x_mode(1, k)
     for n_lvl in range(level + 1):
         for lam in partitions(n_lvl):
             st = {PartitionTuple([lam]): ONE}
-            for n in range(-mode_bound, mode_bound + 1):
-                for m in range(-mode_bound, mode_bound + 1):
-                    lhs = _commutator_value(tmode(n), tmode(m), st)
+            pair, comm = _pair_products(st)
+            for n in modes:
+                for m in modes:
                     rhs = {}
                     for l in range(1, n_lvl - m + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(tmode(n - l), tmode(m + l), st), -f[l])
-                        )
+                        state_accumulate(rhs, pair(tmode(n - l), tmode(m + l)), -f[l])
                     for l in range(1, n_lvl - n + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(tmode(m - l), tmode(n + l), st), f[l])
-                        )
+                        state_accumulate(rhs, pair(tmode(m - l), tmode(n + l)), f[l])
                     if n + m == 0:
-                        rhs = state_add(
-                            rhs, state_scale(st, -cc * (p**n - p ** (-n)))
-                        )
-                    if not states_equal(lhs, rhs):
+                        state_accumulate(rhs, st, -cc * (p**n - p ** (-n)))
+                    if not states_equal(comm(tmode(n), tmode(m)), rhs):
                         failures.append((n, m, lam))
     return failures
 
@@ -161,6 +152,7 @@ def check_crystal_x_relations(level, point, weights, mode_bound=2):
     gens = CrystalGenerators(module)
     t = point.t
     c = 1 - 1 / t
+    modes = range(-mode_bound, mode_bound + 1)
     failures = []
 
     x1 = lambda k: gens.x_mode(1, k)
@@ -168,93 +160,64 @@ def check_crystal_x_relations(level, point, weights, mode_bound=2):
     for n_lvl in range(level + 1):
         for tup in module.basis(n_lvl):
             st = {tup: ONE}
-            for n in range(-mode_bound, mode_bound + 1):
-                for m in range(-mode_bound, mode_bound + 1):
+            pair, comm = _pair_products(st)
+            for n in modes:
+                for m in modes:
                     # first current with itself, by mode-sign sector
-                    lhs = _commutator_value(x1(n), x1(m), st)
                     rhs = {}
                     if (n > m > 0) or (0 > n > m):
                         for l in range(1, n - m + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x1(n - l), x1(m + l), st), -c)
-                            )
+                            state_accumulate(rhs, pair(x1(n - l), x1(m + l)), -c)
                     elif n > 0 and m == 0:
                         # the boundary term l = n is needed to close the
                         # sector, as in the scaled-Virasoro analogue
                         for l in range(1, n + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x1(n - l), x1(l), st), -c)
-                            )
+                            state_accumulate(rhs, pair(x1(n - l), x1(l)), -c)
                         for l in range(1, n_lvl - n + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x1(-l), x1(n + l), st), -c)
-                            )
-                        rhs = state_add(rhs, state_scale(x2(n)(st), c))
+                            state_accumulate(rhs, pair(x1(-l), x1(n + l)), -c)
+                        state_accumulate(rhs, x2(n)(st), c)
                     elif n > 0 > m:
                         for l in range(0, n_lvl - n + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x1(m - l), x1(n + l), st), -c)
-                            )
-                        rhs = state_add(rhs, state_scale(x2(n + m)(st), c))
+                            state_accumulate(rhs, pair(x1(m - l), x1(n + l)), -c)
+                        state_accumulate(rhs, x2(n + m)(st), c)
                     elif n == 0 and m < 0:
                         # boundary term from the zero-mode branch split; the
                         # l-sums alone do not close this sector
-                        rhs = state_add(rhs, state_scale(_apply_pair(x1(m), x1(0), st), -c))
+                        state_accumulate(rhs, pair(x1(m), x1(0)), -c)
                         for l in range(1, -m):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x1(-l), x1(m + l), st), -c)
-                            )
+                            state_accumulate(rhs, pair(x1(-l), x1(m + l)), -c)
                         for l in range(1, n_lvl + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x1(m - l), x1(l), st), -c)
-                            )
-                        rhs = state_add(rhs, state_scale(x2(m)(st), c))
+                            state_accumulate(rhs, pair(x1(m - l), x1(l)), -c)
+                        state_accumulate(rhs, x2(m)(st), c)
                     else:
                         # remaining sectors follow by antisymmetry; skip
                         continue
-                    if not states_equal(lhs, rhs):
+                    if not states_equal(comm(x1(n), x1(m)), rhs):
                         failures.append(("x1-x1", n, m, tup))
-            for n in range(-mode_bound, mode_bound + 1):
-                for m in range(-mode_bound, mode_bound + 1):
+            for n in modes:
+                for m in modes:
                     # mixed relations
-                    lhs = state_add(
-                        _apply_pair(x1(n), x2(m), st),
-                        state_scale(_apply_pair(x2(m), x1(n), st), Fraction(-1)),
-                    )
                     rhs = {}
                     if n > 0:
                         for l in range(1, n_lvl + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x2(m - l), x1(n + l), st), c)
-                            )
+                            state_accumulate(rhs, pair(x2(m - l), x1(n + l)), c)
                     elif n == 0:
                         for l in range(1, n_lvl - m + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x1(-l), x2(m + l), st), -c)
-                            )
+                            state_accumulate(rhs, pair(x1(-l), x2(m + l)), -c)
                         for l in range(1, n_lvl + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x2(m - l), x1(l), st), c)
-                            )
+                            state_accumulate(rhs, pair(x2(m - l), x1(l)), c)
                     else:
                         for l in range(1, n_lvl - m + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(x1(n - l), x2(m + l), st), -c)
-                            )
-                    if not states_equal(lhs, rhs):
+                            state_accumulate(rhs, pair(x1(n - l), x2(m + l)), -c)
+                    if not states_equal(comm(x1(n), x2(m)), rhs):
                         failures.append(("x1-x2", n, m, tup))
                     # second current with itself
-                    lhs = _commutator_value(x2(n), x2(m), st)
                     rhs = {}
                     for l in range(1, n_lvl - m + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(x2(n - l), x2(m + l), st), -c)
-                        )
+                        state_accumulate(rhs, pair(x2(n - l), x2(m + l)), -c)
                     for l in range(1, n_lvl - n + 1):
-                        rhs = state_add(
-                            rhs, state_scale(_apply_pair(x2(m - l), x2(n + l), st), c)
-                        )
-                    if not states_equal(lhs, rhs):
+                        state_accumulate(rhs, pair(x2(m - l), x2(n + l)), c)
+                    if not states_equal(comm(x2(n), x2(m)), rhs):
                         failures.append(("x2-x2", n, m, tup))
     return failures
 
@@ -266,58 +229,40 @@ def check_crystal_virasoro_relations(level, point, k_weight, mode_bound=2):
     t = point.t
     c = 1 - 1 / t
     c2 = t - 1 / t
+    modes = range(-mode_bound, mode_bound + 1)
     failures = []
     tmode = lambda k: fam.x_mode(1, k)
     for n_lvl in range(level + 1):
         for lam in partitions(n_lvl):
             st = {PartitionTuple([lam]): ONE}
-            for n in range(-mode_bound, mode_bound + 1):
-                for m in range(-mode_bound, mode_bound + 1):
-                    lhs = _commutator_value(tmode(n), tmode(m), st)
+            pair, comm = _pair_products(st)
+            for n in modes:
+                for m in modes:
                     rhs = {}
                     if (n > m > 0) or (0 > n > m):
                         for l in range(1, n - m + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(tmode(n - l), tmode(m + l), st), -c)
-                            )
+                            state_accumulate(rhs, pair(tmode(n - l), tmode(m + l)), -c)
                     elif n > 0 and m == 0:
                         for l in range(1, n + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(tmode(n - l), tmode(l), st), -c)
-                            )
+                            state_accumulate(rhs, pair(tmode(n - l), tmode(l)), -c)
                         for l in range(1, n_lvl - n + 1):
-                            rhs = state_add(
-                                rhs,
-                                state_scale(
-                                    _apply_pair(tmode(-l), tmode(n + l), st), -c2 * t ** (-l)
-                                ),
-                            )
+                            state_accumulate(rhs, pair(tmode(-l), tmode(n + l)), -c2 * t ** (-l))
                     elif n == 0 and m < 0:
                         for l in range(1, -m + 1):
-                            rhs = state_add(
-                                rhs, state_scale(_apply_pair(tmode(-l), tmode(m + l), st), -c)
-                            )
+                            state_accumulate(rhs, pair(tmode(-l), tmode(m + l)), -c)
                         for l in range(1, n_lvl + 1):
-                            rhs = state_add(
-                                rhs,
-                                state_scale(
-                                    _apply_pair(tmode(m - l), tmode(l), st), -c2 * t ** (-l)
-                                ),
-                            )
+                            state_accumulate(rhs, pair(tmode(m - l), tmode(l)), -c2 * t ** (-l))
                     elif n > 0 > m:
-                        rhs = state_scale(_apply_pair(tmode(m), tmode(n), st), -c)
+                        state_accumulate(rhs, pair(tmode(m), tmode(n)), -c)
                         for l in range(1, n_lvl - n + 1):
-                            rhs = state_add(
-                                rhs,
-                                state_scale(
-                                    _apply_pair(tmode(m - l), tmode(n + l), st), -c2 * t ** (-l)
-                                ),
+                            state_accumulate(
+                                rhs, pair(tmode(m - l), tmode(n + l)), -c2 * t ** (-l)
                             )
                         if n + m == 0:
-                            rhs = state_add(rhs, state_scale(st, c))
+                            state_accumulate(rhs, st, c)
                     else:
                         continue
-                    if not states_equal(lhs, rhs):
+                    if not states_equal(comm(tmode(n), tmode(m)), rhs):
                         failures.append((n, m, lam))
     return failures
 

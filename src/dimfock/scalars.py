@@ -407,6 +407,16 @@ def _sample_fraction(rng, max_height=50):
     return Fraction(num, den)
 
 
+def _power_table(x, bound):
+    """{k: x^k for -bound <= k <= bound}, by repeated multiplication."""
+    table = {0: Fraction(1)}
+    inv = 1 / x
+    for k in range(1, bound + 1):
+        table[k] = table[k - 1] * x
+        table[-k] = table[1 - k] * inv
+    return table
+
+
 class ScalarPoint:
     """A seeded specialization of (q, t, u_1..u_N) with fourth-root closure.
 
@@ -441,32 +451,33 @@ class ScalarPoint:
 
     @staticmethod
     def _qt_ok(q0, t0, bound):
+        """No relation q^a t^b = 1 with 0 < max(|a|, |b|) <= bound."""
         q, t = q0**4, t0**4
-        if q0 == 1 or t0 == 1 or q == t:
+        if q == 1 or t == 1 or q == t:  # (a, b) = (1, 0), (0, 1), (1, -1)
             return False
-        for a in range(-bound, bound + 1):
-            for b in range(-bound, bound + 1):
-                if (a, b) != (0, 0) and q**a * t**b == 1:
-                    return False
+        # q > 0 and q != 1, so a -> q^a is injective and q^a t^b = 1 exactly
+        # when t^-b is a tabulated power of q with (a, b) != (0, 0)
+        q_exp = {x: a for a, x in _power_table(q, bound).items()}
+        for b, x in _power_table(t, bound).items():
+            a = q_exp.get(1 / x)
+            if a is not None and (a, b) != (0, 0):
+                return False
         return True
 
     @staticmethod
     def _sample_weights(rng, q, t, n, bound, forbid=()):
+        """Weights with no ratio u_i / u_j of the form q^r t^-s, |r|, |s| <= bound."""
+        t_pows = _power_table(t, bound).values()
+        ratios = {x * y for x in _power_table(q, bound).values() for y in t_pows}
         for _ in range(1000):
             u = [_sample_fraction(rng) for _ in range(n)]
-            ok = all(ui != 0 for ui in u)
             pool = list(u) + list(forbid)
-            for i in range(len(pool)):
-                for j in range(len(pool)):
-                    if i == j or not ok:
-                        continue
-                    for r in range(-bound, bound + 1):
-                        for s in range(-bound, bound + 1):
-                            if pool[i] == q**r * t ** (-s) * pool[j]:
-                                ok = False
-                                break
-                        if not ok:
-                            break
+            ok = all(ui != 0 for ui in u) and not any(
+                (pool[i] == 0 if pool[j] == 0 else pool[i] / pool[j] in ratios)
+                for i in range(len(pool))
+                for j in range(len(pool))
+                if i != j
+            )
             if ok:
                 return u
         raise ScalarError("could not sample generic weights after 1000 tries")

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from dimfock import scalars
 from dimfock.scalars import (
     Poly,
     RatFunc,
     ScalarError,
+    ScalarPoint,
     Series,
     eigenvalue_of,
     identity_check,
@@ -48,6 +50,98 @@ def test_point_determinism():
     a = make_point(11, 2, 3).describe()
     b = make_point(11, 2, 3).describe()
     assert a == b
+
+
+# Reference: the sampling filters as plain loops over the exponent box.
+
+
+def _naive_qt_ok(q0, t0, bound):
+    q, t = q0**4, t0**4
+    if q0 == 1 or t0 == 1 or q == t:
+        return False
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if (a, b) != (0, 0) and q**a * t**b == 1:
+                return False
+    return True
+
+
+def _naive_sample_weights(rng, q, t, n, bound, forbid=()):
+    for _ in range(1000):
+        u = [scalars._sample_fraction(rng) for _ in range(n)]
+        ok = all(ui != 0 for ui in u)
+        pool = list(u) + list(forbid)
+        for i in range(len(pool)):
+            for j in range(len(pool)):
+                if i == j or not ok:
+                    continue
+                for r in range(-bound, bound + 1):
+                    for s in range(-bound, bound + 1):
+                        if pool[i] == q**r * t ** (-s) * pool[j]:
+                            ok = False
+        if ok:
+            return u
+    raise ScalarError("could not sample generic weights after 1000 tries")
+
+
+POINT_CASES = [
+    (seed, n_weights, level_max, slot)
+    for seed, n_weights, level_max in [
+        (1, 1, 2), (7, 2, 3), (11, 3, 2), (42, 2, 4), (101, 2, 4), (102, 3, 3), (313, 4, 2)
+    ]
+    for slot in ("none", "q")
+]
+
+
+def _sampled(seed, n_weights, level_max, slot):
+    pt = make_point(seed, n_weights, level_max, slot)
+    sib = pt.with_weights("phiv")
+    return [(p.q0, p.t0, p.u) for p in (pt, sib)]
+
+
+def test_point_sampling_matches_naive_loops(monkeypatch):
+    fast = [_sampled(*case) for case in POINT_CASES]
+    monkeypatch.setattr(ScalarPoint, "_qt_ok", staticmethod(_naive_qt_ok))
+    monkeypatch.setattr(ScalarPoint, "_sample_weights", staticmethod(_naive_sample_weights))
+    assert fast == [_sampled(*case) for case in POINT_CASES]
+
+
+def test_sampling_filters_match_naive_loops_where_they_reject():
+    roots = [Fraction(x) for x in ("1", "2", "3", "3/2", "2/3", "4/9", "9/4", "1/2", "8/27", "4")]
+    verdicts = [(q0, t0, ScalarPoint._qt_ok(q0, t0, 4)) for q0 in roots for t0 in roots]
+    assert verdicts == [(q0, t0, _naive_qt_ok(q0, t0, 4)) for q0 in roots for t0 in roots]
+    assert sum(not ok for _, _, ok in verdicts) > len(roots)  # relations do occur
+    # with q = 4, t = 2 every ratio 2^k is forbidden, so many draws are rejected
+    q, t = Fraction(4), Fraction(2)
+    for seed in range(20):
+        for forbid in ((), (Fraction(3, 4),), (Fraction(0),)):
+            fast = ScalarPoint._sample_weights(scalars.stable_rng("w", seed), q, t, 3, 3, forbid)
+            slow = _naive_sample_weights(scalars.stable_rng("w", seed), q, t, 3, 3, forbid)
+            assert fast == slow
+    with pytest.raises(ScalarError):  # 0 = r * 0 for every ratio r
+        ScalarPoint._sample_weights(scalars.stable_rng("w", 0), q, t, 1, 3, (Fraction(0),) * 2)
+
+
+class _ScriptedRng:
+    """Stands in for the sampler's RNG: each candidate fraction is drawn in turn."""
+
+    def __init__(self, *fractions):
+        self.ints = [x for f in fractions for x in (f.numerator, f.denominator)]
+
+    def randint(self, lo, hi):
+        return self.ints.pop(0)
+
+
+def test_weight_rejection_covers_exactly_the_exponent_box():
+    q, t, bound = Fraction(16, 81), Fraction(81, 625), 2
+    first, second = Fraction(3, 5), Fraction(7, 11)
+    for r in range(-bound - 1, bound + 2):
+        for s in range(-bound - 1, bound + 2):
+            forbid = (first * q**r * t ** (-s),)
+            inside = max(abs(r), abs(s)) <= bound
+            for sample in (ScalarPoint._sample_weights, _naive_sample_weights):
+                got = sample(_ScriptedRng(first, second), q, t, 1, bound, forbid)
+                assert got == [second if inside else first], (r, s, sample)
 
 
 def test_eigenvalue_separation():
