@@ -248,7 +248,7 @@ def run_kacdet(opts):
     )
 
     report = CheckReport("kacdet")
-    sizes = {1: 4, 2: 3, 3: 2}
+    sizes = {1: 5, 2: 4, 3: 3}
     if opts.level:
         sizes = {n: min(l, opts.level) for n, l in sizes.items()}
     report.points = []

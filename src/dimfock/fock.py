@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples
 from .scalars import Series
@@ -703,9 +705,26 @@ def pbw_bra(tup, family, prime=False):
 
 
 def pbw_gram(level, family, prime=False):
-    """Gram matrix <X_lam | X_mu> over the canonical tuple order."""
+    """Gram matrix <X_lam | X_mu> over the canonical tuple order, over Q.
+
+    Pairs over the integers: each ket and each bra, read on the monomials
+    the kets reach, is cleared once to an integer vector over the lcm D of
+    its denominators, and each entry is one Fraction(sum of integer
+    products, D_bra * D_ket) in place of a Fraction multiply-add per
+    monomial.
+    """
     module = family.module
     tuples = module.basis(level)
     kets = [pbw_state(t, family, prime=prime) for t in tuples]
     bras = [pbw_bra(t, family, prime=prime) for t in tuples]
-    return [[module.pair(b, k) for k in kets] for b in bras], tuples
+    support = list(dict.fromkeys(m for ket in kets for m in ket))
+    kets = [_cleared([ket.get(m, 0) for m in support]) for ket in kets]
+    bras = [_cleared([bra.get(m, 0) for m in support]) for bra in bras]
+    gram = [[Fraction(sum(map(mul, bv, kv)), bd * kd) for kd, kv in kets] for bd, bv in bras]
+    return gram, tuples
+
+
+def _cleared(values):
+    """(D, integers n_i) with values[i] == n_i / D, D the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) if x else 0 for x in values]

@@ -62,10 +62,10 @@ def kac_det_formula(n, n_comp, point):
     return det
 
 
-def pbw_gram_matrix(n, point, n_comp, prime=False):
+def pbw_gram_matrix(n, point, n_comp):
     module = BosonModule(point, n_comp, point.u[:n_comp], n, kind="qt")
     family = GeneratorFamily(module)
-    return pbw_gram(n, family, prime=prime)
+    return pbw_gram(n, family)
 
 
 def kac_det_check(n, n_comp, point):

@@ -1,5 +1,8 @@
-"""Exact linear algebra over any field whose elements support the
-Python arithmetic operators (Fraction or univariate rational functions).
+"""Exact linear algebra over Q and over rational functions Q(s).
+
+`determinant` works over Q only: its pivot rule reads the numerator and
+denominator of each entry.  The other functions need only the Python
+arithmetic operators, so they also run over univariate rational functions.
 
 Matrices are plain lists of lists.  Fraction(0)/Fraction(1) serve as the
 neutral elements; they coerce into the richer field automatically.
@@ -189,25 +192,47 @@ def inverse(a):
 
 
 def determinant(a):
-    """Exact determinant by fraction-free-style elimination over the field."""
+    """Exact determinant of a square matrix over Q (Fraction or int entries).
+
+    Gaussian elimination with full pivoting by size.  Each step pivots on
+    the nonzero entry of the trailing submatrix with the fewest bits,
+    counted as numerator plus denominator bit length; ties go to the first
+    such entry in row-major order, so the run is deterministic.  A row swap
+    and a column swap bring it into place, each flipping the sign.  Only
+    the columns right of the pivot are updated: those to its left are zero
+    and are never read again.  Small pivots keep the multipliers, and so
+    the entries they write, small.
+    """
     n = len(a)
     work = [row[:] for row in a]
     det = ONE
     for c in range(n):
-        pivot = None
+        best = None
         for i in range(c, n):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO * det
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
+            row = work[i]
+            for j in range(c, n):
+                x = row[j]
+                if x:
+                    size = x.numerator.bit_length() + x.denominator.bit_length()
+                    if best is None or size < best[0]:
+                        best = (size, i, j)
+        if best is None:
+            return ZERO
+        _, i, j = best
+        if i != c:
+            work[c], work[i] = work[i], work[c]
             det = -det
-        det = det * work[c][c]
-        inv = ONE / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c]:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+        if j != c:
+            for row in work[c:]:
+                row[c], row[j] = row[j], row[c]
+            det = -det
+        prow = work[c]
+        det = det * prow[c]
+        inv = ONE / prow[c]
+        tail = prow[c + 1 :]
+        for row in work[c + 1 :]:
+            x = row[c]
+            if x:
+                f = x * inv
+                row[c + 1 :] = [y - f * z if z else y for y, z in zip(row[c + 1 :], tail)]
     return det

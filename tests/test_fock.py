@@ -186,6 +186,27 @@ def test_mode_oracle(point2):
                     assert got == naive
 
 
+def test_pbw_gram_matches_dict_pairing(point2):
+    # the integer pairing of pbw_gram against module.pair, entry by entry
+    k = point2.fresh_rational("gram-k")
+    u = [point2.fresh_rational(("gram-u", i)) for i in range(2)]
+    cases = [
+        (3, GeneratorFamily(BosonModule(point2, 2, point2.u, 3, kind="qt")), False),
+        (3, VirasoroFamily(BosonModule(point2, 1, [k], 3, kind="qt"), k), False),
+        (3, CrystalVirasoro(BosonModule(point2, 1, [k], 3, kind="crystal"), k), False),
+        (2, CrystalGenerators(BosonModule(point2, 2, u, 2, kind="crystal")), True),
+    ]
+    for level, fam, prime in cases:
+        mod = fam.module
+        gram, tuples = pbw_gram(level, fam, prime=prime)
+        assert tuples == mod.basis(level)
+        kets = [pbw_state(t, fam, prime=prime) for t in tuples]
+        bras = [pbw_bra(t, fam, prime=prime) for t in tuples]
+        want = [[mod.pair(bra, ket) for ket in kets] for bra in bras]
+        assert gram == want, type(fam).__name__
+        assert any(x for row in gram for x in row)
+
+
 def test_crystal_whittaker_gram(point2):
     # diagonal inverse entries feed the crystal norm series
     k = point2.fresh_rational("crystal-k")

@@ -37,6 +37,14 @@ def test_kac_det_rank1_closed_form(point1):
         assert rhs == expect
 
 
+def test_kac_det_larger_sizes(point2, point3):
+    # (2, 4) and (3, 3): Gram matrices of 20 and 22 rows, where the pivot
+    # search of the determinant reorders a realistic matrix
+    for n, n_comp, pt in ((4, 2, point2), (3, 3, point3)):
+        lhs, rhs = kac_det_check(n, n_comp, pt)
+        assert lhs == rhs != 0, (n_comp, n)
+
+
 def test_kac_det_contains_weight_line(point2):
     q, t = point2.q, point2.t
     u1, u2 = point2.u

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from dimfock import genmac
 from dimfock.linalg import (
     EigenvalueCollision,
     SingularMatrix,
+    determinant,
     gauss_eliminate,
     mat_vec,
     solve_unique,
@@ -120,3 +122,75 @@ def test_solve_unique_over_rational_functions():
     b[2] = b[2] + s
     with pytest.raises(SingularMatrix, match="inconsistent system"):
         solve_unique(a, b)
+
+
+def leibniz(a):
+    """Permutation-sum determinant, the oracle for determinant."""
+    n = len(a)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = F((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+# half zeros; small entries among entries of up to ~70 bits, so the entry
+# with the fewest bits is seldom in place and the search swaps rows and columns
+det_entries = st.one_of(
+    st.just(F(0)),
+    st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=2),
+        st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**9)),
+    ),
+)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 5))
+    a = [[draw(det_entries) for _ in range(n)] for _ in range(n)]
+    kinds = ["generic"] * 3 + ["combination", "zero column"]
+    kind = draw(st.sampled_from(kinds)) if n > 1 else "generic"
+    if kind == "combination":
+        # one row a rational combination of two others: rank deficient
+        i, j, k = draw(st.permutations(range(n)))[:3] if n > 2 else (0, 1, 1)
+        c, d = draw(det_entries), draw(det_entries)
+        a[i] = [c * x + d * y for x, y in zip(a[j], a[k])]
+    elif kind == "zero column":
+        col = draw(st.integers(0, n - 1))
+        for row in a:
+            row[col] = F(0)
+    return a
+
+
+def bits(x):
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_determinant_matches_leibniz(a):
+    want = leibniz(a)
+    event("singular" if want == 0 else "nonsingular")
+    sizes = [(bits(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+    if sizes:
+        _, i, j = min(sizes)
+        event("first pivot: row swap %s, column swap %s" % (i > 0, j > 0))
+    got = determinant(a)
+    assert got == want
+    assert isinstance(got, F)
+
+
+def test_determinant_by_hand():
+    assert determinant([]) == 1
+    ints = determinant([[2, 1], [1, 3]])
+    assert ints == 5 and isinstance(ints, F)
+    # the smallest entry sits at (1, 2): one row swap and one column swap, signs cancel
+    a = [[F(1000), F(7, 3), F(500)], [F(9), F(2000), F(1)], [F(4000), F(11, 5), F(3000)]]
+    assert determinant(a) == leibniz(a)
+    # one column swap alone flips the sign
+    assert determinant([[F(1000), F(1)], [F(1), F(0)]]) == -1
+    assert determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
