@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 class CheckEntry:
     check_id: str
     anchor: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     seconds: float
     details: str = ""
 
@@ -25,9 +25,6 @@ class CheckReport:
     def add(self, check_id, anchor, ok, seconds, details=""):
         status = "pass" if ok else "fail"
         self.entries.append(CheckEntry(check_id, anchor, status, seconds, details))
-
-    def skip(self, check_id, anchor, reason):
-        self.entries.append(CheckEntry(check_id, anchor, "skipped", 0.0, reason))
 
     @property
     def failed(self):
@@ -68,7 +65,7 @@ class timed:
         self.details = ""
 
     def __enter__(self):
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         return self
 
     def result(self, ok, details=""):
@@ -78,7 +75,7 @@ class timed:
     def __exit__(self, exc_type, exc, tb):
         if exc is not None and not isinstance(exc, Exception):
             return False  # KeyboardInterrupt and SystemExit end the run
-        dt = time.time() - self.t0
+        dt = time.perf_counter() - self.t0
         if exc is not None:
             self.report.add(self.check_id, self.anchor, False, dt, "error: %r" % (exc,))
             return True  # record the failure, keep the suite going

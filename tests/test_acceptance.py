@@ -1,22 +1,21 @@
 """Acceptance criteria, one test per criterion, every comparison exact.
 
-Each test prints a single summary line (visible with -s or on failure);
-sizes and point counts are the contractual ones, nothing is sampled down.
+Each test runs the checks of `dimfock.checks`, the same bodies the CLI
+suites run, at the contractual sizes and points; nothing is sampled down.
+Each prints a single summary line (visible with -s or on failure).
 """
 
-from fractions import Fraction
-
-import pytest
-
+from dimfock import checks
+from dimfock.relations import check_jing
 from dimfock.scalars import make_point
 
 SEEDS = (101, 198, 295)
 
 
-def _report(criterion, ok, detail=""):
-    line = "[acceptance] %-28s %s %s" % (criterion, "PASS" if ok else "FAIL", detail)
+def _report(criterion, failures, detail=""):
+    line = "[acceptance] %-28s %s %s" % (criterion, "FAIL" if failures else "PASS", detail)
     print(line)
-    assert ok, line
+    assert not failures, "%s; first failure %r" % (line, failures[0])
 
 
 def three_points(n_weights, level_cap):
@@ -24,44 +23,24 @@ def three_points(n_weights, level_cap):
 
 
 def test_criterion_1_kac_determinant():
-    from dimfock.kacdet import kac_det_check
-
-    sizes = {1: (1, 2, 3, 4), 2: (1, 2, 3), 3: (1, 2)}
-    ok = True
-    for n_comp, levels in sizes.items():
-        for pt in three_points(n_comp, max(levels)):
-            for n in levels:
-                lhs, rhs = kac_det_check(n, n_comp, pt)
-                ok = ok and lhs == rhs
-    _report("kac-determinant", ok, "(N,n) grid, 3 points each")
+    failures = []
+    for n_comp, n_max in {1: 4, 2: 3, 3: 2}.items():
+        pts = three_points(n_comp, n_max)
+        for n in range(1, n_max + 1):
+            failures += checks.kac_determinant(pts, n_comp, n)
+    _report("kac-determinant", failures, "(N,n) grid, 3 points each")
 
 
 def test_criterion_2_whittaker_norm_identity():
-    from dimfock.kacdet import whittaker_norm
-    from dimfock.nekrasov import z_pure
-
-    ok = True
-    for pt in three_points(2, 3):
-        k = pt.fresh_rational("whit-k")
-        ok = ok and whittaker_norm(2, k, pt) == z_pure(2, k * k, pt)
-    _report("pure-gauge-norm", ok, "through the eighth power, 3 points")
+    failures = checks.whittaker_norms(three_points(2, 3), 2)
+    _report("pure-gauge-norm", failures, "through the eighth power, 3 points")
 
 
 def test_criterion_3_crystal_norm_identity():
-    from dimfock.kacdet import crystal_whittaker_norm
-    from dimfock.nekrasov import crystal_limit_check, z_pure_crystal, z_pure_crystal_closed
-
-    ok = True
-    for pt in three_points(2, 3):
-        closed = z_pure_crystal_closed(2, pt.t)
-        ok = ok and crystal_whittaker_norm(2, pt) == closed
-        ok = ok and crystal_whittaker_norm(2, pt, direct=True) == closed
-    pt = three_points(2, 3)[0]
-    vals = [z_pure_crystal(2, pt.fresh_rational(("Q", i)), pt) for i in range(4)]
-    ok = ok and all(v == vals[0] for v in vals)
-    spt = make_point(SEEDS[0], 2, 2, "q")
-    ok = ok and crystal_limit_check(2, spt, Fraction(3, 5)) == []
-    _report("crystal-pure-gauge", ok, "norm, constancy in 4 weights, exact limit")
+    pts = three_points(2, 3)
+    failures = checks.crystal_whittaker(pts, 2) + checks.q_independence(pts[0], 2)
+    failures += checks.symbolic_limit(make_point(SEEDS[0], 2, 2, "q"), 2)
+    _report("crystal-pure-gauge", failures, "norm, constancy in 4 weights, exact limit")
 
 
 def test_criterion_4_transition_tables():
@@ -77,134 +56,41 @@ def test_criterion_4_transition_tables():
     test_monomial_transition_level1(pts)
     test_monomial_transition_level2(pts)
     test_alpha_tables(pts)
-    _report("eigenbasis-tables", True, "levels 1-2 with expansions, 3 points")
+    _report("eigenbasis-tables", [], "levels 1-2 with expansions, 3 points")
 
 
 def test_criterion_5_singular_vectors():
-    from dimfock.kacdet import singular_vector_check, singular_vector_check_multi
-
-    ok = True
-    pt2 = make_point(SEEDS[0], 2, 4)
-    for (r, s) in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]:
-        res = singular_vector_check(pt2, 2, 1, r, s)
-        ok = ok and res["bad_modes"] == [] and res["restriction_ok"]
-    pt3 = make_point(SEEDS[0], 3, 4)
-    for i in (1, 2):
-        for (r, s) in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]:
-            res = singular_vector_check(pt3, 3, i, r, s)
-            ok = ok and res["bad_modes"] == [] and res["restriction_ok"]
-    for case, rs, ss in [("A", [1, 1], [1, 1]), ("A", [2, 1], [1, 1]), ("B", [1, 2], [1, 1])]:
-        res = singular_vector_check_multi(pt3, 3, rs, ss, case)
-        ok = ok and res["bad_modes"] == []
-    _report("singular-vectors", ok, "rs <= 3, two and three bosons")
+    staircases = [("A", [1, 1], [1, 1]), ("A", [2, 1], [1, 1]), ("B", [1, 2], [1, 1])]
+    failures = checks.singular_vectors(make_point(SEEDS[0], 2, 4), 2, 3)
+    failures += checks.singular_vectors(make_point(SEEDS[0], 3, 4), 3, 3, staircases)
+    _report("singular-vectors", failures, "rs <= 3, two and three bosons")
 
 
 def test_criterion_6_four_point():
-    from dimfock.nekrasov import four_point_aflt, four_point_closed
-    from dimfock.phi import crystal_four_point_pbw
-
-    ok = True
-    for pt in three_points(2, 3):
-        u = [pt.fresh_rational(("4u", i)) for i in range(2)]
-        v = [pt.fresh_rational(("4v", i)) for i in range(2)]
-        w = [pt.fresh_rational(("4w", i)) for i in range(2)]
-        z1, z2 = pt.fresh_rational("4z1"), pt.fresh_rational("4z2")
-        closed = four_point_closed(5, pt.t, w[0] * w[1] / (v[0] * v[1]))
-        ok = ok and closed == crystal_four_point_pbw(5, pt, u, v, w, z1, z2)
-        ok = ok and closed[:5] == four_point_aflt(4, pt.t, v, w)
-    _report("crystal-four-point", ok, "order 5 vs inserted basis, order 4 vs tuples")
+    failures = checks.four_point(three_points(2, 3), 5)
+    _report("crystal-four-point", failures, "order 5 vs inserted basis, order 4 vs tuples")
 
 
 def test_criterion_7_r_matrix():
-    import dimfock.rmatrix_tables as tables
-    from dimfock.genmac import gen_macdonald
-    from dimfock.rmatrix import (
-        integral_form_r_check,
-        k_from_spectator,
-        solve_r_block,
-        two_boson_block,
-        yang_baxter_check,
-    )
-
-    ok = True
-    for pt in three_points(3, 4):
-        q, t = pt.q, pt.t
-        u1, u2, u3 = pt.u
-        S = pt.p_half()
-        b1 = solve_r_block(1, pt, (1, 2))
-        ok = ok and b1.boson_matrix == tables.boson_block_level1_12(q, t, u1, u2, u3, S)
-        ok = ok and b1.eigen_matrix == tables.eigen_block_level1_12(q, t, u1, u2, u3, S)
-        ok = ok and solve_r_block(1, pt, (2, 3)).boson_matrix == tables.boson_block_level1_23(
-            q, t, u1, u2, u3, S
-        )
-        ok = ok and solve_r_block(1, pt, (1, 3)).boson_matrix == tables.boson_block_level1_13(
-            q, t, u1, u2, u3, S
-        )
-        basis2 = gen_macdonald(2, pt, n_comp=3)
-        A2 = [[basis2.transition(l, m) for m in basis2.tuples] for l in basis2.tuples]
-        ok = ok and A2 == tables.transition_level2_n3(q, t, u1, u2, u3, S)
-        ks2 = k_from_spectator(2, pt)
-        block2, _ = two_boson_block(2, pt, ks2)
-        ok = ok and block2.eigen_matrix == tables.eigen_block_level2_n2(q, t, u1 / u2, S)
-        ok = ok and block2.boson_matrix == tables.boson_block_level2_n2(q, t, u1 / u2, S)
-        ok = ok and yang_baxter_check(1, pt) and yang_baxter_check(2, pt)
-        ok = ok and integral_form_r_check(1, pt) == [] and integral_form_r_check(2, pt) == []
-    _report("r-matrix", ok, "fixtures, Yang-Baxter, integral form, 3 points")
+    pts = three_points(3, 4)
+    failures = checks.level1_tables(pts) + checks.level2_tables(pts)
+    for level in (1, 2):
+        failures += checks.yang_baxter(pts, level) + checks.integral_form_swaps(pts, level)
+    _report("r-matrix", failures, "fixtures, Yang-Baxter, integral form, 3 points")
 
 
 def test_criterion_8_vertical_duality():
-    from dimfock.vertical import action_conjecture_check, higher_hamiltonian_check
-
-    ok = True
     sizes = {1: 3, 2: 3, 3: 2}
-    for n_comp, level in sizes.items():
-        pt = make_point(SEEDS[0], n_comp, level + 2)
-        ok = ok and higher_hamiltonian_check(5, level, pt, n_comp) == []
-        ok = ok and action_conjecture_check(level, pt, n_comp) == []
-    _report("vertical-duality", ok, "towers to k=5 and box moves at stated sizes")
+    cases = [(make_point(SEEDS[0], n_comp, lv + 2), lv, n_comp) for n_comp, lv in sizes.items()]
+    failures = checks.hamiltonian_tower(cases) + checks.box_moves(cases)
+    _report("vertical-duality", failures, "towers to k=5 and box moves at stated sizes")
 
 
 def test_criterion_9_property_suites():
-    from dimfock.combinat import partitions
-    from dimfock.relations import (
-        check_crystal_x_relations,
-        check_jing,
-        check_x_relations_n2,
-    )
-    from dimfock.symfunc import (
-        convert,
-        hl_pairing_identities,
-        inner_prod,
-        macdonald_p,
-        principal_specialization,
-        principal_specialization_closed,
-    )
-    from dimfock.combinat import dominance_le
-
-    ok = True
-    for pt in three_points(2, 3):
-        q, t = pt.q, pt.t
-        for n in range(1, 7):
-            macs = {lam: macdonald_p(lam, q, t) for lam in partitions(n)}
-            for lam, f in macs.items():
-                for mu, c in convert(f, "m").coeffs.items():
-                    if c and not dominance_le(mu, lam):
-                        ok = False
-            for lam in macs:
-                for mu in macs:
-                    if lam != mu and inner_prod(macs[lam], macs[mu], q, t):
-                        ok = False
-    for pt in three_points(2, 8):
-        ok = ok and check_x_relations_n2(3, pt) == []
-    pt = three_points(2, 8)[0]
-    u = [pt.fresh_rational(("cu", i)) for i in range(2)]
-    ok = ok and check_crystal_x_relations(3, pt, u) == []
-    ok = ok and check_jing(6, pt) == []
-    r = pt.fresh_rational("spec-r")
-    for n in range(0, 7):
-        for lam in partitions(n):
-            ok = ok and principal_specialization(lam, r, tval=pt.t) == (
-                principal_specialization_closed(lam, r, pt.t)
-            )
-            ok = ok and hl_pairing_identities(lam, tval=pt.t)["ok"]
-    _report("property-suites", ok, "orthogonality, operator identities, pairings")
+    failures = checks.macdonald_basis(three_points(2, 3), 6)
+    pts = three_points(2, 8)
+    failures += checks.current_relations(pts, 3)
+    pt = pts[0]
+    failures += checks.crystal_relations(pt, 3) + check_jing(6, pt)
+    failures += checks.hl_specializations(pt, 6) + checks.hl_pairings(pt, 6)
+    _report("property-suites", failures, "orthogonality, operator identities, pairings")

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from dimfock import checks
 from dimfock.cli import main
 from dimfock.report import CheckReport, timed
 
@@ -15,6 +17,10 @@ def run_cli(args):
 def test_usage_errors():
     assert run_cli([]) == 2
     assert run_cli(["--suite", "symfunc", "--level", "99"]) == 2
+    assert run_cli(["--suite", "symfunc", "--points", "1", "--level", "-1"]) == 2
+    assert run_cli(["--suite", "symfunc", "--points", "1", "--level", "0"]) == 2
+    assert run_cli(["--suite", "symfunc", "--points", "0"]) == 2
+    assert run_cli(["--suite", "kacdet", "--points", "0"]) == 2
     assert run_cli(["--suite", "symfunc", "--level", "1", "--points", "1", "--symbolic", "q"]) == 2
     assert run_cli(["--help"]) == 0
 
@@ -90,3 +96,28 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert res.returncode == 0
     assert "PASS" in res.stdout
+
+
+def test_failing_check_names_its_witness(tmp_path, monkeypatch, capsys):
+    witness = ("lam", "x" * 300)
+    monkeypatch.setattr(checks, "grouped_factorization", lambda pt: [witness, ("second",)])
+    out = tmp_path / "report.json"
+    args = ["--suite", "agt-crystal", "--points", "1", "--level", "1", "--out", str(out)]
+    assert run_cli(args) == 1
+    details = {c["id"]: (c["status"], c["details"]) for c in json.loads(out.read_text())["checks"]}
+    assert details.pop("grouped-factorization") == ("fail", repr(witness)[:200])
+    assert set(details.values()) == {("pass", "")}
+    assert "grouped-factorization" in capsys.readouterr().out
+
+
+def test_report_body_pinned(tmp_path, capsys):
+    # check order, ids, anchors, statuses, details and points of every suite
+    out = tmp_path / "report.json"
+    args = ["--suite", "all", "--points", "1", "--level", "1", "--seed", "7", "--out", str(out)]
+    assert run_cli(args) == 0
+    capsys.readouterr()
+    body = json.loads(out.read_text())
+    for check in body["checks"]:
+        check.pop("seconds")
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert digest == "6b24919e40625606984224db298d66c49d642f8a2f14829ad328920e9d2021c8"
