@@ -117,6 +117,9 @@ def main(argv=None):
     if opts.points < 1:
         print("--points must be at least 1", file=sys.stderr)
         return 2
+    if opts.n_comp is not None and opts.n_comp < 1:
+        print("--N must be at least 1", file=sys.stderr)
+        return 2
     if opts.dump:
         payload = {"object": opts.dump, **DUMPS[opts.dump](opts, opts.level or 1)}
         text = json.dumps(payload, indent=1, sort_keys=True)

@@ -12,13 +12,20 @@ an annihilation coefficient sequence, and a scalar prefactor (the zero-mode
 eigenvalue on the module at hand); products merge the sequences, and the
 mode of index k is extracted exactly by enumerating the finitely many
 contraction patterns.
+
+Operator arithmetic runs over the integers: a mode image, an operator
+column or a relation's sum of terms is kept as integers over one common
+denominator, the lcm of the denominators that enter it, and each output
+coefficient becomes a reduced Fraction once, when the result is read out.
+A RatFunc scalar of a symbolic-q point takes the same loops as its own
+numerator over the denominator 1.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm
 from operator import mul
 
 from .combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples
@@ -48,6 +55,29 @@ class BosonModule:
         self.level_max = level_max
         self.kind = kind
         self._rho = {}
+        # interned monomials: every key the module's operators produce is
+        # the module's own object for it, the basis object where there is one
+        self._keys = {}
+        self._seeded = set()
+        self._products = {}
+
+    def intern(self, tup: PartitionTuple) -> PartitionTuple:
+        """The module's object equal to tup; the basis(level) objects come first."""
+        level = tup.size
+        if level not in self._seeded:
+            self._seeded.add(level)
+            for t in self.basis(level):
+                self._keys.setdefault(t, t)
+        return self._keys.setdefault(tup, tup)
+
+    def products(self, base: PartitionTuple, c: int):
+        """base times each level-c monomial, interned, in basis(c) order."""
+        row = self._products.get((base, c))
+        if row is None:
+            row = self._products[(base, c)] = [
+                self.intern(monomial_product(base, pat)) for pat in self.basis(c)
+            ]
+        return row
 
     def rho(self, n: int):
         """Contraction scalar [a_n, a_{-n}] for n > 0."""
@@ -115,16 +145,6 @@ def state_add(a, b):
     return out
 
 
-def state_accumulate(acc, state, c):
-    """acc += c * state in place; entries that cancel are dropped."""
-    for k, v in state.items():
-        s = acc.get(k, ZERO) + c * v
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
-
-
 def state_scale(a, c):
     if not c:
         return {}
@@ -135,9 +155,67 @@ def state_level(a):
     return max((k.size for k in a), default=0)
 
 
-def states_equal(a, b):
-    keys = set(a) | set(b)
-    return all(a.get(k, ZERO) == b.get(k, ZERO) for k in keys)
+def state_combination(terms):
+    """sum of c * state over (c, state) terms, with one reduction per entry."""
+    return _read(*_accumulate(_state_pieces(terms)))
+
+
+def combination_is_zero(terms):
+    """Whether sum of c * state over (c, state) terms is exactly zero."""
+    return not any(_accumulate(_state_pieces(terms))[1].values())
+
+
+# -- integer-cleared arithmetic ------------------------------------------------
+#
+# A scalar x is read as x.numerator / x.denominator with an integer
+# denominator (a RatFunc is x / 1).  A piece (n, d, items) stands for
+# n / d * sum of v * e_key over the (key, v) items, with integer v over Q.
+
+
+def _cleared(values):
+    """(D, [n_i]) with values[i] == n_i / D, D the lcm of the denominators."""
+    values = list(values)
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
+def _state_pieces(terms):
+    """One piece per (c, state) term, the state cleared to integers."""
+    for c, state in terms:
+        d, nums = _cleared(state.values())
+        yield c.numerator, c.denominator * d, zip(state, nums)
+
+
+def _accumulate(pieces):
+    """(L, {key: integer}) over the lcm L of the piece denominators."""
+    pieces = list(pieces)
+    big = lcm(*(d for _, d, _ in pieces))
+    acc = {}
+    for n, d, items in pieces:
+        w = n * (big // d)
+        for key, v in items:
+            acc[key] = acc.get(key, 0) + w * v
+    return big, acc
+
+
+def _read(big, acc):
+    """The state {key: v / big} of an accumulator, without its zero entries."""
+    return {key: _quotient(v, big) for key, v in acc.items() if v}
+
+
+def _quotient(n, d):
+    """n / d in the field of n: the reduced Fraction for an integer n, a
+    RatFunc quotient otherwise."""
+    if type(n) is int:
+        return Fraction(n, d)
+    return n if d == 1 else n / d
+
+
+def monomial_product(a: PartitionTuple, b: PartitionTuple) -> PartitionTuple:
+    """The creation monomial a_{-a} a_{-b}: the parts of a and b, per boson."""
+    return PartitionTuple(
+        [Partition(tuple(sorted(x.parts + y.parts, reverse=True))) for x, y in zip(a, b)]
+    )
 
 
 def apply_symfunc(module, f, boson_maps, state):
@@ -163,12 +241,7 @@ def apply_symfunc(module, f, boson_maps, state):
     res = {}
     for tup, c in out.items():
         for tup2, c2 in state.items():
-            merged = PartitionTuple(
-                [
-                    Partition(tuple(sorted(a.parts + b.parts, reverse=True)))
-                    for a, b in zip(tup, tup2)
-                ]
-            )
+            merged = monomial_product(tup, tup2)
             res[merged] = res.get(merged, ZERO) + c * c2
     return {k: v for k, v in res.items() if v}
 
@@ -224,108 +297,91 @@ class VertexOperator:
 
     # -- exact mode extraction ------------------------------------------
 
-    def _creation_patterns(self, c, n_bosons, module):
-        """All ways to create total level c; list of (added-parts dict, factor)."""
-        key = c
-        if key in self._cre_cache:
-            return self._cre_cache[key]
-        out = []
-        for tup in enumerate_tuples(n_bosons, c):
-            factor = ONE
-            ok = True
-            adds = {}
-            for i, lam in enumerate(tup):
-                for n in set(lam.parts):
-                    a = self.creation.get((i, n))
-                    if not a:
-                        ok = False
-                        break
-                    m = lam.mult(n)
-                    acc = ONE
-                    for j in range(1, m + 1):
-                        acc = acc * a / j
-                    factor = factor * acc
-                    adds[(i, n)] = m
-                if not ok:
-                    break
-            if ok:
-                out.append((adds, factor))
-        self._cre_cache[key] = out
-        return out
+    def _creation_patterns(self, c, n_bosons):
+        """(D, positions, nums): the level-c creation monomials basis(c)[pos]
+        with a nonzero coefficient, the prefactor included, as nums[i] / D."""
+        hit = self._cre_cache.get(c)
+        if hit is None:
+            positions, factors = [], []
+            for pos, tup in enumerate(enumerate_tuples(n_bosons, c)):
+                factor = self.prefactor
+                for i, lam in enumerate(tup):
+                    for n in set(lam.parts):
+                        m = lam.mult(n)
+                        factor = factor * self.creation.get((i, n), ZERO) ** m / factorial(m)
+                if factor:
+                    positions.append(pos)
+                    factors.append(factor)
+            hit = self._cre_cache[c] = (positions, *_cleared(factors))
+        return hit
 
-    def _annihilation_options(self, module, tup):
-        """Per-(boson, part) contraction choices for a monomial."""
-        items = []
+    def _contractions(self, module, tup):
+        """(removed, m, n, d) per way to contract annihilators with tup.
+
+        removed lists (boson, part, j) for j contracted copies of a part, m
+        is the level they take away and n / d the weight: the product of
+        binom(mult, j) (B * rho)^j over the contracted parts.
+        """
+        options = []
         for i, lam in enumerate(tup):
             for n in sorted(set(lam.parts)):
-                m = lam.mult(n)
                 b = self.annihilation.get((i, n))
-                choices = [(0, ONE)]
                 if b:
-                    rho = module.rho(n)
-                    fac = ONE
-                    ff = 1
-                    for j in range(1, m + 1):
-                        ff *= m - j + 1
-                        fac = fac * b * rho / j
-                        choices.append((j, fac * ff))
-                items.append(((i, n), m, choices))
-        return items
+                    br = b * module.rho(n)
+                    num, den = br.numerator, br.denominator
+                    m = lam.mult(n)
+                    options.append(
+                        [(i, n, j, comb(m, j) * num**j, den**j) for j in range(m + 1)]
+                    )
+        for picks in itertools.product(*options):
+            removed = tuple((i, n, j) for i, n, j, _, _ in picks if j)
+            m_tot, num, den = 0, 1, 1
+            for i, n, j, pn, pd in picks:
+                m_tot += n * j
+                num *= pn
+                den *= pd
+            yield removed, m_tot, num, den
 
     def mode_apply(self, k, state, module):
-        """Coefficient of z^(-k) acting on a state: lowers level by k."""
-        out = {}
+        """Coefficient of z^(-k) acting on a state: lowers level by k.
+
+        Each contraction of each input monomial adds n / d times the
+        creation patterns of the level left over.  The sum runs over the
+        integers, scaled to the lcm of all the d, and each output
+        coefficient is reduced once.
+        """
+        pieces = []
         for tup, coeff in state.items():
             lev = tup.size
-            items = self._annihilation_options(module, tup)
-            for picks in itertools.product(*(range(len(ch)) for _, _, ch in items)):
-                factor = coeff
-                removed = {}
-                m_tot = 0
-                for ((i, n), m, choices), pick in zip(items, picks):
-                    j, f = choices[pick]
-                    if j:
-                        factor = factor * f
-                        removed[(i, n)] = j
-                        m_tot += n * j
+            for removed, m_tot, num, den in self._contractions(module, tup):
                 c = m_tot - k
                 if c < 0:
                     continue
-                new_level = lev - m_tot + c
-                if new_level > module.level_max:
+                if lev - k > module.level_max:
                     raise LevelOverflow(
-                        "level %d exceeds module cap %d" % (new_level, module.level_max)
+                        "level %d exceeds module cap %d" % (lev - k, module.level_max)
                     )
-                base = _remove_parts(tup, removed)
-                for adds, cfac in self._creation_patterns(c, module.n_bosons, module):
-                    merged = _add_parts(base, adds)
-                    val = factor * cfac * self.prefactor
-                    if val:
-                        out[merged] = out.get(merged, ZERO) + val
-        return {k2: v for k2, v in out.items() if v}
+                positions, d_c, nums = self._creation_patterns(c, module.n_bosons)
+                row = module.products(module.intern(_remove_parts(tup, removed)), c)
+                pieces.append(
+                    (
+                        coeff.numerator * num,
+                        coeff.denominator * den * d_c,
+                        zip(map(row.__getitem__, positions), nums),
+                    )
+                )
+        return _read(*_accumulate(pieces))
 
 
 def _remove_parts(tup, removed):
+    """tup without j copies of part n of boson i, for each (i, n, j) in removed."""
     if not removed:
         return tup
-    comps = []
-    for i, lam in enumerate(tup):
-        parts = list(lam.parts)
-        for (bi, n), j in removed.items():
-            if bi == i:
-                for _ in range(j):
-                    parts.remove(n)
-        comps.append(Partition(tuple(sorted(parts, reverse=True))))
-    return PartitionTuple(comps)
-
-
-def _add_parts(tup, adds):
-    if not adds:
-        return tup
     comps = [list(lam.parts) for lam in tup]
-    for (i, n), m in adds.items():
-        comps[i].extend([n] * m)
-    return PartitionTuple([Partition(tuple(sorted(c, reverse=True))) for c in comps])
+    for i, n, j in removed:
+        for _ in range(j):
+            comps[i].remove(n)
+    return PartitionTuple([Partition(c) for c in comps])
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +392,15 @@ class LinOp:
     """A linear operator on a module, memoized column by column.
 
     apply_fn maps a state to a state.  A call evaluates apply_fn once per
-    basis monomial, on {monomial: 1}, caches that image (the operator's
-    column) on the operator, and returns the combination of the cached
-    columns as a fresh dict.  Composites built with ``after`` and
-    ``commutator`` are LinOps too, so a composite applied repeatedly (a
-    nested commutator of ``vertical.hamiltonian``) keeps its own columns.
-    A composite refers to its factors and never the reverse, so the caches
-    form no reference cycle: they are freed with the last reference to the
-    operator, which for family modes is the family.
+    basis monomial, on {monomial: 1}, and caches that image (the operator's
+    column) on the operator, cleared to integers over one denominator D as
+    (D, {monomial: n}).  The call sums the cached columns over the lcm of
+    their denominators and returns a fresh state.  Composites built with
+    ``after`` and ``commutator`` are LinOps too, so a composite applied
+    repeatedly (a nested commutator of ``vertical.hamiltonian``) keeps its
+    own columns.  A composite refers to its factors and never the reverse,
+    so the caches form no reference cycle: they are freed with the last
+    reference to the operator, which for family modes is the family.
     """
 
     __slots__ = ("_apply", "_columns", "__weakref__")
@@ -355,25 +412,22 @@ class LinOp:
 
     def __call__(self, state):
         columns = self._columns
-        out = {}
+        pieces = []
         for tup, c in state.items():
             col = columns.get(tup)
             if col is None:
                 img = self._apply({tup: ONE})
-                col = columns[tup] = {k: v for k, v in img.items() if v}
-            # {tup: 1} returns a copy of the column; a symbolic 1 still
-            # multiplies, so the values keep the type the caller's field gives
-            if len(state) == 1 and type(c) is Fraction and c == 1:
-                return dict(col)
-            state_accumulate(out, col, c)
-        return out
+                d, nums = _cleared(img.values())
+                col = columns[tup] = (d, dict(zip(img, nums)))
+            pieces.append((c.numerator, c.denominator * col[0], col[1].items()))
+        return _read(*_accumulate(pieces))
 
     def after(self, other):
         """self . other (apply other first)."""
         return LinOp(lambda s: self(other(s)))
 
     def commutator(self, other):
-        return LinOp(lambda s: state_add(self(other(s)), state_scale(other(self(s)), Fraction(-1))))
+        return LinOp(lambda s: state_combination([(ONE, self(other(s))), (-ONE, other(self(s)))]))
 
 
 def vertex_mode(op: VertexOperator, k: int, module: BosonModule) -> LinOp:
@@ -444,10 +498,9 @@ class ModeFamily:
             terms, module = self.mode_terms(gen, n), self.module
 
             def apply_fn(state):
-                img = {}
-                for term in terms:
-                    img = state_add(img, term.mode_apply(n, state, module))
-                return img
+                return state_combination(
+                    [(ONE, term.mode_apply(n, state, module)) for term in terms]
+                )
 
             self._mode_cache[key] = LinOp(apply_fn)
         return self._mode_cache[key]
@@ -722,9 +775,3 @@ def pbw_gram(level, family, prime=False):
     bras = [_cleared([bra.get(m, 0) for m in support]) for bra in bras]
     gram = [[Fraction(sum(map(mul, bv, kv)), bd * kd) for kd, kv in kets] for bd, bv in bras]
     return gram, tuples
-
-
-def _cleared(values):
-    """(D, integers n_i) with values[i] == n_i / D, D the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) if x else 0 for x in values]

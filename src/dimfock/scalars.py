@@ -236,6 +236,16 @@ class RatFunc:
             return _rat(Poly._of((n,)) if n else _ZERO, Poly._of((other.denominator,)))
         return None
 
+    # Exact linear combinations (fock) clear every scalar to an integer
+    # denominator: a RatFunc is its own numerator over the denominator 1.
+    @property
+    def numerator(self):
+        return self
+
+    @property
+    def denominator(self):
+        return 1
+
     def is_zero(self):
         return not self.num.coeffs
 

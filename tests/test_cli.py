@@ -21,6 +21,8 @@ def test_usage_errors():
     assert run_cli(["--suite", "symfunc", "--points", "1", "--level", "0"]) == 2
     assert run_cli(["--suite", "symfunc", "--points", "0"]) == 2
     assert run_cli(["--suite", "kacdet", "--points", "0"]) == 2
+    assert run_cli(["--suite", "genmac", "--N", "0", "--points", "1", "--level", "1"]) == 2
+    assert run_cli(["--suite", "genmac", "--N", "-1", "--points", "1", "--level", "1"]) == 2
     assert run_cli(["--suite", "symfunc", "--level", "1", "--points", "1", "--symbolic", "q"]) == 2
     assert run_cli(["--help"]) == 0
 

@@ -11,13 +11,13 @@ from dimfock.fock import (
     GeneratorFamily,
     VirasoroFamily,
     bra_apply,
+    combination_is_zero,
     jing_build,
     pbw_bra,
     pbw_gram,
     pbw_state,
     state_add,
     state_scale,
-    states_equal,
     vacuum_bra,
 )
 from dimfock.relations import (
@@ -74,7 +74,6 @@ def test_commutator_example(point2):
     fam = GeneratorFamily(mod)
     q, t, p = pt.q, pt.t, pt.p
     coef = (1 - q) * (1 - 1 / t) / (1 - p) * (1 / p - p)
-    from dimfock.relations import check_x_relations_n2
 
     assert check_x_relations_n2(2, pt, mode_bound=1) == []
     for lvl in range(3):
@@ -98,7 +97,7 @@ def test_commutator_example(point2):
                     rhs,
                     state_scale(fam.x_mode(1, -1 - l)(fam.x_mode(1, 1 + l)(st)), f1[l]),
                 )
-            assert states_equal(lhs, rhs)
+            assert combination_is_zero([(ONE, lhs), (-ONE, rhs)])
 
 
 def test_virasoro_highest_weight(point2):
@@ -112,11 +111,6 @@ def test_virasoro_highest_weight(point2):
 def test_virasoro_relation(point2):
     k = point2.fresh_rational("k")
     assert check_virasoro_relation(2, point2, k) == []
-
-
-def test_x_relations_level3(points2):
-    for pt in points2:
-        assert check_x_relations_n2(3, pt) == []
 
 
 def test_crystal_relations_level3(point2):

@@ -9,8 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimfock import relations
-from dimfock.fock import BosonModule, GeneratorFamily, state_add, state_scale
-from dimfock.relations import check_virasoro_relation, check_x_relations_n2
+from dimfock.fock import (
+    BosonModule,
+    CrystalGenerators,
+    CrystalVirasoro,
+    GeneratorFamily,
+    VertexOperator,
+    state_add,
+    state_scale,
+)
+from dimfock.relations import (
+    check_crystal_virasoro_relations,
+    check_crystal_x_relations,
+    check_virasoro_relation,
+    check_x_relations_n2,
+)
 from dimfock.scalars import Series
 
 ONE = Fraction(1)
@@ -48,7 +61,12 @@ def combination(fam, terms, cancel):
     return state
 
 
-coefficients = st.sampled_from([Fraction(x) for x in ("1", "-1", "2", "-1/2", "3/7")])
+# coprime, small and large denominators: columns and states are summed over
+# the lcm of all of them, one above 2^64
+coefficients = st.sampled_from(
+    [Fraction(x) for x in ("1", "-1", "2", "-1/2", "3/7", "-5/12", "7/1296")]
+    + [Fraction(2**64 + 1, 3**43)]
+)
 terms = st.lists(st.tuples(st.integers(0, 20), coefficients), max_size=5)
 gens = st.sampled_from([1, 2])
 
@@ -83,9 +101,16 @@ def test_memoized_operators_match_term_by_term_modes(families, kind, terms, canc
             state_add(ref_a(ref_b(state)), state_scale(ref_b(ref_a(state)), MINUS_ONE)),
         ),
     ]
+    basis = {t: t for lev in range(LEVEL_MAX + 1) for t in fam.module.basis(lev)}
     for op, want in cases:
         got = op(state)
         assert got == want
+        assert all(got.values())
+        if kind == "fraction":
+            assert all(type(v) is Fraction for v in got.values())
+        # outputs and column images are keyed by the module's basis objects
+        images = [got] + [op({tup: ONE}) for tup in state]
+        assert all(basis[key] is key for img in images for key in img)
         got[fam.module.empty_tuple()] = Fraction(12345)  # callers own the result
         got.clear()
         assert op(state) == want
@@ -135,12 +160,36 @@ def _perturbed_structure_series(original):
     return perturbed
 
 
+class _DoubledX2(CrystalGenerators):
+    """Crystal currents whose second generator has twice its zero-mode prefactor."""
+
+    def __init__(self, module):
+        super().__init__(module)
+        self.x2 = VertexOperator(self.x2.creation, self.x2.annihilation, 2 * self.x2.prefactor)
+
+
+class _DoubledLamPlus(CrystalVirasoro):
+    """Scaled Virasoro modes whose negative half has twice its prefactor."""
+
+    def __init__(self, module, k_weight):
+        super().__init__(module, k_weight)
+        lam = self.lam_plus
+        self.lam_plus = VertexOperator(lam.creation, lam.annihilation, 2 * lam.prefactor)
+
+
 def test_relation_checks_catch_a_wrong_structure_constant(point2, monkeypatch):
     k = point2.fresh_rational("k")
+    u = [point2.fresh_rational(("cu", i)) for i in range(2)]
     assert check_x_relations_n2(1, point2) == []
     assert check_virasoro_relation(1, point2, k) == []
+    assert check_crystal_x_relations(1, point2, u) == []
+    assert check_crystal_virasoro_relations(1, point2, k) == []
     monkeypatch.setattr(
         relations, "structure_series", _perturbed_structure_series(relations.structure_series)
     )
+    monkeypatch.setattr(relations, "CrystalGenerators", _DoubledX2)
+    monkeypatch.setattr(relations, "CrystalVirasoro", _DoubledLamPlus)
     assert check_x_relations_n2(1, point2)
     assert check_virasoro_relation(1, point2, k)
+    assert check_crystal_x_relations(1, point2, u)
+    assert check_crystal_virasoro_relations(1, point2, k)
