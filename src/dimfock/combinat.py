@@ -164,10 +164,6 @@ def check_partition(lam: Partition) -> Partition:
     return Partition(tuple(p - 1 for p in lam.parts if p > 1))
 
 
-def stats(lam: Partition) -> tuple[int, Partition]:
-    return n_stat(lam), check_partition(lam)
-
-
 def b_factor(lam: Partition, x):
     """b_lambda(x) = prod_i prod_{k=1..m_i} (1 - x^k)."""
     res = Fraction(1)
@@ -201,10 +197,6 @@ def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
         for rest in partitions(n - first, first):
             out.append(Partition((first,) + rest.parts))
     return tuple(out)
-
-
-def partition_count(n: int) -> int:
-    return len(partitions(n))
 
 
 def _tuple_sort_key(tup: PartitionTuple):

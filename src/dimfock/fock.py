@@ -124,16 +124,6 @@ class BosonModule:
         return state.get(self.empty_tuple(), ZERO)
 
 
-def state_to_json(state):
-    """JSON form: map from tuple keys to scalar strings."""
-    from .combinat import to_json as tup_json
-
-    return {
-        ";".join(",".join(map(str, comp)) for comp in tup_json(tup)): str(c)
-        for tup, c in sorted(state.items(), key=lambda kv: repr(kv[0]))
-    }
-
-
 def state_add(a, b):
     out = dict(a)
     for k, v in b.items():
@@ -151,8 +141,15 @@ def state_scale(a, c):
     return {k: v * c for k, v in a.items()}
 
 
-def state_level(a):
-    return max((k.size for k in a), default=0)
+def coordinates(state, monomials):
+    """The dense vector of a state over a list of monomials; entries of the
+    state outside the list are left out."""
+    return [state.get(m, ZERO) for m in monomials]
+
+
+def column_matrix(states, monomials):
+    """Dense matrix whose column j holds coordinates(states[j], monomials)."""
+    return [[st.get(m, ZERO) for st in states] for m in monomials]
 
 
 def state_combination(terms):
@@ -436,18 +433,10 @@ def vertex_mode(op: VertexOperator, k: int, module: BosonModule) -> LinOp:
 
 def operator_matrix(op: LinOp, module: BosonModule, level_from: int, level_to: int):
     """Dense matrix of op between monomial bases (rows: target, cols: source)."""
-    src = module.basis(level_from)
-    tgt = module.basis(level_to)
-    tgt_idx = {t: i for i, t in enumerate(tgt)}
-    mat = [[ZERO] * len(src) for _ in tgt]
-    for j, tup in enumerate(src):
-        img = op({tup: ONE})
-        for t2, c in img.items():
-            if t2.size == level_to:
-                mat[tgt_idx[t2]][j] = c
-            elif c:
-                raise ValueError("operator image leaked outside target level")
-    return mat
+    images = [op({tup: ONE}) for tup in module.basis(level_from)]
+    if any(c and t.size != level_to for img in images for t, c in img.items()):
+        raise ValueError("operator image leaked outside target level")
+    return column_matrix(images, module.basis(level_to))
 
 
 # -- bra functionals (values on creation monomials) --------------------------

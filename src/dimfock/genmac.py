@@ -27,12 +27,12 @@ from .fock import (
     BosonModule,
     GeneratorFamily,
     apply_symfunc,
+    column_matrix,
+    coordinates,
     operator_matrix,
     pbw_state,
     pbw_bra,
-    state_add,
     state_scale,
-    vacuum_bra,
 )
 from .linalg import EigenvalueCollision  # noqa: F401  -- re-exported
 from .scalars import PoleAtZero, eigenvalue_of
@@ -50,9 +50,10 @@ def product_state(module, tup, func_per_component):
     return state
 
 
-def product_macdonald_state(module, tup, qval, tval):
+def product_macdonald_state(module, tup):
+    point = module.point
     return product_state(
-        module, tup, [macdonald_p(lam, qval, tval) for lam in tup.components]
+        module, tup, [macdonald_p(lam, point.q, point.t) for lam in tup.components]
     )
 
 
@@ -60,35 +61,40 @@ def product_monomial_state(module, tup):
     return product_state(module, tup, [monomial_in_p(lam) for lam in tup.components])
 
 
-class GenMacBasis:
-    """Level-n eigenbasis data for a generator family."""
+def zero_mode_conjugation(level, family):
+    """(P, X0, P^-1 X0 P) at one level.
 
-    def __init__(self, level, family: GeneratorFamily, qval=None, tval=None):
+    P holds the product-Macdonald kets as columns and X0 is the first-current
+    zero mode, both over the level-n monomials; the last entry is the zero
+    mode in the product-Macdonald basis, indexed by the same tuples.
+    """
+    module = family.module
+    tuples = module.basis(level)
+    pmat = column_matrix([product_macdonald_state(module, t) for t in tuples], tuples)
+    x0 = operator_matrix(family.x_mode(1, 0), module, level, level)
+    return pmat, x0, linalg.mat_mul(linalg.inverse(pmat), linalg.mat_mul(x0, pmat))
+
+
+class GenMacBasis:
+    """Level-n eigenbasis data for a generator family.
+
+    The level-n tuples index both the eigenvectors and the monomial
+    coordinates of every state and matrix here.
+    """
+
+    def __init__(self, level, family: GeneratorFamily):
         self.level = level
         self.family = family
         self.module = family.module
         self.point = family.module.point
-        self.qval = qval if qval is not None else self.point.q
-        self.tval = tval if tval is not None else self.point.t
         self.tuples = list(self.module.basis(level))
         self.index = {t: i for i, t in enumerate(self.tuples)}
         self._build()
 
     def _build(self):
-        module, level = self.module, self.level
-        monomials = list(module.basis(level))
-        midx = {m: i for i, m in enumerate(monomials)}
-        # product-Macdonald kets in monomial coordinates (columns)
-        pmat = [[ZERO] * len(self.tuples) for _ in monomials]
-        for j, tup in enumerate(self.tuples):
-            st = product_macdonald_state(module, tup, self.qval, self.tval)
-            for mono, c in st.items():
-                pmat[midx[mono]][j] = c
-        x0 = operator_matrix(self.family.x_mode(1, 0), module, level, level)
-        pinv = linalg.inverse(pmat)
-        x0_pp = linalg.mat_mul(pinv, linalg.mat_mul(x0, pmat))
+        module = self.module
+        pmat, x0, x0_pp = zero_mode_conjugation(self.level, self.family)
         self.pmat = pmat
-        self.x0_pp = x0_pp
         self.eigenvalues = [eigenvalue_of(t, self.point) for t in self.tuples]
         n = len(self.tuples)
         # triangularity in the canonical order: column j only feeds rows i >= j
@@ -106,10 +112,8 @@ class GenMacBasis:
         self.coeff = [linalg.triangular_eigenvector(x0_pp, j, self.tuples) for j in range(n)]
         # Dual side: the zero mode is not self-adjoint for the monomial Gram,
         # so the bra expansion needs the right action on bra-products.
-        grams = [module.monomial_gram(m) for m in monomials]
-        rmat = [
-            [pmat[v][j] * grams[v] for v in range(len(monomials))] for j in range(n)
-        ]
+        grams = [module.monomial_gram(m) for m in self.tuples]
+        rmat = [[pmat[v][j] * grams[v] for v in range(n)] for j in range(n)]
         rx = linalg.mat_mul(rmat, x0)
         y = linalg.mat_mul(rx, linalg.inverse(rmat))
         for j in range(n):
@@ -130,7 +134,6 @@ class GenMacBasis:
         ]
         self._bra_rows = rmat
         self._states = {}
-        self._monomials = monomials
 
     def transition(self, lam_tup, mu_tup):
         """Coefficient of the mu product-Macdonald vector inside P_lam."""
@@ -142,18 +145,19 @@ class GenMacBasis:
     def state(self, tup):
         """P_tup as a Fock state (monomial coordinates)."""
         if tup not in self._states:
-            j = self.index[tup]
-            coords = linalg.mat_vec(self.pmat, self.coeff[j])
-            self._states[tup] = {
-                m: c for m, c in zip(self._monomials, coords) if c
-            }
+            coords = linalg.mat_vec(self.pmat, self.coeff[self.index[tup]])
+            self._states[tup] = {m: c for m, c in zip(self.tuples, coords) if c}
         return self._states[tup]
+
+    def state_matrix(self):
+        """The eigenvectors as columns over the level-n monomials."""
+        return column_matrix([self.state(t) for t in self.tuples], self.tuples)
 
     def dual_bra(self, tup):
         """<P_tup| as a functional on creation monomials."""
         j = self.index[tup]
         out = {}
-        for nu_i, nu in enumerate(self._monomials):
+        for nu_i, nu in enumerate(self.tuples):
             acc = ZERO
             for mu_i in range(len(self.tuples)):
                 c = self.dual_coeff[j][mu_i]
@@ -165,19 +169,9 @@ class GenMacBasis:
 
     def monomial_transition(self):
         """Transition matrix over products of monomial symmetric functions."""
-        module = self.module
-        mono_states = [product_monomial_state(module, t) for t in self.tuples]
-        mmat = [[ZERO] * len(self.tuples) for _ in self._monomials]
-        midx = {m: i for i, m in enumerate(self._monomials)}
-        for j, st in enumerate(mono_states):
-            for mono, c in st.items():
-                mmat[midx[mono]][j] = c
-        minv = linalg.inverse(mmat)
-        rows = []
-        for j in range(len(self.tuples)):
-            coords = linalg.mat_vec(self.pmat, self.coeff[j])
-            rows.append(linalg.mat_vec(minv, coords))
-        return rows
+        mono_states = [product_monomial_state(self.module, t) for t in self.tuples]
+        minv = linalg.inverse(column_matrix(mono_states, self.tuples))
+        return linalg.transpose(linalg.mat_mul(minv, self.state_matrix()))
 
 
 def gen_macdonald(level, point, n_comp=None, module=None, crystal_normalized=False):
@@ -208,42 +202,27 @@ class IntegralForms:
 
     def __init__(self, basis: GenMacBasis):
         self.basis = basis
-        module, family, level = basis.module, basis.family, basis.level
-        self.tuples = basis.tuples
-        monomials = basis._monomials
-        midx = {m: i for i, m in enumerate(monomials)}
+        family = basis.family
+        self.tuples = tuples = basis.tuples
         # PBW vectors with reversed component order
-        wmat = [[ZERO] * len(self.tuples) for _ in monomials]
-        for j, tup in enumerate(self.tuples):
-            st = pbw_state(tup, family, prime=True)
-            for mono, c in st.items():
-                wmat[midx[mono]][j] = c
-        winv = linalg.inverse(wmat)
-        des = _designated_index(self.tuples, level)
+        wmat = column_matrix([pbw_state(t, family, prime=True) for t in tuples], tuples)
+        avecs = linalg.transpose(linalg.mat_mul(linalg.inverse(wmat), basis.state_matrix()))
+        des = _designated_index(tuples, basis.level)
         self.alpha = {}
         self.k_norm = {}  # K = k_norm * P
-        for tup in self.tuples:
-            coords = linalg.mat_vec(basis.pmat, basis.coeff[basis.index[tup]])
-            avec = linalg.mat_vec(winv, coords)
+        for tup, avec in zip(tuples, avecs):
             a_des = avec[des]
             if not a_des:
                 raise ArithmeticError("designated expansion coefficient vanishes at %r" % (tup,))
             self.alpha[tup] = [a / a_des for a in avec]
             self.k_norm[tup] = 1 / a_des
         # dual side: expand the dual eigenvector over reversed-order PBW bras
-        bra_rows = []
-        for tup in self.tuples:
-            bra = pbw_bra(tup, family, prime=True)
-            bra_rows.append([bra.get(m, ZERO) for m in monomials])
+        bmat = column_matrix([pbw_bra(t, family, prime=True) for t in tuples], tuples)
+        binv = linalg.inverse(bmat)
         self.beta = {}
         self.k_norm_dual = {}
-        bmat = linalg.transpose(bra_rows)
-        binv = linalg.inverse(bmat)
-        for tup in self.tuples:
-            j = basis.index[tup]
-            dual = basis.dual_bra(tup)
-            dvec = [dual.get(m, ZERO) for m in monomials]
-            bvec = linalg.mat_vec(binv, dvec)
+        for tup in tuples:
+            bvec = linalg.mat_vec(binv, coordinates(basis.dual_bra(tup), tuples))
             b_des = bvec[des]
             if not b_des:
                 raise ArithmeticError("designated dual coefficient vanishes at %r" % (tup,))
@@ -327,12 +306,10 @@ def gen_hall_littlewood(level, sym_point, n_comp=2):
 
 
 def _gen_hl_rank1(level, sym_point):
-    from .symfunc import hall_littlewood
-
     q, t = sym_point.q, sym_point.t
     table = {}
     poles = []
-    for lam in [pt for pt in _rank1_tuples(level)]:
+    for lam in _rank1_tuples(level):
         mac = macdonald_p(lam[0], q, t)
         row = {}
         for mu in _rank1_tuples(level):
@@ -429,13 +406,11 @@ def gen_jack(level, beta, uprime):
     from .combinat import enumerate_tuples
 
     n_comp = len(uprime)
+    # the tuples also index the power-sum monomials of the same level
     tuples = list(enumerate_tuples(n_comp, level))
-    # power-sum monomial basis of the same level
-    monos = tuples
-    midx = {m: i for i, m in enumerate(monos)}
     # m-products in power-sum coordinates
-    mmat = [[ZERO] * len(tuples) for _ in monos]
-    for j, tup in enumerate(tuples):
+    m_products = []
+    for tup in tuples:
         st = {PartitionTuple([EMPTY] * n_comp): ONE}
         for i, lam in enumerate(tup):
             f = monomial_in_p(lam)
@@ -447,15 +422,11 @@ def gen_jack(level, beta, uprime):
                     )
                     nxt[merged] = nxt.get(merged, ZERO) + c * pc
             st = nxt
-        for mono, c in st.items():
-            mmat[midx[mono]][j] = c
+        m_products.append(st)
+    mmat = column_matrix(m_products, tuples)
     minv = linalg.inverse(mmat)
     # operator matrix in the p-monomial basis, then over m-products
-    hmat = [[ZERO] * len(monos) for _ in monos]
-    for j, mono in enumerate(monos):
-        img = _hbeta_apply({mono: ONE}, beta, uprime)
-        for m2, c in img.items():
-            hmat[midx[m2]][j] = c
+    hmat = column_matrix([_hbeta_apply({m: ONE}, beta, uprime) for m in tuples], tuples)
     h_mm = linalg.mat_mul(minv, linalg.mat_mul(hmat, mmat))
     n = len(tuples)
     for j in range(n):
@@ -482,7 +453,6 @@ def ordering_vanishing_check(level, point, n_comp=3):
         ordering (and in particular outside the plain suffix ordering).
     """
     from .combinat import partitions
-    from .symfunc import macdonald_p as mp
 
     failures = []
     # (a) single-boson containment
@@ -490,23 +460,15 @@ def ordering_vanishing_check(level, point, n_comp=3):
     family = GeneratorFamily(module)
     eta = family._eta(0)
     for n in range(1, level + 1):
+        # expand over Macdonald functions of the target level
+        targets = partitions(level - n)
+        monos = module.basis(level - n)
+        macs = [product_macdonald_state(module, PartitionTuple([mu])) for mu in targets]
+        minv = linalg.inverse(column_matrix(macs, monos))
         for lam in partitions(level):
-            st = apply_symfunc(module, mp(lam, point.q, point.t), lambda k: [(0, ONE)], module.vacuum())
-            img = eta.mode_apply(n, st, module)
-            tgt_level = level - n
-            if tgt_level < 0:
-                continue
-            # expand over Macdonald functions of the target level
-            basis = [m for m in partitions(tgt_level)]
-            mat = [[ZERO] * len(basis) for _ in module.basis(tgt_level)]
-            midx = {m: i for i, m in enumerate(module.basis(tgt_level))}
-            for j, mu in enumerate(basis):
-                stj = apply_symfunc(module, mp(mu, point.q, point.t), lambda k: [(0, ONE)], module.vacuum())
-                for mono, c in stj.items():
-                    mat[midx[mono]][j] = c
-            vec = [img.get(m, ZERO) for m in module.basis(tgt_level)]
-            coords = linalg.mat_vec(linalg.inverse(mat), vec)
-            for mu, c in zip(basis, coords):
+            img = eta.mode_apply(n, product_macdonald_state(module, PartitionTuple([lam])), module)
+            coords = linalg.mat_vec(minv, coordinates(img, monos))
+            for mu, c in zip(targets, coords):
                 if c and not lam.contains(mu):
                     failures.append(("eta-containment", lam, n, mu))
     # (b) transition support within the refined ordering

@@ -31,6 +31,7 @@ from .fock import (
     pbw_gram,
     state_scale,
 )
+from .genmac import zero_mode_conjugation
 from .scalars import Series, eigenvalue_of
 from .symfunc import macdonald_p
 
@@ -184,26 +185,12 @@ def single_eigenvector(level, family, tup):
     the designated column is solved; a collision actually coupled to this
     eigenvector would contradict its uniqueness and raises.
     """
-    from .genmac import product_macdonald_state
-    from .fock import operator_matrix
-
-    module = family.module
-    point = module.point
-    monomials = list(module.basis(level))
-    midx = {m: i for i, m in enumerate(monomials)}
-    tuples = list(module.basis(level))
-    pmat = [[Fraction(0)] * len(tuples) for _ in monomials]
-    for j, t in enumerate(tuples):
-        st = product_macdonald_state(module, t, point.q, point.t)
-        for mono, c in st.items():
-            pmat[midx[mono]][j] = c
-    x0 = operator_matrix(family.x_mode(1, 0), module, level, level)
-    x0_pp = linalg.mat_mul(linalg.inverse(pmat), linalg.mat_mul(x0, pmat))
+    tuples = family.module.basis(level)
+    pmat, _, x0_pp = zero_mode_conjugation(level, family)
     vec = linalg.triangular_eigenvector(x0_pp, tuples.index(tup), tuples)
-    coords = linalg.mat_vec(pmat, vec)
-    state = {m: c for m, c in zip(monomials, coords) if c}
+    state = {m: c for m, c in zip(tuples, linalg.mat_vec(pmat, vec)) if c}
     # exact eigenvector property at the closed-form eigenvalue
-    ev = eigenvalue_of(tup, point)
+    ev = eigenvalue_of(tup, family.module.point)
     if family.x_mode(1, 0)(state) != state_scale(state, ev):
         raise AssertionError("eigenvector verification failed at %r" % (tup,))
     return state

@@ -24,11 +24,11 @@ from .fock import (
     CrystalGenerators,
     GeneratorFamily,
     VertexOperator,
+    column_matrix,
+    coordinates,
     operator_matrix,
     pbw_gram,
     pbw_word,
-    state_add,
-    state_scale,
 )
 
 ZERO = Fraction(0)
@@ -289,18 +289,12 @@ class CrystalPhi:
 
     def _pbw_data(self, level):
         if level not in self._pbw:
-            tuples = list(self.mod.basis(level))
+            tuples = self.mod.basis(level)
             words = [
                 tuple((a, -m) for a, m in pbw_word(t, prime=True)) for t in tuples
             ]
-            monos = list(self.mod.basis(level))
-            midx = {m: i for i, m in enumerate(monos)}
-            wmat = [[ZERO] * len(tuples) for _ in monos]
-            for j, w in enumerate(words):
-                st = self._eval_word(w)
-                for mono, c in st.items():
-                    wmat[midx[mono]][j] = c
-            self._pbw[level] = (words, monos, linalg.inverse(wmat))
+            wmat = column_matrix([self._eval_word(w) for w in words], tuples)
+            self._pbw[level] = (words, linalg.inverse(wmat))
         return self._pbw[level]
 
     def _eval_word(self, word):
@@ -337,11 +331,11 @@ class CrystalPhi:
         levels = {t.size for t in state}
         total = ZERO
         for level in levels:
-            part = [state.get(m, ZERO) for m in self.mod.basis(level)]
+            part = coordinates(state, self.mod.basis(level))
             if level == 0:
                 total = total + part[0]
                 continue
-            words, monos, winv = self._pbw_data(level)
+            words, winv = self._pbw_data(level)
             coords = linalg.mat_vec(winv, part)
             for word, c in zip(words, coords):
                 if c:

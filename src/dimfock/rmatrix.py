@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from . import linalg
 from .combinat import EMPTY, PartitionTuple
-from .genmac import GenMacBasis, gen_macdonald, integral_forms
+from .fock import column_matrix, coordinates
+from .genmac import gen_macdonald, integral_forms
 from .nekrasov import nek_factor
 
 ZERO = Fraction(0)
@@ -31,10 +32,23 @@ def swap_weights(u, i1, i2):
     return u
 
 
-def state_matrix(basis: GenMacBasis):
-    """Monomial coordinates of the eigenvectors, one column per tuple."""
-    cols = [linalg.mat_vec(basis.pmat, basis.coeff[j]) for j in range(len(basis.tuples))]
-    return linalg.transpose(cols)
+def _swapped_back_states(level, point, n_comp, i1, i2):
+    """The eigenvectors at the weights with u_i1 and u_i2 exchanged, with
+    bosons i1 and i2 exchanged back, as columns over the level-n monomials:
+    column j is the eigenvector of tuples[j] with i1 and i2 exchanged."""
+    swapped = point.with_u(swap_weights(point.u[:n_comp], i1, i2))
+    basis_sw = gen_macdonald(level, swapped, n_comp=n_comp)
+    states = [
+        {swap_tuple(m, i1, i2): c for m, c in basis_sw.state(swap_tuple(t, i1, i2)).items()}
+        for t in basis_sw.tuples
+    ]
+    return column_matrix(states, basis_sw.tuples)
+
+
+def _blocks(pop, k_vec, pmat, pinv):
+    """(boson matrix, eigen matrix) of the block with constants k_vec."""
+    boson = linalg.mat_mul([[c * k for c, k in zip(row, k_vec)] for row in pop], pinv)
+    return boson, linalg.mat_mul(pinv, linalg.mat_mul(boson, pmat))
 
 
 class RBlock:
@@ -61,21 +75,9 @@ def solve_r_block(level, point, pair=(1, 2), n_comp=3):
     i1, i2 = pair
     basis = gen_macdonald(level, point, n_comp=n_comp)
     tuples = basis.tuples
-    monos = basis._monomials
-    midx = {m: i for i, m in enumerate(monos)}
-    pmat = state_matrix(basis)
+    pmat = basis.state_matrix()
     pinv = linalg.inverse(pmat)
-
-    swapped_point = point.with_u(swap_weights(point.u[:n_comp], i1, i2))
-    basis_sw = gen_macdonald(level, swapped_point, n_comp=n_comp)
-    pmat_sw = state_matrix(basis_sw)
-    pop = [
-        [
-            pmat_sw[midx[swap_tuple(monos[v], i1, i2)]][basis_sw.index[swap_tuple(t, i1, i2)]]
-            for t in tuples
-        ]
-        for v in range(len(monos))
-    ]
+    pop = _swapped_back_states(level, point, n_comp, i1, i2)
 
     fixed = {
         j: ONE
@@ -84,11 +86,9 @@ def solve_r_block(level, point, pair=(1, 2), n_comp=3):
     }
     free = [j for j in range(len(tuples)) if j not in fixed]
     spectator_cols = [
-        midx[m]
-        for m in monos
-        if m[i1 - 1] == EMPTY and m[i2 - 1] == EMPTY
+        v for v, m in enumerate(tuples) if m[i1 - 1] == EMPTY and m[i2 - 1] == EMPTY
     ]
-    active_rows = [v for v in range(len(monos)) if v not in spectator_cols]
+    active_rows = [v for v in range(len(tuples)) if v not in spectator_cols]
     if free:
         rows = []
         rhs = []
@@ -105,12 +105,10 @@ def solve_r_block(level, point, pair=(1, 2), n_comp=3):
     k_vec = [fixed.get(j, None) for j in range(len(tuples))]
     for pos, j in enumerate(free):
         k_vec[j] = sol[pos]
-    boson = linalg.mat_mul(pop, [[k_vec[j] if i == j else ZERO for j in range(len(tuples))] for i in range(len(tuples))])
-    boson = linalg.mat_mul(boson, pinv)
-    eigen = linalg.mat_mul(pinv, linalg.mat_mul(boson, pmat))
+    boson, eigen = _blocks(pop, k_vec, pmat, pinv)
     # structural sanity: spectator columns are inert
     for c in spectator_cols:
-        for v in range(len(monos)):
+        for v in range(len(tuples)):
             want = ONE if v == c else ZERO
             if boson[v][c] != want:
                 raise AssertionError("spectator column not inert at level %d" % level)
@@ -127,18 +125,11 @@ def _relabelled_block(level, point, pair, n_comp):
     def relabel(tup):
         return PartitionTuple([tup[k] for k in order])
 
+    # the inner block is indexed by the same level-n tuples
     basis = gen_macdonald(level, point, n_comp=n_comp)
-    monos = basis._monomials
-    inner_monos = list(monos)
-    inner_idx = {m: i for i, m in enumerate(inner_monos)}
-    n = len(monos)
-    boson = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            boson[a][b] = inner.boson_matrix[inner_idx[relabel(monos[a])]][
-                inner_idx[relabel(monos[b])]
-            ]
-    pmat = state_matrix(basis)
+    rows = [basis.index[relabel(m)] for m in basis.tuples]
+    boson = [[inner.boson_matrix[a][b] for b in rows] for a in rows]
+    pmat = basis.state_matrix()
     eigen = linalg.mat_mul(linalg.inverse(pmat), linalg.mat_mul(boson, pmat))
     k_values = {}
     for t, k in inner.k_values.items():
@@ -175,23 +166,10 @@ def two_boson_block(level, point, k_values):
     """R-matrix block on two bosons from the proportionality constants."""
     basis = gen_macdonald(level, point, n_comp=2)
     tuples = basis.tuples
-    monos = basis._monomials
-    midx = {m: i for i, m in enumerate(monos)}
-    pmat = state_matrix(basis)
-    pinv = linalg.inverse(pmat)
-    swapped = point.with_u(swap_weights(point.u[:2], 1, 2))
-    basis_sw = gen_macdonald(level, swapped, n_comp=2)
-    pmat_sw = state_matrix(basis_sw)
-    pop = [
-        [
-            pmat_sw[midx[swap_tuple(monos[v], 1, 2)]][basis_sw.index[swap_tuple(t, 1, 2)]]
-            for t in tuples
-        ]
-        for v in range(len(monos))
-    ]
-    kd = [[k_values[tuples[j]] if i == j else ZERO for j in range(len(tuples))] for i in range(len(tuples))]
-    boson = linalg.mat_mul(linalg.mat_mul(pop, kd), pinv)
-    eigen = linalg.mat_mul(pinv, linalg.mat_mul(boson, pmat))
+    pmat = basis.state_matrix()
+    pop = _swapped_back_states(level, point, 2, 1, 2)
+    k_vec = [k_values[t] for t in tuples]
+    boson, eigen = _blocks(pop, k_vec, pmat, linalg.inverse(pmat))
     return RBlock(level, (1, 2), tuples, dict(k_values), boson, eigen), basis
 
 
@@ -221,7 +199,6 @@ def integral_form_r_check(level, point3):
     block, basis = two_boson_block(level, point, ks)
     forms = integral_forms(basis)
     tuples = block.tuples
-    monos = basis._monomials
 
     swapped = point.with_u(swap_weights(point.u[:2], 1, 2))
     basis_sw = gen_macdonald(level, swapped, n_comp=2)
@@ -231,26 +208,22 @@ def integral_form_r_check(level, point3):
         st = forms_sw.k_state(swap_tuple(tup, 1, 2))
         return {swap_tuple(m, 1, 2): c for m, c in st.items()}
 
+    k_states = [forms.k_state(t) for t in tuples]
+    kops = [kop_state(t) for t in tuples]
     # (a) R |K> = |K^op>
-    for tup in tuples:
-        kst = forms.k_state(tup)
-        vec = [kst.get(m, ZERO) for m in monos]
-        img = linalg.mat_vec(block.boson_matrix, vec)
-        kop = kop_state(tup)
-        want = [kop.get(m, ZERO) for m in monos]
-        if img != want:
+    for tup, kst, kop in zip(tuples, k_states, kops):
+        img = linalg.mat_vec(block.boson_matrix, coordinates(kst, tuples))
+        if img != coordinates(kop, tuples):
             failures.append(("swap-action", tup))
     # (b) matrix elements in the integral-form basis, two routes
-    kmat = linalg.transpose([[forms.k_state(t).get(m, ZERO) for m in monos] for t in tuples])
-    kinv = linalg.inverse(kmat)
-    for lam in tuples:
-        kop_coords = [kop_state(lam).get(m, ZERO) for m in monos]
-        expansion = linalg.mat_vec(kinv, kop_coords)
-        for j, mu in enumerate(tuples):
-            bra = forms.k_bra(mu)
-            num = basis.module.pair(bra, kop_state(lam))
-            den = basis.module.pair(bra, forms.k_state(mu))
-            if num != expansion[j] * den:
+    kinv = linalg.inverse(column_matrix(k_states, tuples))
+    pair = basis.module.pair
+    k_bras = [forms.k_bra(mu) for mu in tuples]
+    norms = [pair(bra, kst) for bra, kst in zip(k_bras, k_states)]
+    for lam, kop in zip(tuples, kops):
+        expansion = linalg.mat_vec(kinv, coordinates(kop, tuples))
+        for mu, bra, norm, c in zip(tuples, k_bras, norms, expansion):
+            if pair(bra, kop) != c * norm:
                 failures.append(("element-formula", lam, mu))
     # (c) closed form for the constants
     for tup in tuples:
@@ -265,14 +238,13 @@ def involution_check(level, point3):
     point = point3
     ks = k_from_spectator(level, point3)
     block, basis = two_boson_block(level, point, ks)
-    monos = basis._monomials
-    midx = {m: i for i, m in enumerate(monos)}
+    tuples = basis.tuples
     swapped = point.with_u(swap_weights(point.u[:2], 1, 2))
     block_sw, _ = two_boson_block(level, swapped, k_from_spectator_swapped(level, point3))
-    perm = [[ONE if midx[swap_tuple(monos[i], 1, 2)] == j else ZERO for j in range(len(monos))] for i in range(len(monos))]
+    perm = [[ONE if swap_tuple(m, 1, 2) == t else ZERO for t in tuples] for m in tuples]
     conj = linalg.mat_mul(perm, linalg.mat_mul(block_sw.boson_matrix, perm))
     prod = linalg.mat_mul(conj, block.boson_matrix)
-    return prod == linalg.identity(len(monos))
+    return prod == linalg.identity(len(tuples))
 
 
 def k_from_spectator_swapped(level, point3):

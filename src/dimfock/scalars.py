@@ -536,9 +536,6 @@ class ScalarPoint:
             raise ScalarError("half powers of q unavailable in symbolic-q mode")
         return self.q0 ** (2 * k)
 
-    def t_half(self, k=1):
-        return self.t0 ** (2 * k)
-
     def q_pow(self, n):
         return self.q**n if n >= 0 else 1 / (self.q ** (-n))
 
@@ -647,11 +644,6 @@ def _specialized_view(point):
     view.q0, view.t0 = point.q0, point.t0
     view.u = point.u
     return view
-
-
-def specialized_view(point):
-    """The same point with the formal slot replaced by its sampled rational."""
-    return _specialized_view(point)
 
 
 # ---------------------------------------------------------------------------

@@ -262,10 +262,6 @@ def inner_prod(f: SymFunc, g: SymFunc, qval, tval):
     return total
 
 
-def inner_qt(f: SymFunc, g: SymFunc, point):
-    return inner_prod(f, g, point.q, point.t)
-
-
 def inner_hl(f: SymFunc, g: SymFunc, tval):
     """Hall-Littlewood pairing <,>_{0,t}."""
     return inner_prod(f, g, Fraction(0), tval)

@@ -14,15 +14,13 @@ from fractions import Fraction
 
 from .combinat import (
     BoxCoord,
-    EMPTY,
     Partition,
     PartitionTuple,
     add_remove_sets,
-    arm_leg,
     enumerate_tuples,
 )
-from .fock import BosonModule, GeneratorFamily, LinOp, state_scale
-from .genmac import GenMacBasis, gen_macdonald, integral_forms
+from .fock import BosonModule, GeneratorFamily, LinOp, column_matrix, coordinates, state_scale
+from .genmac import GenMacBasis, integral_forms
 from .scalars import Series, eigenvalue_of
 from . import linalg
 
@@ -329,14 +327,6 @@ def _box_difference(big: PartitionTuple, small: PartitionTuple) -> BoxCoord:
     raise ValueError("tuples do not differ by one box")
 
 
-def m_tilde_basis(level, point, n_comp):
-    """States and index for the alternative integral forms at one level."""
-    basis = gen_macdonald(level, point, n_comp=n_comp)
-    forms = integral_forms(basis)
-    states = {tup: forms.m_tilde_state(tup) for tup in basis.tuples}
-    return basis, states
-
-
 def action_conjecture_check(level, point, n_comp):
     """Edge-move expansion of the first-current modes on the integral forms.
 
@@ -351,21 +341,17 @@ def action_conjecture_check(level, point, n_comp):
     family = GeneratorFamily(module)
     bases = {}
     state_tables = {}
+    inverses = {}
     for n in range(level + 2):
-        if n > level + 1:
-            continue
         bases[n] = GenMacBasis(n, family)
         forms = integral_forms(bases[n])
-        state_tables[n] = {tup: forms.m_tilde_state(tup) for tup in bases[n].tuples}
+        tuples = bases[n].tuples
+        state_tables[n] = {tup: forms.m_tilde_state(tup) for tup in tuples}
+        inverses[n] = linalg.inverse(column_matrix([state_tables[n][t] for t in tuples], tuples))
 
     def expand(state, n):
-        monos = list(module.basis(n))
-        mat = linalg.transpose(
-            [[state_tables[n][t].get(m, ZERO) for m in monos] for t in bases[n].tuples]
-        )
-        vec = [state.get(m, ZERO) for m in monos]
-        coords = linalg.mat_vec(linalg.inverse(mat), vec)
-        return dict(zip(bases[n].tuples, coords))
+        tuples = bases[n].tuples
+        return dict(zip(tuples, linalg.mat_vec(inverses[n], coordinates(state, tuples))))
 
     for n in range(level + 1):
         for tup in bases[n].tuples:
@@ -406,15 +392,11 @@ def eigen_move_coefficients(sign, level, point, n_comp):
     src = GenMacBasis(level, family)
     tgt_level = level - 1 if sign > 0 else level + 1
     tgt = GenMacBasis(tgt_level, family)
-    monos = list(module.basis(tgt_level))
-    mat = linalg.transpose(
-        [[tgt.state(t).get(m, ZERO) for m in monos] for t in tgt.tuples]
-    )
-    minv = linalg.inverse(mat)
+    minv = linalg.inverse(tgt.state_matrix())
     out = {}
     for tup in src.tuples:
         img = family.x_mode(1, 1 if sign > 0 else -1)(src.state(tup))
-        coords = linalg.mat_vec(minv, [img.get(m, ZERO) for m in monos])
+        coords = linalg.mat_vec(minv, coordinates(img, tgt.tuples))
         out[tup] = dict(zip(tgt.tuples, coords))
     return out
 

@@ -13,6 +13,7 @@ from dimfock.fock import (
     bra_apply,
     combination_is_zero,
     jing_build,
+    operator_matrix,
     pbw_bra,
     pbw_gram,
     pbw_state,
@@ -198,3 +199,13 @@ def test_crystal_whittaker_gram(point2):
     for i, lam in enumerate(basis):
         for j, mu in enumerate(basis):
             assert gram[i][j] == (b_factor(lam, tinv) if lam == mu else 0)
+
+
+def test_operator_matrix_rejects_a_leak_outside_the_target_level(point2):
+    # X_1 lowers the level by one: its level-2 images do not sit at level 1...
+    module = BosonModule(point2, 2, point2.u, 3, kind="qt")
+    fam = GeneratorFamily(module)
+    assert len(operator_matrix(fam.x_mode(1, 1), module, 2, 1)) == len(module.basis(1))
+    # ...but the zero mode's do, so reading them at level 1 is refused
+    with pytest.raises(ValueError, match="leaked"):
+        operator_matrix(fam.x_mode(1, 0), module, 2, 1)

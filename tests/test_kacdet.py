@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from dimfock.combinat import EMPTY, Partition, PartitionTuple, b_factor, b_factor_neg, partitions
-from dimfock.fock import BosonModule, VirasoroFamily, pbw_gram
+from dimfock.fock import BosonModule, GeneratorFamily, VirasoroFamily, pbw_gram
+from dimfock.genmac import GenMacBasis
 from dimfock.kacdet import (
     constrained_point_single,
     crystal_whittaker_norm,
@@ -11,6 +12,7 @@ from dimfock.kacdet import (
     kac_det_formula,
     kac_det_vanishes_on_line,
     rectangle_tuple,
+    single_eigenvector,
     singular_vector_check,
     singular_vector_check_multi,
     staircase_tuple_A,
@@ -134,3 +136,14 @@ def test_no_singular_vector_at_generic_weights(point2):
     # nonzero determinant certifies the absence of degenerate vectors
     lhs, rhs = kac_det_check(1, 2, point2)
     assert lhs == rhs != 0
+
+
+def test_single_eigenvector_matches_the_basis_at_generic_points(point2, point3):
+    # the singular-vector path solves one column of the same conjugated zero
+    # mode as the full eigenbasis; at generic weights the two states agree
+    for pt, n_comp, level in ((point2, 2, 3), (point3, 3, 2)):
+        module = BosonModule(pt, n_comp, pt.u[:n_comp], level + 1, kind="qt")
+        family = GeneratorFamily(module)
+        basis = GenMacBasis(level, family)
+        for tup in basis.tuples:
+            assert single_eigenvector(level, family, tup) == basis.state(tup), tup
