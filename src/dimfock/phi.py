@@ -62,18 +62,6 @@ class PhiMatrix:
         self.level_max = level_max
         self.entries = entries
 
-    def apply(self, state, w_value):
-        out = {}
-        for s, c in state.items():
-            col = self.entries.get(s)
-            if not col:
-                continue
-            for s2, m in col.items():
-                val = c * m * w_value ** (s2.size - s.size)
-                if val:
-                    out[s2] = out.get(s2, ZERO) + val
-        return out
-
     def element(self, bra_state, ket_state, w_value):
         total = ZERO
         for s, c in ket_state.items():

@@ -36,32 +36,60 @@ ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
-def _pair_products(st):
-    """pair(a, b) = A(B(st)), and comm(a, b), the terms of [A, B](st), for one state st.
+def _products(st):
+    """product(ops) = ops[0](ops[1](... (st))), the image of st under a tuple of operators.
 
-    Pair products are memoized by operator pair for this st only: a check
-    meets each (pair, monomial) key under one monomial, so a longer-lived
-    memo would only hold memory.  The returned states are shared; callers
-    read them and never mutate them.
+    Images are memoized by operator tuple, and their suffixes with them, for
+    this st only: a check meets each (operators, monomial) key under one
+    monomial, so a longer-lived memo would only hold memory.  The returned
+    states are shared; callers read them and never mutate them.
     """
-    memo = {}
+    memo = {(): st}
 
-    def pair(a, b):
-        img = memo.get((a, b))
-        if img is None:
-            mid = b(st)
-            img = memo[(a, b)] = a(mid) if mid else {}
-        return img
+    def product(ops):
+        if ops not in memo:
+            for i in range(len(ops) - 1, -1, -1):
+                if ops[i:] not in memo:
+                    img = memo[ops[i + 1 :]]
+                    memo[ops[i:]] = ops[i](img) if img else {}
+        return memo[ops]
 
-    def comm(a, b):
-        return [(ONE, pair(a, b)), (MINUS_ONE, pair(b, a))]
-
-    return pair, comm
+    return product
 
 
 def _holds(lhs, rhs):
     """lhs == rhs for two lists of (coefficient, state) terms, summed exactly."""
     return combination_is_zero(lhs + [(-c, state) for c, state in rhs])
+
+
+def relation_failures(basis, level, relations):
+    """Witnesses of the exchange relations that fail on basis states.
+
+    For every key of basis(n), n <= level, relations(key, n) yields
+    (witness, A, B, rhs): the relation [A, B] = rhs on the state {key: 1},
+    with rhs a list of (c, ops) terms, each c times product(ops).  A product
+    that several relations share is applied once per state.
+    """
+    failures = []
+    for n_lvl in range(level + 1):
+        for key in basis(n_lvl):
+            product = _products({key: ONE})
+            for witness, a, b, rhs in relations(key, n_lvl):
+                lhs = [(ONE, product((a, b))), (MINUS_ONE, product((b, a)))]
+                if not _holds(lhs, [(c, product(ops)) for c, ops in rhs]):
+                    failures.append(witness)
+    return failures
+
+
+def _exchange_terms(a, b, n, m, n_lvl, f, g):
+    """-sum_l f(l) A(n-l) B(m+l) + sum_l g(l) B(m-l) A(n+l), over l >= 1, as rhs terms.
+
+    On a state of level n_lvl each sum stops where its right factor's mode
+    exceeds the level and kills the state; the truncation is exact.
+    """
+    return [(-f(l), (a(n - l), b(m + l))) for l in range(1, n_lvl - m + 1)] + [
+        (g(l), (b(m - l), a(n + l))) for l in range(1, n_lvl - n + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -76,43 +104,23 @@ def check_x_relations_n2(level, point, mode_bound=2):
     x2 = lambda k: fam.x_mode(2, k)
     q, t, p = point.q, point.t, point.p
     series_order = level + 2 * mode_bound + 3
-    f1 = structure_series(point, "x1", series_order)
-    f2 = structure_series(point, "x2", series_order)
+    f1 = structure_series(point, "x1", series_order).__getitem__
+    f2 = structure_series(point, "x2", series_order).__getitem__
     cc = (1 - q) * (1 - 1 / t) / (1 - p)
     modes = range(-mode_bound, mode_bound + 1)
-    failures = []
-    for n_lvl in range(level + 1):
-        for tup in module.basis(n_lvl):
-            st = {tup: ONE}
-            pair, comm = _pair_products(st)
-            for n in modes:
-                for m in modes:
-                    # relation of the first current with itself
-                    rhs = []
-                    for l in range(1, n_lvl - m + 1):
-                        rhs.append((-f1[l], pair(x1(n - l), x1(m + l))))
-                    for l in range(1, n_lvl - n + 1):
-                        rhs.append((f1[l], pair(x1(m - l), x1(n + l))))
-                    rhs.append((cc * (p**m - p**n), x2(n + m)(st)))
-                    if not _holds(comm(x1(n), x1(m)), rhs):
-                        failures.append(("x1-x1", n, m, tup))
-                    # second current with itself
-                    rhs = []
-                    for l in range(1, n_lvl - m + 1):
-                        rhs.append((-f2[l], pair(x2(n - l), x2(m + l))))
-                    for l in range(1, n_lvl - n + 1):
-                        rhs.append((f2[l], pair(x2(m - l), x2(n + l))))
-                    if not _holds(comm(x2(n), x2(m)), rhs):
-                        failures.append(("x2-x2", n, m, tup))
-                    # mixed relation
-                    rhs = []
-                    for l in range(1, n_lvl - m + 1):
-                        rhs.append((-f1[l] * p**l, pair(x1(n - l), x2(m + l))))
-                    for l in range(1, n_lvl - n + 1):
-                        rhs.append((f1[l], pair(x2(m - l), x1(n + l))))
-                    if not _holds(comm(x1(n), x2(m)), rhs):
-                        failures.append(("x1-x2", n, m, tup))
-    return failures
+
+    def relations(tup, n_lvl):
+        for n in modes:
+            for m in modes:
+                rhs = _exchange_terms(x1, x1, n, m, n_lvl, f1, f1)
+                rhs.append((cc * (p**m - p**n), (x2(n + m),)))
+                yield ("x1-x1", n, m, tup), x1(n), x1(m), rhs
+                rhs = _exchange_terms(x2, x2, n, m, n_lvl, f2, f2)
+                yield ("x2-x2", n, m, tup), x2(n), x2(m), rhs
+                rhs = _exchange_terms(x1, x2, n, m, n_lvl, lambda l: f1(l) * p**l, f1)
+                yield ("x1-x2", n, m, tup), x1(n), x2(m), rhs
+
+    return relation_failures(module.basis, level, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +131,20 @@ def check_virasoro_relation(level, point, k_weight, mode_bound=2):
     module = BosonModule(point, 1, [k_weight], level + 2 * mode_bound + 2, kind="qt")
     fam = VirasoroFamily(module, k_weight)
     q, t, p = point.q, point.t, point.p
-    f = structure_series(point, "virasoro", level + 2 * mode_bound + 3)
+    f = structure_series(point, "virasoro", level + 2 * mode_bound + 3).__getitem__
     cc = (1 - q) * (1 - 1 / t) / (1 - p)
     modes = range(-mode_bound, mode_bound + 1)
-    failures = []
     tmode = lambda k: fam.x_mode(1, k)
-    for n_lvl in range(level + 1):
-        for lam in partitions(n_lvl):
-            st = {PartitionTuple([lam]): ONE}
-            pair, comm = _pair_products(st)
-            for n in modes:
-                for m in modes:
-                    rhs = []
-                    for l in range(1, n_lvl - m + 1):
-                        rhs.append((-f[l], pair(tmode(n - l), tmode(m + l))))
-                    for l in range(1, n_lvl - n + 1):
-                        rhs.append((f[l], pair(tmode(m - l), tmode(n + l))))
-                    if n + m == 0:
-                        rhs.append((-cc * (p**n - p ** (-n)), st))
-                    if not _holds(comm(tmode(n), tmode(m)), rhs):
-                        failures.append((n, m, lam))
-    return failures
+
+    def relations(tup, n_lvl):
+        for n in modes:
+            for m in modes:
+                rhs = _exchange_terms(tmode, tmode, n, m, n_lvl, f, f)
+                if n + m == 0:
+                    rhs.append((-cc * (p**n - p ** (-n)), ()))
+                yield (n, m, tup[0]), tmode(n), tmode(m), rhs
+
+    return relation_failures(module.basis, level, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -154,76 +155,53 @@ def check_crystal_x_relations(level, point, weights, mode_bound=2):
     """The displayed mode relations of the two crystal currents."""
     module = BosonModule(point, 2, weights, level + 2 * mode_bound + 2, kind="crystal")
     gens = CrystalGenerators(module)
-    t = point.t
-    c = 1 - 1 / t
+    c = 1 - 1 / point.t
+    const = lambda l: c
     modes = range(-mode_bound, mode_bound + 1)
-    failures = []
-
     x1 = lambda k: gens.x_mode(1, k)
     x2 = lambda k: gens.x_mode(2, k)
-    for n_lvl in range(level + 1):
-        for tup in module.basis(n_lvl):
-            st = {tup: ONE}
-            pair, comm = _pair_products(st)
-            for n in modes:
-                for m in modes:
-                    # first current with itself, by mode-sign sector
-                    rhs = []
-                    if (n > m > 0) or (0 > n > m):
-                        for l in range(1, n - m + 1):
-                            rhs.append((-c, pair(x1(n - l), x1(m + l))))
-                    elif n > 0 and m == 0:
-                        # the boundary term l = n is needed to close the
-                        # sector, as in the scaled-Virasoro analogue
-                        for l in range(1, n + 1):
-                            rhs.append((-c, pair(x1(n - l), x1(l))))
-                        for l in range(1, n_lvl - n + 1):
-                            rhs.append((-c, pair(x1(-l), x1(n + l))))
-                        rhs.append((c, x2(n)(st)))
-                    elif n > 0 > m:
-                        for l in range(0, n_lvl - n + 1):
-                            rhs.append((-c, pair(x1(m - l), x1(n + l))))
-                        rhs.append((c, x2(n + m)(st)))
-                    elif n == 0 and m < 0:
-                        # boundary term from the zero-mode branch split; the
-                        # l-sums alone do not close this sector
-                        rhs.append((-c, pair(x1(m), x1(0))))
-                        for l in range(1, -m):
-                            rhs.append((-c, pair(x1(-l), x1(m + l))))
-                        for l in range(1, n_lvl + 1):
-                            rhs.append((-c, pair(x1(m - l), x1(l))))
-                        rhs.append((c, x2(m)(st)))
-                    else:
-                        # remaining sectors follow by antisymmetry; skip
-                        continue
-                    if not _holds(comm(x1(n), x1(m)), rhs):
-                        failures.append(("x1-x1", n, m, tup))
-            for n in modes:
-                for m in modes:
-                    # mixed relations
-                    rhs = []
-                    if n > 0:
-                        for l in range(1, n_lvl + 1):
-                            rhs.append((c, pair(x2(m - l), x1(n + l))))
-                    elif n == 0:
-                        for l in range(1, n_lvl - m + 1):
-                            rhs.append((-c, pair(x1(-l), x2(m + l))))
-                        for l in range(1, n_lvl + 1):
-                            rhs.append((c, pair(x2(m - l), x1(l))))
-                    else:
-                        for l in range(1, n_lvl - m + 1):
-                            rhs.append((-c, pair(x1(n - l), x2(m + l))))
-                    if not _holds(comm(x1(n), x2(m)), rhs):
-                        failures.append(("x1-x2", n, m, tup))
-                    # second current with itself
-                    rhs = []
-                    for l in range(1, n_lvl - m + 1):
-                        rhs.append((-c, pair(x2(n - l), x2(m + l))))
-                    for l in range(1, n_lvl - n + 1):
-                        rhs.append((c, pair(x2(m - l), x2(n + l))))
-                    if not _holds(comm(x2(n), x2(m)), rhs):
-                        failures.append(("x2-x2", n, m, tup))
-    return failures
+
+    def relations(tup, n_lvl):
+        for n in modes:
+            for m in modes:
+                # first current with itself, by mode-sign sector
+                if (n > m > 0) or (0 > n > m):
+                    rhs = [(-c, (x1(n - l), x1(m + l))) for l in range(1, n - m + 1)]
+                elif n > 0 and m == 0:
+                    # the boundary term l = n is needed to close the
+                    # sector, as in the scaled-Virasoro analogue
+                    rhs = [(-c, (x1(n - l), x1(l))) for l in range(1, n + 1)]
+                    rhs += [(-c, (x1(-l), x1(n + l))) for l in range(1, n_lvl - n + 1)]
+                    rhs.append((c, (x2(n),)))
+                elif n > 0 > m:
+                    rhs = [(-c, (x1(m - l), x1(n + l))) for l in range(0, n_lvl - n + 1)]
+                    rhs.append((c, (x2(n + m),)))
+                elif n == 0 and m < 0:
+                    # boundary term from the zero-mode branch split; the
+                    # l-sums alone do not close this sector
+                    rhs = [(-c, (x1(m), x1(0)))]
+                    rhs += [(-c, (x1(-l), x1(m + l))) for l in range(1, -m)]
+                    rhs += [(-c, (x1(m - l), x1(l))) for l in range(1, n_lvl + 1)]
+                    rhs.append((c, (x2(m),)))
+                else:
+                    # remaining sectors follow by antisymmetry; skip
+                    continue
+                yield ("x1-x1", n, m, tup), x1(n), x1(m), rhs
+        for n in modes:
+            for m in modes:
+                # mixed relations
+                if n > 0:
+                    rhs = [(c, (x2(m - l), x1(n + l))) for l in range(1, n_lvl + 1)]
+                elif n == 0:
+                    rhs = _exchange_terms(x1, x2, n, m, n_lvl, const, const)
+                else:
+                    rhs = [(-c, (x1(n - l), x2(m + l))) for l in range(1, n_lvl - m + 1)]
+                yield ("x1-x2", n, m, tup), x1(n), x2(m), rhs
+                # second current with itself
+                rhs = _exchange_terms(x2, x2, n, m, n_lvl, const, const)
+                yield ("x2-x2", n, m, tup), x2(n), x2(m), rhs
+
+    return relation_failures(module.basis, level, relations)
 
 
 def check_crystal_virasoro_relations(level, point, k_weight, mode_bound=2):
@@ -234,39 +212,37 @@ def check_crystal_virasoro_relations(level, point, k_weight, mode_bound=2):
     c = 1 - 1 / t
     c2 = t - 1 / t
     modes = range(-mode_bound, mode_bound + 1)
-    failures = []
     tmode = lambda k: fam.x_mode(1, k)
-    for n_lvl in range(level + 1):
-        for lam in partitions(n_lvl):
-            st = {PartitionTuple([lam]): ONE}
-            pair, comm = _pair_products(st)
-            for n in modes:
-                for m in modes:
-                    rhs = []
-                    if (n > m > 0) or (0 > n > m):
-                        for l in range(1, n - m + 1):
-                            rhs.append((-c, pair(tmode(n - l), tmode(m + l))))
-                    elif n > 0 and m == 0:
-                        for l in range(1, n + 1):
-                            rhs.append((-c, pair(tmode(n - l), tmode(l))))
-                        for l in range(1, n_lvl - n + 1):
-                            rhs.append((-c2 * t ** (-l), pair(tmode(-l), tmode(n + l))))
-                    elif n == 0 and m < 0:
-                        for l in range(1, -m + 1):
-                            rhs.append((-c, pair(tmode(-l), tmode(m + l))))
-                        for l in range(1, n_lvl + 1):
-                            rhs.append((-c2 * t ** (-l), pair(tmode(m - l), tmode(l))))
-                    elif n > 0 > m:
-                        rhs.append((-c, pair(tmode(m), tmode(n))))
-                        for l in range(1, n_lvl - n + 1):
-                            rhs.append((-c2 * t ** (-l), pair(tmode(m - l), tmode(n + l))))
-                        if n + m == 0:
-                            rhs.append((c, st))
-                    else:
-                        continue
-                    if not _holds(comm(tmode(n), tmode(m)), rhs):
-                        failures.append((n, m, lam))
-    return failures
+
+    def relations(tup, n_lvl):
+        for n in modes:
+            for m in modes:
+                if (n > m > 0) or (0 > n > m):
+                    rhs = [(-c, (tmode(n - l), tmode(m + l))) for l in range(1, n - m + 1)]
+                elif n > 0 and m == 0:
+                    rhs = [(-c, (tmode(n - l), tmode(l))) for l in range(1, n + 1)]
+                    rhs += [
+                        (-c2 * t ** (-l), (tmode(-l), tmode(n + l)))
+                        for l in range(1, n_lvl - n + 1)
+                    ]
+                elif n == 0 and m < 0:
+                    rhs = [(-c, (tmode(-l), tmode(m + l))) for l in range(1, -m + 1)]
+                    rhs += [
+                        (-c2 * t ** (-l), (tmode(m - l), tmode(l))) for l in range(1, n_lvl + 1)
+                    ]
+                elif n > 0 > m:
+                    rhs = [(-c, (tmode(m), tmode(n)))]
+                    rhs += [
+                        (-c2 * t ** (-l), (tmode(m - l), tmode(n + l)))
+                        for l in range(1, n_lvl - n + 1)
+                    ]
+                    if n + m == 0:
+                        rhs.append((c, ()))
+                else:
+                    continue
+                yield (n, m, tup[0]), tmode(n), tmode(m), rhs
+
+    return relation_failures(module.basis, level, relations)
 
 
 # ---------------------------------------------------------------------------

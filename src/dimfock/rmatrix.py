@@ -32,12 +32,16 @@ def swap_weights(u, i1, i2):
     return u
 
 
-def _swapped_back_states(level, point, n_comp, i1, i2):
-    """The eigenvectors at the weights with u_i1 and u_i2 exchanged, with
-    bosons i1 and i2 exchanged back, as columns over the level-n monomials:
-    column j is the eigenvector of tuples[j] with i1 and i2 exchanged."""
+def _swapped_basis(level, point, n_comp, i1, i2):
+    """The eigenbasis at the weights with u_i1 and u_i2 exchanged."""
     swapped = point.with_u(swap_weights(point.u[:n_comp], i1, i2))
-    basis_sw = gen_macdonald(level, swapped, n_comp=n_comp)
+    return gen_macdonald(level, swapped, n_comp=n_comp)
+
+
+def _swapped_back_states(basis_sw, i1, i2):
+    """The eigenvectors of the swapped basis with bosons i1 and i2 exchanged
+    back, as columns over the level-n monomials: column j is the eigenvector
+    of tuples[j] with i1 and i2 exchanged."""
     states = [
         {swap_tuple(m, i1, i2): c for m, c in basis_sw.state(swap_tuple(t, i1, i2)).items()}
         for t in basis_sw.tuples
@@ -77,7 +81,7 @@ def solve_r_block(level, point, pair=(1, 2), n_comp=3):
     tuples = basis.tuples
     pmat = basis.state_matrix()
     pinv = linalg.inverse(pmat)
-    pop = _swapped_back_states(level, point, n_comp, i1, i2)
+    pop = _swapped_back_states(_swapped_basis(level, point, n_comp, i1, i2), i1, i2)
 
     fixed = {
         j: ONE
@@ -165,12 +169,17 @@ def k_constant_formula(a, b, point):
 def two_boson_block(level, point, k_values):
     """R-matrix block on two bosons from the proportionality constants."""
     basis = gen_macdonald(level, point, n_comp=2)
+    return _pair_block(basis, _swapped_basis(level, point, 2, 1, 2), k_values), basis
+
+
+def _pair_block(basis, basis_sw, k_values):
+    """The two-boson block over basis, with basis_sw the swapped-weight basis."""
     tuples = basis.tuples
     pmat = basis.state_matrix()
-    pop = _swapped_back_states(level, point, 2, 1, 2)
+    pop = _swapped_back_states(basis_sw, 1, 2)
     k_vec = [k_values[t] for t in tuples]
     boson, eigen = _blocks(pop, k_vec, pmat, linalg.inverse(pmat))
-    return RBlock(level, (1, 2), tuples, dict(k_values), boson, eigen), basis
+    return RBlock(basis.level, (1, 2), tuples, dict(k_values), boson, eigen)
 
 
 def k_from_spectator(level, point3):
@@ -195,14 +204,12 @@ def integral_form_r_check(level, point3):
     """
     point = point3
     failures = []
-    ks = k_from_spectator(level, point3)
-    block, basis = two_boson_block(level, point, ks)
+    basis = gen_macdonald(level, point, n_comp=2)
+    basis_sw = _swapped_basis(level, point, 2, 1, 2)
+    block = _pair_block(basis, basis_sw, k_from_spectator(level, point3))
     forms = integral_forms(basis)
-    tuples = block.tuples
-
-    swapped = point.with_u(swap_weights(point.u[:2], 1, 2))
-    basis_sw = gen_macdonald(level, swapped, n_comp=2)
     forms_sw = integral_forms(basis_sw)
+    tuples = block.tuples
 
     def kop_state(tup):
         st = forms_sw.k_state(swap_tuple(tup, 1, 2))

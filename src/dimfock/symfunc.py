@@ -215,28 +215,28 @@ def _basis_matrices(n: int):
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
-    """Exact change of basis among power_sum / monomial / elementary."""
-    names = {"power_sum": "p", "monomial": "m", "elementary": "e", "p": "p", "m": "m", "e": "e"}
-    tgt = names[target]
-    if tgt == f.basis:
+    """Exact change of basis among power sums "p", monomials "m" and elementary "e"."""
+    if target not in ("p", "m", "e"):
+        raise ValueError(target)
+    if target == f.basis:
         return f
     if not f.is_homogeneous():
         # split by degree and recombine
-        out = SymFunc({}, tgt)
+        out = SymFunc({}, target)
         for n in sorted({lam.size for lam in f.coeffs}):
             part = SymFunc({l: c for l, c in f.coeffs.items() if l.size == n}, f.basis)
-            out = out + convert(part, tgt)
+            out = out + convert(part, target)
         return out
     n = f.degree()
     basis, idx, mats = _basis_matrices(n)
-    key = f.basis + "2" + tgt
+    key = f.basis + "2" + target
     if key not in mats:
         mid = convert(f, "p")
-        return convert(mid, tgt)
+        return convert(mid, target)
     mat = mats[key]
     vec = [f[lam] for lam in basis]
     out_vec = linalg.mat_vec(linalg.transpose(mat), vec)
-    return SymFunc({basis[i]: c for i, c in enumerate(out_vec)}, tgt)
+    return SymFunc({basis[i]: c for i, c in enumerate(out_vec)}, target)
 
 
 def monomial_in_p(lam: Partition) -> SymFunc:

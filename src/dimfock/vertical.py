@@ -18,9 +18,19 @@ from .combinat import (
     PartitionTuple,
     add_remove_sets,
     enumerate_tuples,
+    partitions,
 )
-from .fock import BosonModule, GeneratorFamily, LinOp, column_matrix, coordinates, state_scale
+from .fock import (
+    BosonModule,
+    GeneratorFamily,
+    LinOp,
+    column_matrix,
+    coordinates,
+    state_combination,
+    state_scale,
+)
 from .genmac import GenMacBasis, integral_forms
+from .relations import relation_failures
 from .scalars import Series, eigenvalue_of
 from . import linalg
 
@@ -63,12 +73,12 @@ def edge_factor_minus(lam: Partition, i: int, point):
     return out
 
 
-def edge_series(lam: Partition, sign: int, order: int, point) -> Series:
-    """B+ or B- as an exact power series; the product stabilizes at len+1.
+def _edge_factors(lam: Partition, sign: int, point):
+    """(mul, div) with B+ or B- = prod (1 - c z) over mul / prod (1 - d z) over div.
 
-    Each factor is (1 - c z) for a constant c; the lists below collect the
-    numerator and denominator constants, and the factor pair at row len+1 is
-    asserted to cancel identically (all later factors are 1).
+    The product runs over the rows up to len+1; the factor pair of row len+1
+    is asserted to cancel identically and is left out (all later factors
+    are 1).
     """
     q, t = point.q, point.t
     if sign > 0:
@@ -88,17 +98,25 @@ def edge_series(lam: Partition, sign: int, order: int, point) -> Series:
             div.append(q ** (-lam.part(i + 1)) * t**i)
             div.append(q ** (1 - lam.part(i)) * t ** (i - 1))
     assert sorted(mul[-2:]) == sorted(div[-2:]), "edge product failed to stabilize"
-    out = Series.const("z", order)
+    return mul[:-2], div[:-2]
+
+
+def _factor_coefficients(mul, div, order):
+    """Coefficients of z^0 .. z^(order-1) in prod (1 - c z) / prod (1 - d z),
+    by one in-place pass per linear factor."""
+    out = [ONE] + [ZERO] * (order - 1)
     for c in mul:
-        out = out * _one_minus_cz(c, order)
-    for c in div:
-        out = out * _one_minus_cz(c, order).inverse()
+        for k in range(order - 1, 0, -1):
+            out[k] = out[k] - c * out[k - 1]
+    for d in div:
+        for k in range(1, order):
+            out[k] = out[k] + d * out[k - 1]
     return out
 
 
-def _one_minus_cz(c, order):
-    s = Series.const("z", order)
-    return s - Series.monomial("z", order, 1, c)
+def edge_series(lam: Partition, sign: int, order: int, point) -> Series:
+    """B+ or B- as an exact power series."""
+    return Series("z", order, _factor_coefficients(*_edge_factors(lam, sign, point), order))
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +131,8 @@ def chi_character(box: BoxCoord, point, weights=None):
 
 
 def vertical_action(gen: str, lam: Partition, point, u_weight):
-    """One generator acting on a basis diagram.
-
-    x+ and x- return lists of (target diagram, coefficient, support point);
-    psi+ / psi- return (diagram, series factor) with the series in u/z or
-    z/u respectively.
-    """
+    """x+ or x- acting on a basis diagram: a list of (target diagram,
+    coefficient, support point)."""
     q, t = point.q, point.t
     if gen == "x+":
         out = []
@@ -139,70 +153,49 @@ def vertical_action(gen: str, lam: Partition, point, u_weight):
             support = q ** (lam.part(i) - 1) * t ** (1 - i) * u_weight
             out.append((lam.remove_box(i), coeff, support))
         return out
-    if gen == "psi+":
-        return (lam, point.p_half())
-    if gen == "psi-":
-        return (lam, point.p_half(-1))
     raise ValueError(gen)
 
 
-def x_plus_mode(n, lam, point, u_weight):
-    out = {}
-    for target, coeff, support in vertical_action("x+", lam, point, u_weight):
-        val = coeff * support**n
-        out[target] = out.get(target, ZERO) + val
-    return out
-
-
-def x_minus_mode(n, lam, point, u_weight):
-    out = {}
-    for target, coeff, support in vertical_action("x-", lam, point, u_weight):
-        val = coeff * support**n
-        out[target] = out.get(target, ZERO) + val
-    return out
+def x_mode(gen, n, lam, point, u_weight):
+    """Mode n of x+ or x- (gen "x+" or "x-") on a diagram, as a state over diagrams."""
+    return {
+        target: coeff * support**n
+        for target, coeff, support in vertical_action(gen, lam, point, u_weight)
+    }
 
 
 def psi_mode(sign, k, lam, point, u_weight, order=None):
     """Mode of psi+ (k >= 0) or psi- (k <= 0) on a diagram; diagonal."""
-    order = order or (abs(k) + 1)
-    if sign > 0:
-        series = edge_series(lam, +1, order, point)
-        if k < 0:
-            return ZERO
-        return point.p_half() * series[k] * u_weight**k
-    series = edge_series(lam, -1, order, point)
-    if k > 0:
+    if sign * k < 0:
         return ZERO
-    return point.p_half(-1) * series[-k] * u_weight**k
+    series = edge_series(lam, sign, order or (abs(k) + 1), point)
+    return point.p_half(sign) * series[abs(k)] * u_weight**k
+
+
+def _x_op(gen, n, point, u_weight):
+    """Mode n of x+ or x- as a LinOp on states over diagrams."""
+    return LinOp(
+        lambda s: state_combination(
+            [(c, x_mode(gen, n, lam, point, u_weight)) for lam, c in s.items()]
+        )
+    )
 
 
 def dim_relation_check(level, point, u_weight, mode_range=2):
     """[x+_m, x-_n] = c (psi+_{m+n} - psi-_{m+n}) on diagrams up to a size."""
     q, t = point.q, point.t
     c = (1 - q) * (1 - 1 / t) / (1 - q / t)
-    failures = []
-    from .combinat import partitions
+    modes = range(-mode_range, mode_range + 1)
+    ops = {(gen, m): _x_op(gen, m, point, u_weight) for gen in ("x+", "x-") for m in modes}
 
-    for size in range(level + 1):
-        for lam in partitions(size):
-            for m in range(-mode_range, mode_range + 1):
-                for n in range(-mode_range, mode_range + 1):
-                    lhs = {}
-                    for mid, cf in x_minus_mode(n, lam, point, u_weight).items():
-                        for tgt, cf2 in x_plus_mode(m, mid, point, u_weight).items():
-                            lhs[tgt] = lhs.get(tgt, ZERO) + cf * cf2
-                    for mid, cf in x_plus_mode(m, lam, point, u_weight).items():
-                        for tgt, cf2 in x_minus_mode(n, mid, point, u_weight).items():
-                            lhs[tgt] = lhs.get(tgt, ZERO) - cf * cf2
-                    rhs_val = c * (
-                        psi_mode(+1, m + n, lam, point, u_weight)
-                        - psi_mode(-1, m + n, lam, point, u_weight)
-                    )
-                    lhs_val = lhs.get(lam, ZERO)
-                    others = {k: v for k, v in lhs.items() if k != lam and v}
-                    if others or lhs_val != rhs_val:
-                        failures.append((lam, m, n))
-    return failures
+    def relations(lam, size):
+        for m in modes:
+            for n in modes:
+                plus = psi_mode(+1, m + n, lam, point, u_weight)
+                psi = plus - psi_mode(-1, m + n, lam, point, u_weight)
+                yield (lam, m, n), ops["x+", m], ops["x-", n], [(c * psi, ())]
+
+    return relation_failures(partitions, level, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +214,19 @@ def hamiltonian(k, family: GeneratorFamily) -> LinOp:
 
 
 def higher_eigenvalue(k, tup: PartitionTuple, point):
-    """Coefficient extraction from the product of B+ edge series."""
+    """Coefficient extraction from the product of the B+ edge series at u_i z.
+
+    Scaling z by u_i scales each linear factor's constant by u_i, so the
+    product is one list of factors.
+    """
     q, t = point.q, point.t
-    u = point.u
-    prod = Series.const("z", k + 1)
-    for i, lam in enumerate(tup.components):
-        comp = edge_series(lam, +1, k + 1, point)
-        scaled = Series("z", k + 1, [comp[m] * u[i] ** m for m in range(k + 1)])
-        prod = prod * scaled
+    mul, div = [], []
+    for lam, u in zip(tup.components, point.u):
+        lam_mul, lam_div = _edge_factors(lam, +1, point)
+        mul += [c * u for c in lam_mul]
+        div += [d * u for d in lam_div]
     pref = (1 - q) ** (k - 1) * (1 - 1 / t) ** (k - 1) / (1 - t / q)
-    return pref * prod[k]
+    return pref * _factor_coefficients(mul, div, k + 1)[k]
 
 
 def higher_hamiltonian_check(k_max, level, point, n_comp):

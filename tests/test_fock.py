@@ -26,7 +26,6 @@ from dimfock.relations import (
     check_crystal_shapovalov,
     check_crystal_virasoro_pbw,
     check_crystal_virasoro_relations,
-    check_crystal_x_relations,
     check_jing,
     check_virasoro_relation,
     check_x_relations_n2,
@@ -112,11 +111,6 @@ def test_virasoro_highest_weight(point2):
 def test_virasoro_relation(point2):
     k = point2.fresh_rational("k")
     assert check_virasoro_relation(2, point2, k) == []
-
-
-def test_crystal_relations_level3(point2):
-    u = [point2.fresh_rational(("cu", i)) for i in range(2)]
-    assert check_crystal_x_relations(3, point2, u) == []
 
 
 def test_crystal_virasoro_relations(point2):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimfock import relations
+from dimfock import relations, vertical
 from dimfock.fock import (
     BosonModule,
     CrystalGenerators,
@@ -25,6 +25,7 @@ from dimfock.relations import (
     check_x_relations_n2,
 )
 from dimfock.scalars import Series
+from dimfock.vertical import dim_relation_check
 
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
@@ -177,19 +178,33 @@ class _DoubledLamPlus(CrystalVirasoro):
         self.lam_plus = VertexOperator(lam.creation, lam.annihilation, 2 * lam.prefactor)
 
 
+def _shifted_psi_plus(original):
+    """psi_mode with 1 added to mode 1 of psi+."""
+
+    def perturbed(sign, k, lam, point, u_weight, order=None):
+        value = original(sign, k, lam, point, u_weight, order)
+        return value + 1 if sign > 0 and k == 1 else value
+
+    return perturbed
+
+
 def test_relation_checks_catch_a_wrong_structure_constant(point2, monkeypatch):
     k = point2.fresh_rational("k")
     u = [point2.fresh_rational(("cu", i)) for i in range(2)]
+    u_vert = point2.fresh_rational("vert-u")
     assert check_x_relations_n2(1, point2) == []
     assert check_virasoro_relation(1, point2, k) == []
     assert check_crystal_x_relations(1, point2, u) == []
     assert check_crystal_virasoro_relations(1, point2, k) == []
+    assert dim_relation_check(1, point2, u_vert) == []
     monkeypatch.setattr(
         relations, "structure_series", _perturbed_structure_series(relations.structure_series)
     )
     monkeypatch.setattr(relations, "CrystalGenerators", _DoubledX2)
     monkeypatch.setattr(relations, "CrystalVirasoro", _DoubledLamPlus)
+    monkeypatch.setattr(vertical, "psi_mode", _shifted_psi_plus(vertical.psi_mode))
     assert check_x_relations_n2(1, point2)
     assert check_virasoro_relation(1, point2, k)
     assert check_crystal_x_relations(1, point2, u)
     assert check_crystal_virasoro_relations(1, point2, k)
+    assert dim_relation_check(1, point2, u_vert)

@@ -14,7 +14,7 @@ from dimfock.vertical import (
     psi_mode,
     raising_lowering_duality_check,
     vertical_action,
-    x_plus_mode,
+    x_mode,
 )
 
 
@@ -42,7 +42,7 @@ def test_vertical_action_examples(point2):
     u = point2.fresh_rational("vert-u")
     acts = vertical_action("x+", EMPTY, point2, u)
     assert acts == [(Partition((1,)), 1 - point2.t, u)]
-    assert x_plus_mode(0, EMPTY, point2, u) == {Partition((1,)): 1 - point2.t}
+    assert x_mode("x+", 0, EMPTY, point2, u) == {Partition((1,)): 1 - point2.t}
     # constant terms of the diagonal currents
     assert psi_mode(+1, 0, EMPTY, point2, u) == point2.p_half()
     assert psi_mode(-1, 0, EMPTY, point2, u) == point2.p_half(-1)
