@@ -447,7 +447,7 @@ def genmac_suite(opts):
 
 
 def kacdet_suite(opts):
-    sizes = {1: 5, 2: 4, 3: 3}
+    sizes = {1: 6, 2: 5, 3: 4}
     if opts.level is not None:
         sizes = {n_comp: min(n_max, opts.level) for n_comp, n_max in sizes.items()}
     reported, entries = [], []

@@ -167,13 +167,18 @@ def combination_is_zero(terms):
 # A scalar x is read as x.numerator / x.denominator with an integer
 # denominator (a RatFunc is x / 1).  A piece (n, d, items) stands for
 # n / d * sum of v * e_key over the (key, v) items, with integer v over Q.
+# A scale factor of 1 is skipped, not multiplied: over Q(s) each multiply
+# is a RatFunc product with its gcds.
 
 
 def _cleared(values):
     """(D, [n_i]) with values[i] == n_i / D, D the lcm of the denominators."""
     values = list(values)
     d = lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
+    return d, [
+        x.numerator if x.denominator == d else x.numerator * (d // x.denominator)
+        for x in values
+    ]
 
 
 def _state_pieces(terms):
@@ -189,9 +194,13 @@ def _accumulate(pieces):
     big = lcm(*(d for _, d, _ in pieces))
     acc = {}
     for n, d, items in pieces:
-        w = n * (big // d)
-        for key, v in items:
-            acc[key] = acc.get(key, 0) + w * v
+        w = n if d == big else n * (big // d)
+        if w == 1:
+            for key, v in items:
+                acc[key] = acc.get(key, 0) + v
+        else:
+            for key, v in items:
+                acc[key] = acc.get(key, 0) + w * v
     return big, acc
 
 
@@ -328,15 +337,17 @@ class VertexOperator:
                     num, den = br.numerator, br.denominator
                     m = lam.mult(n)
                     options.append(
-                        [(i, n, j, comb(m, j) * num**j, den**j) for j in range(m + 1)]
+                        [(i, n, 0, 1, 1)]
+                        + [(i, n, j, comb(m, j) * num**j, den**j) for j in range(1, m + 1)]
                     )
         for picks in itertools.product(*options):
             removed = tuple((i, n, j) for i, n, j, _, _ in picks if j)
             m_tot, num, den = 0, 1, 1
             for i, n, j, pn, pd in picks:
-                m_tot += n * j
-                num *= pn
-                den *= pd
+                if j:
+                    num = num * pn if m_tot else pn
+                    m_tot += n * j
+                    den *= pd
             yield removed, m_tot, num, den
 
     def mode_apply(self, k, state, module):
@@ -362,7 +373,7 @@ class VertexOperator:
                 row = module.products(module.intern(_remove_parts(tup, removed)), c)
                 pieces.append(
                     (
-                        coeff.numerator * num,
+                        coeff.numerator * num if m_tot else coeff.numerator,
                         coeff.denominator * den * d_c,
                         zip(map(row.__getitem__, positions), nums),
                     )
@@ -407,15 +418,20 @@ class LinOp:
         self._apply = apply_fn
         self._columns = {}
 
+    def column(self, tup):
+        """The cached image (D, {monomial: n}) of the basis monomial tup."""
+        col = self._columns.get(tup)
+        if col is None:
+            img = self._apply({tup: ONE})
+            d, nums = _cleared(img.values())
+            col = self._columns[tup] = (d, dict(zip(img, nums)))
+        return col
+
     def __call__(self, state):
         columns = self._columns
         pieces = []
         for tup, c in state.items():
-            col = columns.get(tup)
-            if col is None:
-                img = self._apply({tup: ONE})
-                d, nums = _cleared(img.values())
-                col = columns[tup] = (d, dict(zip(img, nums)))
+            col = columns.get(tup) or self.column(tup)
             pieces.append((c.numerator, c.denominator * col[0], col[1].items()))
         return _read(*_accumulate(pieces))
 
@@ -446,15 +462,26 @@ def vacuum_bra(module):
     return {module.empty_tuple(): ONE}
 
 
-def bra_apply(op: LinOp, bra, module, max_level):
-    """Append an operator on the right of a bra functional."""
+def bra_apply(op: LinOp, bra, module, level):
+    """Append an operator on the right of a bra functional: <bra| op, read
+    on the monomials of the one level it lands on.
+
+    Pairs over the integers: the bra is cleared once to n_m / D, and each
+    value is the dot product of those n_m with the op's cached column of
+    the monomial, read out once over D times the column's denominator.
+    """
+    d, nums = _cleared(bra.values())
+    cleared = dict(zip(bra, nums))
     out = {}
-    for level in range(0, max_level + 1):
-        for tup in module.basis(level):
-            img = op({tup: ONE})
-            val = module.pair(bra, img)
-            if val:
-                out[tup] = val
+    for tup in module.basis(level):
+        d_col, col = op.column(tup)
+        total = 0
+        for m, v in col.items():
+            b = cleared.get(m)
+            if b:
+                total += b * v
+        if total:
+            out[tup] = _quotient(total, d * d_col)
     return out
 
 
@@ -467,13 +494,16 @@ class ModeFamily:
 
     A family names the vertex operators that sum to mode n of generator gen
     (``mode_terms``); ``x_mode`` turns them into one LinOp, built once per
-    (gen, n), which memoizes its image of each basis monomial.  The caches
-    live as long as the family, which a check builds and drops.
+    (gen, n), which memoizes its image of each basis monomial.  The PBW
+    kets and bras of the family share one memo of word suffixes
+    (``_walk_word``).  The caches live as long as the family, which a check
+    builds and drops.
     """
 
     def __init__(self, module: BosonModule):
         self.module = module
         self._mode_cache = {}
+        self._words = {}
 
     def mode_terms(self, gen, n):
         raise NotImplementedError
@@ -729,21 +759,44 @@ def pbw_word(tup: PartitionTuple, prime=False):
     return [(i, p) for i in comp_order for p in tup[i - 1].parts]
 
 
+def _walk_word(family, letters, value, step):
+    """value with the word's letters applied one at a time from its right
+    end, value = step(value, suffix) for each suffix, shortest first.
+
+    Each suffix's value is memoized on the family, keyed by the suffix's
+    (generator, mode) letters, so the PBW words that end alike share their
+    steps.  The memo dies with the family; the values it returns are shared
+    with it and must not be mutated.
+    """
+    memo = family._words
+    for k in range(len(letters) - 1, -1, -1):
+        suffix = letters[k:]
+        hit = memo.get(suffix)
+        if hit is None:
+            hit = memo[suffix] = step(value, suffix)
+        value = hit
+    return value
+
+
 def pbw_state(tup, family, prime=False):
     """Apply the negative-mode word to the vacuum."""
-    state = family.module.vacuum()
-    for i, part in reversed(pbw_word(tup, prime=prime)):
-        state = family.x_mode(i, -part)(state)
-    return state
+    letters = tuple((i, -part) for i, part in pbw_word(tup, prime=prime))
+    return _walk_word(
+        family, letters, family.module.vacuum(), lambda st, sfx: family.x_mode(*sfx[0])(st)
+    )
 
 
 def pbw_bra(tup, family, prime=False):
-    """The adjoint-ordered positive-mode word applied to the vacuum bra."""
+    """The adjoint-ordered positive-mode word applied to the vacuum bra.
+
+    The bra of a suffix lives on the level its modes add up to."""
     module = family.module
-    bra = vacuum_bra(module)
-    for i, part in reversed(pbw_word(tup, prime=prime)):
-        bra = bra_apply(family.x_mode(i, part), bra, module, module.level_max)
-    return bra
+
+    def step(bra, suffix):
+        level = sum(part for _, part in suffix)
+        return bra_apply(family.x_mode(*suffix[0]), bra, module, level)
+
+    return _walk_word(family, tuple(pbw_word(tup, prime=prime)), vacuum_bra(module), step)
 
 
 def pbw_gram(level, family, prime=False):

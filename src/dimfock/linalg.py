@@ -1,8 +1,8 @@
 """Exact linear algebra over Q and over rational functions Q(s).
 
-`determinant` works over Q only: its pivot rule reads the numerator and
-denominator of each entry.  The other functions need only the Python
-arithmetic operators, so they also run over univariate rational functions.
+`determinant` works over Q only: it clears each row to integers.  The
+other functions need only the Python arithmetic operators, so they also run
+over univariate rational functions.
 
 Matrices are plain lists of lists.  Fraction(0)/Fraction(1) serve as the
 neutral elements; they coerce into the richer field automatically.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -194,18 +195,30 @@ def inverse(a):
 def determinant(a):
     """Exact determinant of a square matrix over Q (Fraction or int entries).
 
-    Gaussian elimination with full pivoting by size.  Each step pivots on
-    the nonzero entry of the trailing submatrix with the fewest bits,
-    counted as numerator plus denominator bit length; ties go to the first
-    such entry in row-major order, so the run is deterministic.  A row swap
-    and a column swap bring it into place, each flipping the sign.  Only
-    the columns right of the pivot are updated: those to its left are zero
-    and are never read again.  Small pivots keep the multipliers, and so
-    the entries they write, small.
+    Elimination over primitive integer rows.  Each row is cleared to
+    integers and divided by its content, the gcd of its entries; what that
+    takes out of the determinant goes into one running scale, a reduced
+    Fraction.  Each step pivots on the nonzero entry of the trailing
+    submatrix with the fewest bits; ties go to the first such entry in
+    row-major order, so the run is deterministic.  A row swap and a column
+    swap bring it into place, each flipping the sign.  A row with entry b
+    under the pivot p becomes (p/g) row - (b/g) pivot row, g = gcd(p, b),
+    and is made primitive again, so the scale gains its content over p/g.
+    Only the columns right of the pivot are updated: those to its left are
+    zero and are never read again.  Nothing is divided by an earlier pivot,
+    so the rows stay as small as their own contents allow.
     """
-    n = len(a)
-    work = [row[:] for row in a]
-    det = ONE
+    scale = ONE
+    work = []
+    for row in a:
+        d = lcm(*(x.denominator for x in row))
+        nums = [x.numerator * (d // x.denominator) for x in row]
+        g = gcd(*nums)
+        if not g:
+            return ZERO
+        work.append([x // g for x in nums])
+        scale *= Fraction(g, d)
+    n = len(work)
     for c in range(n):
         best = None
         for i in range(c, n):
@@ -213,26 +226,32 @@ def determinant(a):
             for j in range(c, n):
                 x = row[j]
                 if x:
-                    size = x.numerator.bit_length() + x.denominator.bit_length()
+                    size = x.bit_length()
                     if best is None or size < best[0]:
                         best = (size, i, j)
-        if best is None:
-            return ZERO
         _, i, j = best
         if i != c:
             work[c], work[i] = work[i], work[c]
-            det = -det
+            scale = -scale
         if j != c:
             for row in work[c:]:
                 row[c], row[j] = row[j], row[c]
-            det = -det
+            scale = -scale
         prow = work[c]
-        det = det * prow[c]
-        inv = ONE / prow[c]
+        p = prow[c]
+        scale *= p
         tail = prow[c + 1 :]
-        for row in work[c + 1 :]:
-            x = row[c]
-            if x:
-                f = x * inv
-                row[c + 1 :] = [y - f * z if z else y for y, z in zip(row[c + 1 :], tail)]
-    return det
+        for r in range(c + 1, n):
+            row = work[r]
+            b = row[c]
+            if not b:
+                continue
+            g = gcd(p, b)
+            pg, bg = p // g, b // g
+            new = [pg * y - bg * z if z else pg * y for y, z in zip(row[c + 1 :], tail)]
+            h = gcd(*new)
+            if not h:
+                return ZERO
+            row[c + 1 :] = [y // h for y in new] if h != 1 else new
+            scale *= Fraction(h, pg)
+    return scale

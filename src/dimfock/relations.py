@@ -268,9 +268,10 @@ def check_jing(level, point):
                 failures.append(("ket", lam))
             # dual side
             _, h_dag = jing_operators(point, max(level, 1))
-            bra = vacuum_bra(module)
+            bra, landing = vacuum_bra(module), 0
             for part in reversed(lam.parts):
-                bra = bra_apply(vertex_mode(h_dag, part, module), bra, module, max(level, 1))
+                landing += part
+                bra = bra_apply(vertex_mode(h_dag, part, module), bra, module, landing)
             want_bra = _symfunc_bra(q_lambda(lam, point.t), module)
             if bra != want_bra:
                 failures.append(("bra", lam))

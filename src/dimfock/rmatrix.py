@@ -32,10 +32,21 @@ def swap_weights(u, i1, i2):
     return u
 
 
-def _swapped_basis(level, point, n_comp, i1, i2):
-    """The eigenbasis at the weights with u_i1 and u_i2 exchanged."""
-    swapped = point.with_u(swap_weights(point.u[:n_comp], i1, i2))
-    return gen_macdonald(level, swapped, n_comp=n_comp)
+def _eigenbases(level, point):
+    """bases(u): the level eigenbasis at the weights u, one boson per weight.
+
+    Each weight tuple's basis is built once, for as long as the caller keeps
+    bases; a check that meets the same weights in several blocks shares it.
+    """
+    built = {}
+
+    def bases(u):
+        u = tuple(u)
+        if u not in built:
+            built[u] = gen_macdonald(level, point.with_u(list(u)))
+        return built[u]
+
+    return bases
 
 
 def _swapped_back_states(basis_sw, i1, i2):
@@ -74,14 +85,19 @@ def solve_r_block(level, point, pair=(1, 2), n_comp=3):
     returned in both the boson-monomial and the eigenvector basis.  Blocks
     on pairs other than (1, 2) follow by relabeling symmetry.
     """
+    return _r_block(point.u[:n_comp], pair, _eigenbases(level, point))
+
+
+def _r_block(u, pair, bases):
+    """solve_r_block at the weights u, its eigenbases taken from bases."""
     if pair != (1, 2):
-        return _relabelled_block(level, point, pair, n_comp)
+        return _relabelled_block(u, pair, bases)
     i1, i2 = pair
-    basis = gen_macdonald(level, point, n_comp=n_comp)
-    tuples = basis.tuples
+    basis = bases(u)
+    level, tuples = basis.level, basis.tuples
     pmat = basis.state_matrix()
     pinv = linalg.inverse(pmat)
-    pop = _swapped_back_states(_swapped_basis(level, point, n_comp, i1, i2), i1, i2)
+    pop = _swapped_back_states(bases(swap_weights(u, i1, i2)), i1, i2)
 
     fixed = {
         j: ONE
@@ -120,17 +136,17 @@ def solve_r_block(level, point, pair=(1, 2), n_comp=3):
     return RBlock(level, pair, tuples, k_values, boson, eigen)
 
 
-def _relabelled_block(level, point, pair, n_comp):
+def _relabelled_block(u, pair, bases):
     i1, i2 = pair
+    n_comp = len(u)
     order = [i1 - 1, i2 - 1] + [k for k in range(n_comp) if k not in (i1 - 1, i2 - 1)]
-    perm_point = point.with_u([point.u[k] for k in order])
-    inner = solve_r_block(level, perm_point, (1, 2), n_comp)
+    inner = _r_block([u[k] for k in order], (1, 2), bases)
 
     def relabel(tup):
         return PartitionTuple([tup[k] for k in order])
 
     # the inner block is indexed by the same level-n tuples
-    basis = gen_macdonald(level, point, n_comp=n_comp)
+    basis = bases(u)
     rows = [basis.index[relabel(m)] for m in basis.tuples]
     boson = [[inner.boson_matrix[a][b] for b in rows] for a in rows]
     pmat = basis.state_matrix()
@@ -141,14 +157,13 @@ def _relabelled_block(level, point, pair, n_comp):
         for slot, comp in enumerate(order):
             original[comp] = t[slot]
         k_values[PartitionTuple(original)] = k
-    return RBlock(level, pair, basis.tuples, k_values, boson, eigen)
+    return RBlock(basis.level, pair, basis.tuples, k_values, boson, eigen)
 
 
 def yang_baxter_check(level, point):
     """B12 B13 B23 = B23 B13 B12 on the level block, three bosons."""
-    b12 = solve_r_block(level, point, (1, 2)).boson_matrix
-    b13 = solve_r_block(level, point, (1, 3)).boson_matrix
-    b23 = solve_r_block(level, point, (2, 3)).boson_matrix
+    u, bases = point.u[:3], _eigenbases(level, point)
+    b12, b13, b23 = (_r_block(u, pair, bases).boson_matrix for pair in ((1, 2), (1, 3), (2, 3)))
     lhs = linalg.mat_mul(linalg.mat_mul(b12, b13), b23)
     rhs = linalg.mat_mul(linalg.mat_mul(b23, b13), b12)
     return lhs == rhs
@@ -168,8 +183,9 @@ def k_constant_formula(a, b, point):
 
 def two_boson_block(level, point, k_values):
     """R-matrix block on two bosons from the proportionality constants."""
-    basis = gen_macdonald(level, point, n_comp=2)
-    return _pair_block(basis, _swapped_basis(level, point, 2, 1, 2), k_values), basis
+    u, bases = point.u[:2], _eigenbases(level, point)
+    basis = bases(u)
+    return _pair_block(basis, bases(swap_weights(u, 1, 2)), k_values), basis
 
 
 def _pair_block(basis, basis_sw, k_values):
@@ -184,7 +200,11 @@ def _pair_block(basis, basis_sw, k_values):
 
 def k_from_spectator(level, point3):
     """Extract two-boson constants from the three-boson solve."""
-    block = solve_r_block(level, point3, (1, 2), n_comp=3)
+    return _k_from_spectator(point3.u[:3], _eigenbases(level, point3))
+
+
+def _k_from_spectator(u3, bases):
+    block = _r_block(u3, (1, 2), bases)
     out = {}
     for t3, k in block.k_values.items():
         if t3[2] == EMPTY:
@@ -204,9 +224,9 @@ def integral_form_r_check(level, point3):
     """
     point = point3
     failures = []
-    basis = gen_macdonald(level, point, n_comp=2)
-    basis_sw = _swapped_basis(level, point, 2, 1, 2)
-    block = _pair_block(basis, basis_sw, k_from_spectator(level, point3))
+    bases = _eigenbases(level, point)
+    basis, basis_sw = bases(point.u[:2]), bases(swap_weights(point.u[:2], 1, 2))
+    block = _pair_block(basis, basis_sw, _k_from_spectator(point.u[:3], bases))
     forms = integral_forms(basis)
     forms_sw = integral_forms(basis_sw)
     tuples = block.tuples
@@ -242,18 +262,13 @@ def integral_form_r_check(level, point3):
 
 def involution_check(level, point3):
     """Swap-conjugated block composed with itself is the identity."""
-    point = point3
-    ks = k_from_spectator(level, point3)
-    block, basis = two_boson_block(level, point, ks)
+    u, bases = point3.u[:3], _eigenbases(level, point3)
+    u_sw = swap_weights(u, 1, 2)
+    basis, basis_sw = bases(u[:2]), bases(u_sw[:2])
+    block = _pair_block(basis, basis_sw, _k_from_spectator(u, bases))
+    block_sw = _pair_block(basis_sw, basis, _k_from_spectator(u_sw, bases))
     tuples = basis.tuples
-    swapped = point.with_u(swap_weights(point.u[:2], 1, 2))
-    block_sw, _ = two_boson_block(level, swapped, k_from_spectator_swapped(level, point3))
     perm = [[ONE if swap_tuple(m, 1, 2) == t else ZERO for t in tuples] for m in tuples]
     conj = linalg.mat_mul(perm, linalg.mat_mul(block_sw.boson_matrix, perm))
     prod = linalg.mat_mul(conj, block.boson_matrix)
     return prod == linalg.identity(len(tuples))
-
-
-def k_from_spectator_swapped(level, point3):
-    swapped3 = point3.with_u(swap_weights(point3.u[:3], 1, 2))
-    return k_from_spectator(level, swapped3)

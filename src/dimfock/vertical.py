@@ -164,12 +164,11 @@ def x_mode(gen, n, lam, point, u_weight):
     }
 
 
-def psi_mode(sign, k, lam, point, u_weight, order=None):
-    """Mode of psi+ (k >= 0) or psi- (k <= 0) on a diagram; diagonal."""
-    if sign * k < 0:
-        return ZERO
-    series = edge_series(lam, sign, order or (abs(k) + 1), point)
-    return point.p_half(sign) * series[abs(k)] * u_weight**k
+def psi_modes(sign, lam, point, u_weight, k_max):
+    """Modes of psi+ (sign +1, modes 0..k_max) or psi- (sign -1, modes
+    0..-k_max) on a diagram, listed by |k|; one edge series serves them all."""
+    series = edge_series(lam, sign, k_max + 1, point)
+    return [point.p_half(sign) * series[k] * u_weight ** (sign * k) for k in range(k_max + 1)]
 
 
 def _x_op(gen, n, point, u_weight):
@@ -189,10 +188,11 @@ def dim_relation_check(level, point, u_weight, mode_range=2):
     ops = {(gen, m): _x_op(gen, m, point, u_weight) for gen in ("x+", "x-") for m in modes}
 
     def relations(lam, size):
+        plus, minus = (psi_modes(sign, lam, point, u_weight, 2 * mode_range) for sign in (1, -1))
         for m in modes:
             for n in modes:
-                plus = psi_mode(+1, m + n, lam, point, u_weight)
-                psi = plus - psi_mode(-1, m + n, lam, point, u_weight)
+                k = m + n
+                psi = (plus[k] if k >= 0 else ZERO) - (minus[-k] if k <= 0 else ZERO)
                 yield (lam, m, n), ops["x+", m], ops["x-", n], [(c * psi, ())]
 
     return relation_failures(partitions, level, relations)

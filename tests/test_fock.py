@@ -17,6 +17,7 @@ from dimfock.fock import (
     pbw_bra,
     pbw_gram,
     pbw_state,
+    pbw_word,
     state_add,
     state_scale,
     vacuum_bra,
@@ -31,6 +32,7 @@ from dimfock.relations import (
     check_x_relations_n2,
     hl_in_bosons,
 )
+from dimfock.scalars import RatFunc
 
 ONE = Fraction(1)
 
@@ -133,9 +135,10 @@ def test_crystal_virasoro_pbw_and_gram(point2):
             for part in reversed(lam.parts):
                 st = fam.x_mode(1, -part)(st)
             kets.append(st)
-            bra = vacuum_bra(mod)
+            bra, landing = vacuum_bra(mod), 0
             for part in reversed(lam.parts):
-                bra = bra_apply(fam.x_mode(1, part), bra, mod, 3)
+                landing += part
+                bra = bra_apply(fam.x_mode(1, part), bra, mod, landing)
             bras.append(bra)
         for i, lam in enumerate(basis):
             for j, mu in enumerate(basis):
@@ -182,6 +185,47 @@ def test_pbw_gram_matches_dict_pairing(point2):
         want = [[mod.pair(bra, ket) for ket in kets] for bra in bras]
         assert gram == want, type(fam).__name__
         assert any(x for row in gram for x in row)
+
+
+def full_scan_bra_apply(op, bra, module):
+    """The bra step before the one-level scan, an oracle: <bra| op on every
+    monomial up to level_max, each value a dict pairing with op's image."""
+    out = {}
+    for level in range(module.level_max + 1):
+        for tup in module.basis(level):
+            val = module.pair(bra, op({tup: ONE}))
+            if val:
+                out[tup] = val
+    return out
+
+
+def test_pbw_words_match_the_full_scan_walk(point2, point3, sym_point2):
+    # every PBW ket and bra up to the level, walked letter by letter without
+    # the family's suffix memo; the module reaches one level past the words,
+    # so a bra value off its landing level would show
+    k = point2.fresh_rational("walk-k")
+    u = [point2.fresh_rational(("walk-u", i)) for i in range(2)]
+    cases = [
+        (3, GeneratorFamily(BosonModule(point2, 2, point2.u, 4, kind="qt")), False),
+        (2, GeneratorFamily(BosonModule(point3, 3, point3.u, 3, kind="qt")), False),
+        (3, VirasoroFamily(BosonModule(point2, 1, [k], 4, kind="qt"), k), False),
+        (3, CrystalVirasoro(BosonModule(point2, 1, [k], 4, kind="crystal"), k), False),
+        (3, CrystalGenerators(BosonModule(point2, 2, u, 4, kind="crystal")), True),
+        (2, GeneratorFamily(BosonModule(sym_point2, 2, sym_point2.u, 3, kind="qt")), False),
+    ]
+    for level, fam, prime in cases:
+        mod = fam.module
+        for n in range(level + 1):
+            for tup in mod.basis(n):
+                state, bra = mod.vacuum(), vacuum_bra(mod)
+                for i, part in reversed(pbw_word(tup, prime=prime)):
+                    state = fam.x_mode(i, -part)(state)
+                    bra = full_scan_bra_apply(fam.x_mode(i, part), bra, mod)
+                assert pbw_state(tup, fam, prime=prime) == state, (type(fam).__name__, tup)
+                assert pbw_bra(tup, fam, prime=prime) == bra, (type(fam).__name__, tup)
+                assert bra and all(m.size == n for m in bra)
+    # the last case runs over Q(s)
+    assert any(isinstance(v, RatFunc) for v in pbw_bra(tup, fam).values())
 
 
 def test_crystal_whittaker_gram(point2):

@@ -19,6 +19,7 @@ from dimfock.kacdet import (
     staircase_tuple_B,
     whittaker_norm,
 )
+from dimfock.scalars import make_point
 
 
 def test_kac_det_level1_rank1(point1):
@@ -40,9 +41,10 @@ def test_kac_det_rank1_closed_form(point1):
 
 
 def test_kac_det_larger_sizes(point2, point3):
-    # (2, 4) and (3, 3): Gram matrices of 20 and 22 rows, where the pivot
-    # search of the determinant reorders a realistic matrix
-    for n, n_comp, pt in ((4, 2, point2), (3, 3, point3)):
+    # (2, 4), (3, 3) and (3, 4): Gram matrices of 20, 22 and 51 rows, where
+    # the pivot search of the determinant reorders a realistic matrix
+    point3_5 = make_point(101, 3, 5)
+    for n, n_comp, pt in ((4, 2, point2), (3, 3, point3), (4, 3, point3_5)):
         lhs, rhs = kac_det_check(n, n_comp, pt)
         assert lhs == rhs != 0, (n_comp, n)
 

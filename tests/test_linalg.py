@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dimfock import genmac
+from dimfock import genmac, kacdet
 from dimfock.linalg import (
     EigenvalueCollision,
     SingularMatrix,
@@ -170,6 +170,39 @@ def bits(x):
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
+def fraction_determinant(a):
+    """Full-pivot elimination over Fraction, the oracle for determinant: the
+    pivot is the entry with the fewest numerator plus denominator bits, ties
+    to the first in row-major order, and each row below it loses its
+    Fraction multiple of the pivot row."""
+    n = len(a)
+    work = [row[:] for row in a]
+    det = F(1)
+    for c in range(n):
+        best = None
+        for i in range(c, n):
+            for j in range(c, n):
+                x = work[i][j]
+                if x and (best is None or bits(x) < best[0]):
+                    best = (bits(x), i, j)
+        if best is None:
+            return F(0)
+        _, i, j = best
+        if i != c:
+            work[c], work[i] = work[i], work[c]
+            det = -det
+        if j != c:
+            for row in work[c:]:
+                row[c], row[j] = row[j], row[c]
+            det = -det
+        prow = work[c]
+        det = det * prow[c]
+        for row in work[c + 1 :]:
+            f = row[c] / prow[c]
+            row[c + 1 :] = [y - f * z for y, z in zip(row[c + 1 :], prow[c + 1 :])]
+    return det
+
+
 @settings(max_examples=400, deadline=None)
 @given(square_matrices())
 def test_determinant_matches_leibniz(a):
@@ -180,7 +213,7 @@ def test_determinant_matches_leibniz(a):
         _, i, j = min(sizes)
         event("first pivot: row swap %s, column swap %s" % (i > 0, j > 0))
     got = determinant(a)
-    assert got == want
+    assert got == want == fraction_determinant(a)
     assert isinstance(got, F)
 
 
@@ -194,3 +227,30 @@ def test_determinant_by_hand():
     # one column swap alone flips the sign
     assert determinant([[F(1000), F(1)], [F(1), F(0)]]) == -1
     assert determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
+    # int entries clear like Fractions over 1
+    ints = [[3, -1, 4], [1, 5, -9], [2, 6, 5]]
+    assert determinant(ints) == leibniz(ints)
+
+
+def test_determinant_rows_that_vanish_mid_elimination():
+    # the second row is twice the first: it is zero after the first step
+    assert determinant([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(5), F(7), F(11)]]) == 0
+    # the third row is a multiple of the second only once the first is
+    # eliminated, so it vanishes at the second step
+    a = [[F(1), F(2), F(3)], [F(4, 3), F(1, 3), F(7, 3)], [F(6), F(5), F(13)]]
+    assert leibniz(a) == 0
+    assert determinant(a) == 0
+
+
+def test_determinant_negative_pivots():
+    # the pivot -1 has the fewest bits; its row and column are already in place
+    assert determinant([[F(-1), F(5)], [F(3), F(7)]]) == -22
+    a = [[F(9), F(-1, 2), F(7)], [F(4), F(6), F(-3)], [F(11), F(5), F(8, 3)]]
+    assert determinant(a) == leibniz(a) == fraction_determinant(a)
+    assert determinant([[F(-2), F(0)], [F(0), F(-3)]]) == 6
+
+
+def test_determinant_matches_the_fraction_oracle_on_kac_grams(point2, point3):
+    for n, n_comp, pt in ((4, 2, point2), (3, 3, point3)):
+        gram, _ = kacdet.pbw_gram_matrix(n, pt, n_comp)
+        assert determinant(gram) == fraction_determinant(gram) != 0, (n_comp, n)

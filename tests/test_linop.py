@@ -15,6 +15,7 @@ from dimfock.fock import (
     CrystalVirasoro,
     GeneratorFamily,
     VertexOperator,
+    pbw_gram,
     state_add,
     state_scale,
 )
@@ -140,6 +141,7 @@ def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
         st_in = a(fam.module.vacuum())
         a.after(b)(st_in)
         a.commutator(b)(st_in)
+        assert pbw_gram(2, fam)[0]  # fills the family's memo of PBW word suffixes
         mine = [weakref.ref(fam), weakref.ref(a)]
         assert check_x_relations_n2(1, point2) == []
         assert len(made) > 1
@@ -179,11 +181,13 @@ class _DoubledLamPlus(CrystalVirasoro):
 
 
 def _shifted_psi_plus(original):
-    """psi_mode with 1 added to mode 1 of psi+."""
+    """psi_modes with 1 added to mode 1 of psi+."""
 
-    def perturbed(sign, k, lam, point, u_weight, order=None):
-        value = original(sign, k, lam, point, u_weight, order)
-        return value + 1 if sign > 0 and k == 1 else value
+    def perturbed(sign, lam, point, u_weight, k_max):
+        values = original(sign, lam, point, u_weight, k_max)
+        if sign > 0 and k_max >= 1:
+            values[1] += 1
+        return values
 
     return perturbed
 
@@ -202,7 +206,7 @@ def test_relation_checks_catch_a_wrong_structure_constant(point2, monkeypatch):
     )
     monkeypatch.setattr(relations, "CrystalGenerators", _DoubledX2)
     monkeypatch.setattr(relations, "CrystalVirasoro", _DoubledLamPlus)
-    monkeypatch.setattr(vertical, "psi_mode", _shifted_psi_plus(vertical.psi_mode))
+    monkeypatch.setattr(vertical, "psi_modes", _shifted_psi_plus(vertical.psi_modes))
     assert check_x_relations_n2(1, point2)
     assert check_virasoro_relation(1, point2, k)
     assert check_crystal_x_relations(1, point2, u)

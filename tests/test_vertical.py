@@ -11,7 +11,7 @@ from dimfock.vertical import (
     edge_series,
     higher_eigenvalue,
     higher_hamiltonian_check,
-    psi_mode,
+    psi_modes,
     raising_lowering_duality_check,
     vertical_action,
     x_mode,
@@ -44,8 +44,8 @@ def test_vertical_action_examples(point2):
     assert acts == [(Partition((1,)), 1 - point2.t, u)]
     assert x_mode("x+", 0, EMPTY, point2, u) == {Partition((1,)): 1 - point2.t}
     # constant terms of the diagonal currents
-    assert psi_mode(+1, 0, EMPTY, point2, u) == point2.p_half()
-    assert psi_mode(-1, 0, EMPTY, point2, u) == point2.p_half(-1)
+    assert psi_modes(+1, EMPTY, point2, u, 0) == [point2.p_half()]
+    assert psi_modes(-1, EMPTY, point2, u, 0) == [point2.p_half(-1)]
 
 
 def test_vertical_defining_relation(point2):
