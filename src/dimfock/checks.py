@@ -497,7 +497,7 @@ def agt_crystal_suite(opts):
 
 
 def rmatrix_suite(opts):
-    level = _level(opts, 2, 2)
+    level = _level(opts, 3, 3)
     pts = _points(opts, 3, 4)
     levels = range(1, level + 1)
     entries = [("level1-tables", "level-one-block-fixtures", partial(level1_tables, pts))]

@@ -26,10 +26,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm
-from operator import mul
 
 from .combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples
-from .scalars import Series
+from .scalars import Series, cleared, dot, quotient
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -165,26 +164,16 @@ def combination_is_zero(terms):
 # -- integer-cleared arithmetic ------------------------------------------------
 #
 # A scalar x is read as x.numerator / x.denominator with an integer
-# denominator (a RatFunc is x / 1).  A piece (n, d, items) stands for
+# denominator (a RatFunc is x / 1), as scalars.cleared reads it.  A piece (n, d, items) stands for
 # n / d * sum of v * e_key over the (key, v) items, with integer v over Q.
 # A scale factor of 1 is skipped, not multiplied: over Q(s) each multiply
 # is a RatFunc product with its gcds.
 
 
-def _cleared(values):
-    """(D, [n_i]) with values[i] == n_i / D, D the lcm of the denominators."""
-    values = list(values)
-    d = lcm(*(x.denominator for x in values))
-    return d, [
-        x.numerator if x.denominator == d else x.numerator * (d // x.denominator)
-        for x in values
-    ]
-
-
 def _state_pieces(terms):
     """One piece per (c, state) term, the state cleared to integers."""
     for c, state in terms:
-        d, nums = _cleared(state.values())
+        d, nums = cleared(state.values())
         yield c.numerator, c.denominator * d, zip(state, nums)
 
 
@@ -206,15 +195,7 @@ def _accumulate(pieces):
 
 def _read(big, acc):
     """The state {key: v / big} of an accumulator, without its zero entries."""
-    return {key: _quotient(v, big) for key, v in acc.items() if v}
-
-
-def _quotient(n, d):
-    """n / d in the field of n: the reduced Fraction for an integer n, a
-    RatFunc quotient otherwise."""
-    if type(n) is int:
-        return Fraction(n, d)
-    return n if d == 1 else n / d
+    return {key: quotient(v, big) for key, v in acc.items() if v}
 
 
 def monomial_product(a: PartitionTuple, b: PartitionTuple) -> PartitionTuple:
@@ -318,7 +299,7 @@ class VertexOperator:
                 if factor:
                     positions.append(pos)
                     factors.append(factor)
-            hit = self._cre_cache[c] = (positions, *_cleared(factors))
+            hit = self._cre_cache[c] = (positions, *cleared(factors))
         return hit
 
     def _contractions(self, module, tup):
@@ -423,7 +404,7 @@ class LinOp:
         col = self._columns.get(tup)
         if col is None:
             img = self._apply({tup: ONE})
-            d, nums = _cleared(img.values())
+            d, nums = cleared(img.values())
             col = self._columns[tup] = (d, dict(zip(img, nums)))
         return col
 
@@ -470,18 +451,18 @@ def bra_apply(op: LinOp, bra, module, level):
     value is the dot product of those n_m with the op's cached column of
     the monomial, read out once over D times the column's denominator.
     """
-    d, nums = _cleared(bra.values())
-    cleared = dict(zip(bra, nums))
+    d, nums = cleared(bra.values())
+    bra_nums = dict(zip(bra, nums))
     out = {}
     for tup in module.basis(level):
         d_col, col = op.column(tup)
         total = 0
         for m, v in col.items():
-            b = cleared.get(m)
+            b = bra_nums.get(m)
             if b:
                 total += b * v
         if total:
-            out[tup] = _quotient(total, d * d_col)
+            out[tup] = quotient(total, d, d_col)
     return out
 
 
@@ -813,7 +794,7 @@ def pbw_gram(level, family, prime=False):
     kets = [pbw_state(t, family, prime=prime) for t in tuples]
     bras = [pbw_bra(t, family, prime=prime) for t in tuples]
     support = list(dict.fromkeys(m for ket in kets for m in ket))
-    kets = [_cleared([ket.get(m, 0) for m in support]) for ket in kets]
-    bras = [_cleared([bra.get(m, 0) for m in support]) for bra in bras]
-    gram = [[Fraction(sum(map(mul, bv, kv)), bd * kd) for kd, kv in kets] for bd, bv in bras]
+    kets = [cleared([ket.get(m, 0) for m in support]) for ket in kets]
+    bras = [cleared([bra.get(m, 0) for m in support]) for bra in bras]
+    gram = [[quotient(dot(bv, kv), bd, kd) for kd, kv in kets] for bd, bv in bras]
     return gram, tuples

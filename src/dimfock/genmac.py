@@ -134,6 +134,7 @@ class GenMacBasis:
         ]
         self._bra_rows = rmat
         self._states = {}
+        self._state_inverse = None
 
     def transition(self, lam_tup, mu_tup):
         """Coefficient of the mu product-Macdonald vector inside P_lam."""
@@ -152,6 +153,13 @@ class GenMacBasis:
     def state_matrix(self):
         """The eigenvectors as columns over the level-n monomials."""
         return column_matrix([self.state(t) for t in self.tuples], self.tuples)
+
+    def state_matrix_inverse(self):
+        """The inverse of state_matrix(), computed on first use and kept on
+        the basis; callers must not modify it."""
+        if self._state_inverse is None:
+            self._state_inverse = linalg.inverse(self.state_matrix())
+        return self._state_inverse
 
     def dual_bra(self, tup):
         """<P_tup| as a functional on creation monomials."""

@@ -1,8 +1,10 @@
 """Exact linear algebra over Q and over rational functions Q(s).
 
-`determinant` works over Q only: it clears each row to integers.  The
-other functions need only the Python arithmetic operators, so they also run
-over univariate rational functions.
+`mat_mul` and `mat_vec` clear each row and column once (`scalars.cleared`)
+and read each entry out as one reduced quotient, over Q and over Q(s).
+`determinant` works over Q only, and `inverse` over Q runs on primitive
+integer rows; an inverse over Q(s) and the other functions need only the
+Python arithmetic operators.
 
 Matrices are plain lists of lists.  Fraction(0)/Fraction(1) serve as the
 neutral elements; they coerce into the richer field automatically.
@@ -12,7 +14,9 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .scalars import RatFunc, cleared, dot, quotient
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -30,24 +34,33 @@ def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
+def _symbolic(*matrices):
+    """Whether any entry is a RatFunc: then the whole product runs over Z[s]."""
+    return any(RatFunc in set(map(type, row)) for m in matrices for row in m)
+
+
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for l in range(k):
-            x = ai[l]
-            if not x:
-                continue
-            bl = b[l]
-            row = out[i]
-            for j in range(m):
-                if bl[j]:
-                    row[j] = row[j] + x * bl[j]
+    """a . b, each row of a and each column of b cleared once to
+    (D, numerators); entry (i, j) is one quotient of a numerator dot product
+    over D_i D_j."""
+    symbolic = _symbolic(a, b)
+    cols = [cleared(col, symbolic) for col in zip(*b)]
+    out = []
+    for row in a:
+        d, nums = cleared(row, symbolic)
+        out.append([quotient(dot(nums, cn), d, cd) for cd, cn in cols])
     return out
 
+
 def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a]
+    """a . v, cleared like mat_mul."""
+    symbolic = _symbolic(a, [v])
+    vd, vn = cleared(v, symbolic)
+    out = []
+    for row in a:
+        d, nums = cleared(row, symbolic)
+        out.append(quotient(dot(nums, vn), d, vd))
+    return out
 
 
 def transpose(a):
@@ -183,13 +196,61 @@ def solve_unique(a, b):
 
 
 def inverse(a):
+    """Exact inverse of a square matrix; SingularMatrix if it has none.
+
+    Over Q: Gauss-Jordan on [A | D I] over primitive integer rows.  Row i is
+    cleared to integers n_i = d_i A_i, augmented with d_i e_i and divided by
+    its content, so that left = right . A holds throughout.  Column c pivots
+    on the nonzero entry with the fewest bits among the rows without a pivot
+    (ties to the first), and every other row with entry b in that column
+    becomes (p/g) row - (b/g) pivot row, g = gcd(p, b), made primitive again.
+    At the end the left block is diagonal, and entry (i, j) of the inverse
+    is one Fraction of right[i][j] over the pivot of row i.  A matrix with a
+    RatFunc entry runs gauss_eliminate over Q(s) instead.
+    """
     n = len(a)
-    work = [row[:] for row in a]
-    rhs = identity(n)
-    piv, rank = gauss_eliminate(work, rhs)
-    if rank < n:
-        raise SingularMatrix("matrix not invertible")
-    return rhs
+    if _symbolic(a):
+        work = [row[:] for row in a]
+        rhs = identity(n)
+        _, rank = gauss_eliminate(work, rhs)
+        if rank < n:
+            raise SingularMatrix("matrix not invertible")
+        return rhs
+    work = []
+    for i, row in enumerate(a):
+        d, nums = cleared(row)
+        nums += [0] * n
+        nums[n + i] = d
+        work.append(_primitive_row(nums, gcd(*nums)))
+    for c in range(n):
+        sizes = [(work[i][c].bit_length(), i) for i in range(c, n) if work[i][c]]
+        if not sizes:
+            raise SingularMatrix("matrix not invertible")
+        i = min(sizes)[1]
+        work[c], work[i] = work[i], work[c]
+        prow = work[c]
+        p = prow[c]
+        for r in range(n):
+            row = work[r]
+            b = row[c]
+            if b and r != c:
+                work[r] = _combine(p, b, row, prow)[0]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(work)]
+
+
+def _primitive_row(row, h):
+    """row divided by its content h (h = 0 or 1 leaves it as it is)."""
+    return [x // h for x in row] if h > 1 else row
+
+
+def _combine(p, b, row, prow):
+    """(new, h, p/g): new = (p/g) row - (b/g) prow divided by its content h,
+    with g = gcd(p, b).  h == 0 when new vanishes."""
+    g = gcd(p, b)
+    pg, bg = p // g, b // g
+    new = [pg * y - bg * z if z else pg * y for y, z in zip(row, prow)]
+    h = gcd(*new)
+    return _primitive_row(new, h), h, pg
 
 
 def determinant(a):
@@ -211,12 +272,11 @@ def determinant(a):
     scale = ONE
     work = []
     for row in a:
-        d = lcm(*(x.denominator for x in row))
-        nums = [x.numerator * (d // x.denominator) for x in row]
+        d, nums = cleared(row)
         g = gcd(*nums)
         if not g:
             return ZERO
-        work.append([x // g for x in nums])
+        work.append(_primitive_row(nums, g))
         scale *= Fraction(g, d)
     n = len(work)
     for c in range(n):
@@ -246,12 +306,8 @@ def determinant(a):
             b = row[c]
             if not b:
                 continue
-            g = gcd(p, b)
-            pg, bg = p // g, b // g
-            new = [pg * y - bg * z if z else pg * y for y, z in zip(row[c + 1 :], tail)]
-            h = gcd(*new)
+            row[c + 1 :], h, pg = _combine(p, b, row[c + 1 :], tail)
             if not h:
                 return ZERO
-            row[c + 1 :] = [y // h for y in new] if h != 1 else new
             scale *= Fraction(h, pg)
     return scale

@@ -95,8 +95,7 @@ def _r_block(u, pair, bases):
     i1, i2 = pair
     basis = bases(u)
     level, tuples = basis.level, basis.tuples
-    pmat = basis.state_matrix()
-    pinv = linalg.inverse(pmat)
+    pmat, pinv = basis.state_matrix(), basis.state_matrix_inverse()
     pop = _swapped_back_states(bases(swap_weights(u, i1, i2)), i1, i2)
 
     fixed = {
@@ -150,7 +149,7 @@ def _relabelled_block(u, pair, bases):
     rows = [basis.index[relabel(m)] for m in basis.tuples]
     boson = [[inner.boson_matrix[a][b] for b in rows] for a in rows]
     pmat = basis.state_matrix()
-    eigen = linalg.mat_mul(linalg.inverse(pmat), linalg.mat_mul(boson, pmat))
+    eigen = linalg.mat_mul(basis.state_matrix_inverse(), linalg.mat_mul(boson, pmat))
     k_values = {}
     for t, k in inner.k_values.items():
         original = [None] * n_comp
@@ -194,7 +193,7 @@ def _pair_block(basis, basis_sw, k_values):
     pmat = basis.state_matrix()
     pop = _swapped_back_states(basis_sw, 1, 2)
     k_vec = [k_values[t] for t in tuples]
-    boson, eigen = _blocks(pop, k_vec, pmat, linalg.inverse(pmat))
+    boson, eigen = _blocks(pop, k_vec, pmat, basis.state_matrix_inverse())
     return RBlock(basis.level, (1, 2), tuples, dict(k_values), boson, eigen)
 
 

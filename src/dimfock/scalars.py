@@ -25,7 +25,8 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .combinat import enumerate_tuples
@@ -405,6 +406,122 @@ def _mul(x, y):
     a, d = _cancel(x.num, y.den)
     c, b = _cancel(y.num, x.den)
     return _canonical(a * c, b * d)
+
+
+# ---------------------------------------------------------------------------
+# Rows cleared to one denominator
+#
+# Exact combinations and products clear each row of scalars once to
+# (D, numerators) and read each result out as one reduced quotient, in place
+# of a reduction per term.  Over Q the numerators are ints (a RatFunc reads
+# as itself over 1 there); over Q(s) they are Polys over a common Poly D.
+
+
+def cleared(values, symbolic=False):
+    """(D, [n_i]) with values[i] == n_i / D.
+
+    Over Q, D is the lcm of the integer denominators.  With symbolic set,
+    the values are read in Q(s) and cleared over Z[s] (see _cleared_polys).
+    """
+    if symbolic:
+        return _cleared_polys(values)
+    values = list(values)
+    nums = [x.numerator for x in values]
+    dens = [x.denominator for x in values]
+    d = lcm(*dens)
+    return d, [n if q == d else n * (d // q) for n, q in zip(nums, dens)]
+
+
+def _cleared_polys(values):
+    """(D, [N_i]) in Z[s] with values[i] == N_i / D for Fraction, int or
+    RatFunc values.
+
+    D is the lcm of the canonical denominators: the lcm of their integer
+    contents times the lcm of their primitive parts.  Each new non-constant
+    primitive part costs one gcd against the lcm so far; a denominator met
+    before costs nothing.
+    """
+    content, prim = 1, _ONE
+    dens = {}  # denominator coefficients -> (its content, its primitive part)
+    parts = []
+    for x in values:
+        if isinstance(x, RatFunc):
+            num, den = x.num, x.den.coeffs
+        else:
+            n = x.numerator
+            num, den = Poly._of((n,) if n else ()), (x.denominator,)
+        parts.append((num, den))
+        if not num.coeffs or den in dens:
+            continue
+        k = gcd(*den)
+        part = Poly._of(den if k == 1 else tuple(c // k for c in den))
+        dens[den] = k, part
+        content = lcm(content, k)
+        if len(part.coeffs) > 1:
+            if prim is _ONE:
+                prim = part
+            else:
+                g = prim.gcd(part)
+                prim = prim * (part if len(g.coeffs) < 2 else part.exquo(g))
+    factors = {}  # denominator coefficients -> D / denominator
+    nums = []
+    for num, den in parts:
+        if not num.coeffs:
+            nums.append(_ZERO)
+            continue
+        f = factors.get(den)
+        if f is None:
+            k, part = dens[den]
+            f = prim if len(part.coeffs) < 2 else prim.exquo(part)
+            if content != k:
+                f = f * Poly._of((content // k,))
+            factors[den] = f
+        nums.append(num * f)
+    return (prim if content == 1 else prim * Poly._of((content,))), nums
+
+
+def dot(xs, ys):
+    """Sum of x * y over two numerator lists from cleared: an int, or a Poly."""
+    if not xs or type(xs[0]) is not Poly:
+        return sum(map(mul, xs, ys))
+    out = []
+    for x, y in zip(xs, ys):
+        a, b = x.coeffs, y.coeffs
+        if not a or not b:
+            continue
+        need = len(a) + len(b) - 1
+        if len(out) < need:
+            out.extend([0] * (need - len(out)))
+        m = len(b)
+        for i, c in enumerate(a):
+            if c:
+                out[i : i + m] = [o + c * z for o, z in zip(out[i : i + m], b)]
+    while out and not out[-1]:
+        out.pop()
+    return Poly._of(tuple(out))
+
+
+def quotient(n, d, e=1):
+    """n / (d e) read out of cleared numerators, as one reduced field element.
+
+    An int n gives a Fraction.  A Poly n over Poly denominators d and e gives
+    a canonical RatFunc (Fraction 0 for n == 0): n is cancelled against d
+    and then against e, two gcds of the factors' size in place of one of
+    their product's.  A RatFunc n over integers d and e gives the RatFunc
+    quotient.
+    """
+    if type(n) is int:
+        return Fraction(n, d * e)
+    if type(n) is Poly:
+        if not n.coeffs:
+            return Fraction(0)
+        n, d = _cancel(n, d)
+        if type(e) is Poly:
+            n, e = _cancel(n, e)
+            d = d * e
+        return _canonical(n, d)
+    d *= e
+    return n if d == 1 else n / d
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def eigen_move_coefficients(sign, level, point, n_comp):
     src = GenMacBasis(level, family)
     tgt_level = level - 1 if sign > 0 else level + 1
     tgt = GenMacBasis(tgt_level, family)
-    minv = linalg.inverse(tgt.state_matrix())
+    minv = tgt.state_matrix_inverse()
     out = {}
     for tup in src.tuples:
         img = family.x_mode(1, 1 if sign > 0 else -1)(src.state(tup))

@@ -5,17 +5,21 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dimfock import genmac, kacdet
+from dimfock import genmac, kacdet, linalg
+from dimfock.fock import BosonModule, GeneratorFamily
 from dimfock.linalg import (
     EigenvalueCollision,
     SingularMatrix,
     determinant,
     gauss_eliminate,
+    identity,
+    inverse,
+    mat_mul,
     mat_vec,
     solve_unique,
     triangular_eigenvector,
 )
-from dimfock.scalars import RatFunc
+from dimfock.scalars import Poly, RatFunc, make_point
 
 F = Fraction
 
@@ -254,3 +258,189 @@ def test_determinant_matches_the_fraction_oracle_on_kac_grams(point2, point3):
     for n, n_comp, pt in ((4, 2, point2), (3, 3, point3)):
         gram, _ = kacdet.pbw_gram_matrix(n, pt, n_comp)
         assert determinant(gram) == fraction_determinant(gram) != 0, (n_comp, n)
+
+
+# -- cleared products and the primitive-row inverse --------------------------
+
+
+def term_mat_mul(a, b):
+    """Term-by-term triple loop, the oracle for mat_mul."""
+    n, m, k = len(a), len(b[0]), len(b)
+    out = [[F(0)] * m for _ in range(n)]
+    for i in range(n):
+        for l in range(k):
+            x = a[i][l]
+            if not x:
+                continue
+            for j in range(m):
+                if b[l][j]:
+                    out[i][j] = out[i][j] + x * b[l][j]
+    return out
+
+
+def term_mat_vec(a, v):
+    """Term-by-term sums, the oracle for mat_vec."""
+    return [sum((x * y for x, y in zip(row, v) if x and y), F(0)) for row in a]
+
+
+def gauss_inverse(a):
+    """Gauss-Jordan on [a | I] over the field, the oracle for inverse."""
+    n = len(a)
+    work = [row[:] for row in a]
+    rhs = identity(n)
+    _, rank = gauss_eliminate(work, rhs)
+    if rank < n:
+        raise SingularMatrix("matrix not invertible")
+    return rhs
+
+
+def inverse_outcome(inv, a):
+    try:
+        return inv(a)
+    except SingularMatrix as exc:
+        return str(exc)
+
+
+def hashes(m):
+    return [[hash(x) for x in row] for row in m]
+
+
+# ints among the Fractions: a row of ints clears over 1
+product_entries = st.one_of(entries, st.integers(-7, 7))
+
+
+@st.composite
+def products(draw):
+    """(a, b, v) with a n x k, b k x m and v of length k; sometimes a zero
+    row of a and a zero column of b, and n = 0 gives a = []."""
+    n, k, m = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = [[draw(product_entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(product_entries) for _ in range(m)] for _ in range(k)]
+    v = [draw(product_entries) for _ in range(k)]
+    if n and draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))] = [F(0)] * k
+    if draw(st.booleans()):
+        col = draw(st.integers(0, m - 1))
+        for row in b:
+            row[col] = 0
+    return a, b, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_cleared_products_match_the_term_oracle(case):
+    a, b, v = case
+    event("a = []" if not a else "%d x %d x %d" % (len(a), len(b), len(b[0])))
+    got = mat_mul(a, b)
+    assert got == term_mat_mul(a, b)
+    assert hashes(got) == hashes(term_mat_mul(a, b))
+    assert all(isinstance(x, F) for row in got for x in row)
+    got_v = mat_vec(a, v)
+    assert got_v == term_mat_vec(a, v)
+    assert all(isinstance(x, F) for x in got_v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_primitive_row_inverse_matches_gauss_jordan(a):
+    want = inverse_outcome(gauss_inverse, a)
+    event("singular" if isinstance(want, str) else "invertible")
+    got = inverse_outcome(inverse, a)
+    assert got == want
+    if not isinstance(want, str):
+        assert hashes(got) == hashes(want)
+        assert mat_mul(a, got) == identity(len(a))
+
+
+def test_inverse_and_products_by_hand():
+    assert inverse([]) == [] and mat_mul([], [[F(1)]]) == [] and mat_vec([], []) == []
+    assert inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    # the pivot of column 0 is the entry with the fewest bits: row 1, not row 0
+    a = [[F(1000, 3), F(7)], [F(-1), F(5, 2)]]
+    assert inverse(a) == gauss_inverse(a)
+    with pytest.raises(SingularMatrix, match="^matrix not invertible$"):
+        inverse([[F(1), F(2)], [F(1, 2), F(1)]])
+    with pytest.raises(SingularMatrix, match="^matrix not invertible$"):
+        inverse([[F(0), F(0)], [F(0), F(3)]])
+    assert mat_vec([[F(1, 2), 3]], [F(2, 3), F(-1, 9)]) == [0]
+
+
+# Q(s) entries: small polynomials over small polynomials, among Fractions
+@st.composite
+def ratfuncs(draw):
+    s = RatFunc.variable()
+    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    den = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    if not any(den[1:]):
+        den = den[:1] + [1]
+    return sum((c * s**i for i, c in enumerate(num)), F(0)) / sum(
+        (c * s**i for i, c in enumerate(den)), F(0)
+    )
+
+
+symbolic_entries = st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=3), ratfuncs())
+
+
+@st.composite
+def symbolic_products(draw):
+    n, k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = [[draw(symbolic_entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(symbolic_entries) for _ in range(m)] for _ in range(k)]
+    v = [draw(symbolic_entries) for _ in range(k)]
+    return a, b, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(symbolic_products())
+def test_cleared_products_over_rational_functions(case):
+    a, b, v = case
+    got = mat_mul(a, b)
+    assert got == term_mat_mul(a, b)
+    assert hashes(got) == hashes(term_mat_mul(a, b))
+    assert mat_vec(a, v) == term_mat_vec(a, v)
+    assert [hash(x) for x in mat_vec(a, v)] == [hash(x) for x in term_mat_vec(a, v)]
+
+
+def symbolic_level3_data():
+    """(P, X0, P^-1 X0 P) at level 3 of the symbolic-q point make_point(5, 2, 4, "q")."""
+    pt = make_point(5, 2, 4, "q")
+    return genmac.zero_mode_conjugation(3, GeneratorFamily(BosonModule(pt, 2, pt.u, 4, kind="qt")))
+
+
+def test_cleared_products_at_a_symbolic_q_point():
+    pmat, x0, conj = symbolic_level3_data()
+    assert any(isinstance(x, RatFunc) for row in pmat for x in row)
+    pinv = inverse(pmat)
+    assert pinv == gauss_inverse(pmat)
+    xp = mat_mul(x0, pmat)
+    for got, want in ((xp, term_mat_mul(x0, pmat)), (conj, term_mat_mul(pinv, xp))):
+        assert got == want and hashes(got) == hashes(want)
+    # mixed operands: a Fraction matrix times a RatFunc matrix and back
+    fr = [[F(i - j, 1 + i + j) for j in range(len(pmat))] for i in range(len(pmat))]
+    for a, b in ((fr, pmat), (pmat, fr)):
+        got = mat_mul(a, b)
+        assert got == term_mat_mul(a, b) and hashes(got) == hashes(term_mat_mul(a, b))
+    col = [row[0] for row in fr]
+    assert mat_vec(pmat, col) == term_mat_vec(pmat, col)
+
+
+def test_symbolic_products_take_one_gcd_per_entry(monkeypatch):
+    """A deterministic guard on the Q(s) products: the two level-3 products
+    of zero_mode_conjugation at make_point(5, 2, 4, "q"), X0 P and
+    P^-1 (X0 P), take at most 100 Poly.gcd calls each, where sums reduced
+    term by term took about 200-280."""
+    pmat, x0, conj = symbolic_level3_data()
+    pinv = inverse(pmat)
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(self, other):
+        calls.append(1)
+        return gcd(self, other)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    xp = linalg.mat_mul(x0, pmat)
+    first = len(calls)
+    assert linalg.mat_mul(pinv, xp) == conj
+    second = len(calls) - first
+    assert first <= 100 and second <= 100, (first, second)

@@ -5,6 +5,7 @@ import pytest
 import dimfock.rmatrix_tables as tables
 from dimfock.combinat import Partition, PartitionTuple
 from dimfock.genmac import gen_macdonald
+from dimfock.scalars import make_point
 from dimfock.rmatrix import (
     integral_form_r_check,
     involution_check,
@@ -107,3 +108,9 @@ def test_involution(points3):
     for pt in points3:
         assert involution_check(1, pt)
         assert involution_check(2, pt)
+
+
+def test_level3_yang_baxter_and_involution():
+    pt = make_point(7, 3, 4)
+    assert yang_baxter_check(3, pt)
+    assert involution_check(3, pt)
