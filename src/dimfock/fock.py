@@ -15,17 +15,20 @@ contraction patterns.
 
 Operator arithmetic runs over the integers: a mode image, an operator
 column or a relation's sum of terms is kept as integers over one common
-denominator, the lcm of the denominators that enter it, and each output
-coefficient becomes a reduced Fraction once, when the result is read out.
-A RatFunc scalar of a symbolic-q point takes the same loops as its own
-numerator over the denominator 1.
+denominator, the lcm of the denominators that enter it.  Inside the
+relation checks states stay cleared, (D, {monomial: n}), from the columns
+to the zero test (LinOp.image, sum_is_zero).  A state is read out, each
+coefficient as one reduced Fraction, only where a public API returns it:
+LinOp.__call__, VertexOperator.mode_apply, operator_matrix and the PBW
+kets and bras.  A RatFunc scalar of a symbolic-q point takes the same
+loops as its own numerator over the denominator 1.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples
 from .scalars import Series, cleared, dot, quotient
@@ -153,28 +156,40 @@ def column_matrix(states, monomials):
 
 def state_combination(terms):
     """sum of c * state over (c, state) terms, with one reduction per entry."""
-    return _read(*_accumulate(_state_pieces(terms)))
+    return _read(*_sum([(c, cleared_state(state)) for c, state in terms]))
 
 
 def combination_is_zero(terms):
     """Whether sum of c * state over (c, state) terms is exactly zero."""
-    return not any(_accumulate(_state_pieces(terms))[1].values())
+    return sum_is_zero([(c, cleared_state(state)) for c, state in terms])
+
+
+def sum_is_zero(terms):
+    """Whether sum of c * image over (c, image) terms is exactly zero, for
+    cleared images (D, {monomial: n}) such as LinOp.image returns."""
+    return not any(_sum(terms)[1].values())
 
 
 # -- integer-cleared arithmetic ------------------------------------------------
 #
 # A scalar x is read as x.numerator / x.denominator with an integer
-# denominator (a RatFunc is x / 1), as scalars.cleared reads it.  A piece (n, d, items) stands for
-# n / d * sum of v * e_key over the (key, v) items, with integer v over Q.
-# A scale factor of 1 is skipped, not multiplied: over Q(s) each multiply
-# is a RatFunc product with its gcds.
+# denominator (a RatFunc is x / 1), as scalars.cleared reads it.  A cleared
+# state (D, {key: n}) stands for the state {key: n / D}, with integer n over
+# Q; a unit state is (1, {key: 1}), with the int 1, so that its sums stay
+# integer sums.  A piece (n, d, items) stands for n / d * sum of v * e_key
+# over the (key, v) items.  A scale factor of 1 is skipped, not multiplied:
+# over Q(s) each multiply is a RatFunc product with its gcds.
 
 
-def _state_pieces(terms):
-    """One piece per (c, state) term, the state cleared to integers."""
-    for c, state in terms:
-        d, nums = cleared(state.values())
-        yield c.numerator, c.denominator * d, zip(state, nums)
+def cleared_state(state):
+    """(D, {key: n}) with state[key] == n / D, over the least D."""
+    d, nums = cleared(state.values())
+    return d, dict(zip(state, nums))
+
+
+def _sum(terms):
+    """(L, {key: integer}) of sum c * image over (c, image) terms of cleared images."""
+    return _accumulate([(c.numerator, c.denominator * d, acc.items()) for c, (d, acc) in terms])
 
 
 def _accumulate(pieces):
@@ -191,6 +206,17 @@ def _accumulate(pieces):
             for key, v in items:
                 acc[key] = acc.get(key, 0) + w * v
     return big, acc
+
+
+def _least(d, acc):
+    """(d, acc) without its zero entries, over its least denominator when
+    the numerators are integers (over Q(s) they may be RatFuncs)."""
+    acc = {key: v for key, v in acc.items() if v}
+    if d != 1 and all(type(v) is int for v in acc.values()):
+        g = gcd(d, *acc.values())
+        if g != 1:
+            return d // g, {key: v // g for key, v in acc.items()}
+    return d, acc
 
 
 def _read(big, acc):
@@ -247,13 +273,16 @@ def module_creation_combo(module, boson_maps, n):
 class VertexOperator:
     """Normal-ordered exp(sum A a_- z^n) exp(sum B a_+ z^-n) * prefactor."""
 
-    __slots__ = ("creation", "annihilation", "prefactor", "_cre_cache")
+    __slots__ = ("creation", "annihilation", "prefactor", "_cre_cache", "_contracted")
 
     def __init__(self, creation=None, annihilation=None, prefactor=ONE):
         self.creation = dict(creation or {})
         self.annihilation = dict(annihilation or {})
         self.prefactor = prefactor
+        # memos of the mode extraction; the second refers to the modules it
+        # has met, never the reverse, so operator -> module is the only link
         self._cre_cache = {}
+        self._contracted = {}
 
     def scaled_argument(self, c):
         """The same operator evaluated at argument c*z."""
@@ -303,12 +332,18 @@ class VertexOperator:
         return hit
 
     def _contractions(self, module, tup):
-        """(removed, m, n, d) per way to contract annihilators with tup.
+        """(base, m, n, d) per way to contract annihilators with tup.
 
-        removed lists (boson, part, j) for j contracted copies of a part, m
-        is the level they take away and n / d the weight: the product of
-        binom(mult, j) (B * rho)^j over the contracted parts.
+        base is the module's interned monomial left when j copies of each
+        contracted part are removed, m the level they take away and n / d
+        the weight: the product of binom(mult, j) (B * rho)^j over the
+        contracted parts.  The list is memoized per (module, monomial), so
+        the modes of every index k share it.
         """
+        key = (module, tup)
+        hit = self._contracted.get(key)
+        if hit is not None:
+            return hit
         options = []
         for i, lam in enumerate(tup):
             for n in sorted(set(lam.parts)):
@@ -321,6 +356,7 @@ class VertexOperator:
                         [(i, n, 0, 1, 1)]
                         + [(i, n, j, comb(m, j) * num**j, den**j) for j in range(1, m + 1)]
                     )
+        hit = self._contracted[key] = []
         for picks in itertools.product(*options):
             removed = tuple((i, n, j) for i, n, j, _, _ in picks if j)
             m_tot, num, den = 0, 1, 1
@@ -329,7 +365,8 @@ class VertexOperator:
                     num = num * pn if m_tot else pn
                     m_tot += n * j
                     den *= pd
-            yield removed, m_tot, num, den
+            hit.append((module.intern(_remove_parts(tup, removed)), m_tot, num, den))
+        return hit
 
     def mode_apply(self, k, state, module):
         """Coefficient of z^(-k) acting on a state: lowers level by k.
@@ -342,7 +379,7 @@ class VertexOperator:
         pieces = []
         for tup, coeff in state.items():
             lev = tup.size
-            for removed, m_tot, num, den in self._contractions(module, tup):
+            for base, m_tot, num, den in self._contractions(module, tup):
                 c = m_tot - k
                 if c < 0:
                     continue
@@ -351,7 +388,7 @@ class VertexOperator:
                         "level %d exceeds module cap %d" % (lev - k, module.level_max)
                     )
                 positions, d_c, nums = self._creation_patterns(c, module.n_bosons)
-                row = module.products(module.intern(_remove_parts(tup, removed)), c)
+                row = module.products(base, c)
                 pieces.append(
                     (
                         coeff.numerator * num if m_tot else coeff.numerator,
@@ -380,16 +417,18 @@ def _remove_parts(tup, removed):
 class LinOp:
     """A linear operator on a module, memoized column by column.
 
-    apply_fn maps a state to a state.  A call evaluates apply_fn once per
-    basis monomial, on {monomial: 1}, and caches that image (the operator's
-    column) on the operator, cleared to integers over one denominator D as
-    (D, {monomial: n}).  The call sums the cached columns over the lcm of
-    their denominators and returns a fresh state.  Composites built with
-    ``after`` and ``commutator`` are LinOps too, so a composite applied
-    repeatedly (a nested commutator of ``vertical.hamiltonian``) keeps its
-    own columns.  A composite refers to its factors and never the reverse,
-    so the caches form no reference cycle: they are freed with the last
-    reference to the operator, which for family modes is the family.
+    apply_fn maps a state to a state.  The operator evaluates apply_fn once
+    per basis monomial, on {monomial: 1}, and caches that image (the
+    operator's column) on the operator, cleared to integers over its least
+    denominator D as (D, {monomial: n}).  ``image`` maps a cleared state to
+    its cleared image by summing the cached columns over the lcm of their
+    denominators; a call is the same sum read out as a fresh state.
+    Composites built with ``after`` and ``commutator`` are LinOps too, so a
+    composite applied repeatedly (a nested commutator of
+    ``vertical.hamiltonian``) keeps its own columns.  A composite refers to
+    its factors and never the reverse, so the caches form no reference
+    cycle: they are freed with the last reference to the operator, which
+    for family modes is the family.
     """
 
     __slots__ = ("_apply", "_columns", "__weakref__")
@@ -399,22 +438,30 @@ class LinOp:
         self._apply = apply_fn
         self._columns = {}
 
+    def _column(self, tup):
+        return cleared_state(self._apply({tup: ONE}))
+
     def column(self, tup):
         """The cached image (D, {monomial: n}) of the basis monomial tup."""
         col = self._columns.get(tup)
         if col is None:
-            img = self._apply({tup: ONE})
-            d, nums = cleared(img.values())
-            col = self._columns[tup] = (d, dict(zip(img, nums)))
+            col = self._columns[tup] = self._column(tup)
         return col
 
-    def __call__(self, state):
+    def _pieces(self, items):
         columns = self._columns
-        pieces = []
-        for tup, c in state.items():
-            col = columns.get(tup) or self.column(tup)
-            pieces.append((c.numerator, c.denominator * col[0], col[1].items()))
-        return _read(*_accumulate(pieces))
+        for tup, c in items:
+            if c:
+                d, col = columns.get(tup) or self.column(tup)
+                yield c.numerator, c.denominator * d, col.items()
+
+    def image(self, d, acc):
+        """The cleared image (D', {monomial: n'}) of the cleared state (d, acc)."""
+        big, out = _accumulate(self._pieces(acc.items()))
+        return d * big, out
+
+    def __call__(self, state):
+        return _read(*_accumulate(self._pieces(state.items())))
 
     def after(self, other):
         """self . other (apply other first)."""
@@ -424,13 +471,38 @@ class LinOp:
         return LinOp(lambda s: state_combination([(ONE, self(other(s))), (-ONE, other(self(s)))]))
 
 
+class _ModeSum(LinOp):
+    """Mode k of a sum of vertex operators.
+
+    A column is the terms' mode_apply images of the monomial, cleared once
+    over one lcm, summed as integers and reduced to its least denominator.
+    """
+
+    __slots__ = ("_terms", "_k", "_module")
+
+    def __init__(self, terms, k, module):
+        super().__init__(None)
+        self._terms, self._k, self._module = terms, k, module
+
+    def _column(self, tup):
+        unit = {tup: 1}
+        images = [term.mode_apply(self._k, unit, self._module) for term in self._terms]
+        d, nums = cleared([v for img in images for v in img.values()])
+        nums = iter(nums)
+        acc = {}
+        for img in images:
+            for key, v in zip(img, nums):
+                acc[key] = acc.get(key, 0) + v
+        return _least(d, acc)
+
+
 def vertex_mode(op: VertexOperator, k: int, module: BosonModule) -> LinOp:
-    return LinOp(lambda s: op.mode_apply(k, s, module))
+    return _ModeSum([op], k, module)
 
 
 def operator_matrix(op: LinOp, module: BosonModule, level_from: int, level_to: int):
     """Dense matrix of op between monomial bases (rows: target, cols: source)."""
-    images = [op({tup: ONE}) for tup in module.basis(level_from)]
+    images = [_read(*op.column(tup)) for tup in module.basis(level_from)]
     if any(c and t.size != level_to for img in images for t, c in img.items()):
         raise ValueError("operator image leaked outside target level")
     return column_matrix(images, module.basis(level_to))
@@ -493,16 +565,9 @@ class ModeFamily:
         """Mode n of generator gen; lowers the level by n."""
         key = (gen, n)
         if key not in self._mode_cache:
-            # the closure holds the terms and the module, not the family,
+            # the operator holds the terms and the module, not the family,
             # so family -> operator is the only reference between them
-            terms, module = self.mode_terms(gen, n), self.module
-
-            def apply_fn(state):
-                return state_combination(
-                    [(ONE, term.mode_apply(n, state, module)) for term in terms]
-                )
-
-            self._mode_cache[key] = LinOp(apply_fn)
+            self._mode_cache[key] = _ModeSum(self.mode_terms(gen, n), n, self.module)
         return self._mode_cache[key]
 
 

@@ -108,7 +108,7 @@ def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=Fal
         level_to = level_from - n
         if level_from < 0 or level_to < 0 or level_to > level_max or level_from > level_max:
             return None
-        key = (id(fam), i, n, level_from)
+        key = (fam, i, n, level_from)
         if key not in mats:
             mats[key] = operator_matrix(fam.x_mode(i, n), mod, level_from, level_to)
         return mats[key]

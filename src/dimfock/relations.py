@@ -25,6 +25,7 @@ from .fock import (
     pbw_state,
     state_scale,
     structure_series,
+    sum_is_zero,
     vacuum_bra,
     vertex_mode,
 )
@@ -36,22 +37,22 @@ ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
 
-def _products(st):
-    """product(ops) = ops[0](ops[1](... (st))), the image of st under a tuple of operators.
+def _products(key):
+    """product(ops) = ops[0](ops[1](... ({key: 1}))) as a cleared image, the
+    image of the basis state {key: 1} under a tuple of operators.
 
     Images are memoized by operator tuple, and their suffixes with them, for
-    this st only: a check meets each (operators, monomial) key under one
+    this state only: a check meets each (operators, monomial) key under one
     monomial, so a longer-lived memo would only hold memory.  The returned
-    states are shared; callers read them and never mutate them.
+    images are shared; callers read them and never mutate them.
     """
-    memo = {(): st}
+    memo = {(): (1, {key: 1})}
 
     def product(ops):
         if ops not in memo:
             for i in range(len(ops) - 1, -1, -1):
                 if ops[i:] not in memo:
-                    img = memo[ops[i + 1 :]]
-                    memo[ops[i:]] = ops[i](img) if img else {}
+                    memo[ops[i:]] = ops[i].image(*memo[ops[i + 1 :]])
         return memo[ops]
 
     return product
@@ -68,15 +69,17 @@ def relation_failures(basis, level, relations):
     For every key of basis(n), n <= level, relations(key, n) yields
     (witness, A, B, rhs): the relation [A, B] = rhs on the state {key: 1},
     with rhs a list of (c, ops) terms, each c times product(ops).  A product
-    that several relations share is applied once per state.
+    that several relations share is applied once per state, and the sums
+    run over the cleared images without reading them out.
     """
     failures = []
     for n_lvl in range(level + 1):
         for key in basis(n_lvl):
-            product = _products({key: ONE})
+            product = _products(key)
             for witness, a, b, rhs in relations(key, n_lvl):
-                lhs = [(ONE, product((a, b))), (MINUS_ONE, product((b, a)))]
-                if not _holds(lhs, [(c, product(ops)) for c, ops in rhs]):
+                terms = [(ONE, product((a, b))), (MINUS_ONE, product((b, a)))]
+                terms += [(-c, product(ops)) for c, ops in rhs]
+                if not sum_is_zero(terms):
                     failures.append(witness)
     return failures
 

@@ -408,12 +408,13 @@ def raising_lowering_duality_check(level, point, n_comp):
     def dual_tuple(tup):
         return PartitionTuple([tup[n_comp - 1 - i].conjugate() for i in range(n_comp)])
 
+    # X+ lowers the level, so every mu has size level - 1
+    cminus2 = eigen_move_coefficients(-1, level - 1, point2, n_comp)
     failures = []
     for lam, row in cplus.items():
         for mu, c in row.items():
             if not c:
                 continue
-            cminus2 = eigen_move_coefficients(-1, mu.size, point2, n_comp)
             got = cminus2[dual_tuple(mu)].get(dual_tuple(lam), ZERO)
             if c != -got:
                 failures.append((lam, mu))

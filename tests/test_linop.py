@@ -3,21 +3,25 @@
 import gc
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimfock import relations, vertical
+from dimfock import fock, relations, vertical
 from dimfock.fock import (
     BosonModule,
     CrystalGenerators,
     CrystalVirasoro,
     GeneratorFamily,
     VertexOperator,
+    cleared_state,
+    combination_is_zero,
     pbw_gram,
     state_add,
     state_scale,
+    sum_is_zero,
 )
 from dimfock.relations import (
     check_crystal_virasoro_relations,
@@ -25,7 +29,7 @@ from dimfock.relations import (
     check_virasoro_relation,
     check_x_relations_n2,
 )
-from dimfock.scalars import Series
+from dimfock.scalars import Series, make_point
 from dimfock.vertical import dim_relation_check
 
 ONE = Fraction(1)
@@ -49,6 +53,23 @@ def reference_mode(fam, gen, n, state):
     for term in fam.mode_terms(gen, n):
         out = state_add(out, term.mode_apply(n, state, fam.module))
     return out
+
+
+def same_state(image, state):
+    """Whether the cleared image (D, {monomial: n}) stands for state, by
+    cross-multiplication against the state's own clearing."""
+    d, acc = image
+    e, want = cleared_state(state)
+    return {k for k, v in acc.items() if v} == set(want) and all(
+        acc[k] * e == v * d for k, v in want.items()
+    )
+
+
+def assert_least_integer_column(op, tup):
+    """A column over Q: int numerators, none zero, over their least int D."""
+    d, col = op.column(tup)
+    assert type(d) is int and all(type(v) is int and v for v in col.values())
+    assert gcd(d, *col.values()) == 1
 
 
 def combination(fam, terms, cancel):
@@ -108,14 +129,74 @@ def test_memoized_operators_match_term_by_term_modes(families, kind, terms, canc
         got = op(state)
         assert got == want
         assert all(got.values())
+        # the cleared image is the same sum, before its read-out
+        assert same_state(op.image(*cleared_state(state)), got)
         if kind == "fraction":
             assert all(type(v) is Fraction for v in got.values())
+            for tup in state:
+                assert_least_integer_column(op, tup)
         # outputs and column images are keyed by the module's basis objects
         images = [got] + [op({tup: ONE}) for tup in state]
         assert all(basis[key] is key for img in images for key in img)
         got[fam.module.empty_tuple()] = Fraction(12345)  # callers own the result
         got.clear()
         assert op(state) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["fraction", "symbolic-q"]),
+    picks=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 6), st.integers(0, 20), coefficients),
+        min_size=1,
+        max_size=4,
+    ),
+    cancel=st.sampled_from(["none", "first", "all"]),
+)
+def test_cleared_zero_test_matches_the_fraction_sum(families, kind, picks, cancel):
+    """sum_is_zero over cleared images, and combination_is_zero over states,
+    agree with the Fraction sum of the read-out states, cancelling or not."""
+    fam = families[kind]
+    ops = [fam.x_mode(gen, n) for gen in (1, 2) for n in (-1, 0, 1)]
+    basis = [t for lev in range(STATE_LEVEL + 1) for t in fam.module.basis(lev)]
+    terms = []  # (c, read-out state, cleared image)
+    for i, j, k, c in picks:
+        # one operator (j past the list) or a product of two on {tup: 1}
+        a, tup = ops[i], basis[k % len(basis)]
+        if j < len(ops):
+            image = a.image(*ops[j].image(1, {tup: 1}))
+            state = a(ops[j]({tup: ONE}))
+        else:
+            image, state = a.image(1, {tup: 1}), a({tup: ONE})
+        terms.append((c, state, image))
+    if cancel == "first":
+        terms.append((-terms[0][0], terms[0][1], terms[0][2]))
+    elif cancel == "all":
+        total = {}
+        for c, state, _ in terms:
+            total = state_add(total, state_scale(state, c))
+        terms.append((MINUS_ONE, total, cleared_state(total)))
+    oracle = {}
+    for c, state, _ in terms:
+        oracle = state_add(oracle, state_scale(state, c))
+    assert cancel != "all" or not oracle
+    assert sum_is_zero([(c, image) for c, _, image in terms]) == (not oracle)
+    assert combination_is_zero([(c, state) for c, state, _ in terms]) == (not oracle)
+
+
+def test_relation_check_clears_and_reads_out_once_per_column(monkeypatch):
+    """The relation sums run over cleared images: clearings and Fraction
+    read-outs are bounded by the columns, not by the relations."""
+    counts = {"cleared": 0, "quotient": 0}
+    for name in counts:
+
+        def counting(*args, _original=getattr(fock, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fock, name, counting)
+    assert check_x_relations_n2(2, make_point(7, 2, 7)) == []
+    assert counts["cleared"] <= 1000 and counts["quotient"] <= 10000, counts
 
 
 def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
@@ -125,7 +206,7 @@ def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
     class RecordingFamily(GeneratorFamily):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            made.append(weakref.ref(self))
+            made.extend([weakref.ref(self), weakref.ref(self.module)])
 
         def x_mode(self, gen, n):
             op = super().x_mode(gen, n)
@@ -142,12 +223,15 @@ def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
         a.after(b)(st_in)
         a.commutator(b)(st_in)
         assert pbw_gram(2, fam)[0]  # fills the family's memo of PBW word suffixes
-        mine = [weakref.ref(fam), weakref.ref(a)]
+        # the terms' contraction memos refer to the module, so it outlives
+        # the family only if they do
+        assert all(term._contracted for term in fam.mode_terms(1, -1))
+        mine = [weakref.ref(fam), weakref.ref(a), weakref.ref(fam.module)]
         assert check_x_relations_n2(1, point2) == []
-        assert len(made) > 1
+        assert len(made) > 2
         assert [r() for r in made] == [None] * len(made)
         del fam, a, b, st_in
-        assert [r() for r in mine] == [None, None]
+        assert [r() for r in mine] == [None, None, None]
     finally:
         if was_enabled:
             gc.enable()

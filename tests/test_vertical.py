@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dimfock.combinat import EMPTY, Partition, enumerate_tuples, partitions
+from dimfock.genmac import GenMacBasis
 from dimfock.scalars import Series, eigenvalue_of, make_point
 from dimfock.vertical import (
     action_conjecture_check,
@@ -76,7 +77,19 @@ def test_box_moves_checked_sizes():
     assert action_conjecture_check(2, pt3, 3) == []
 
 
-def test_raising_lowering_duality():
+def test_raising_lowering_duality(monkeypatch):
+    """Both levels pass, and each builds its four eigenbases once: levels
+    level and level - 1 at the point and at the dual point."""
+    builds = []
+    build = GenMacBasis.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args[0])
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(GenMacBasis, "__init__", counting)
     pt2 = make_point(101, 2, 5)
-    assert raising_lowering_duality_check(1, pt2, 2) == []
-    assert raising_lowering_duality_check(2, pt2, 2) == []
+    for level in (1, 2):
+        builds.clear()
+        assert raising_lowering_duality_check(level, pt2, 2) == []
+        assert sorted(builds) == [level - 1, level - 1, level, level]
