@@ -15,6 +15,7 @@ from dimfock.fock import (
     CrystalGenerators,
     CrystalVirasoro,
     GeneratorFamily,
+    ModeFamily,
     VertexOperator,
     cleared_state,
     combination_is_zero,
@@ -22,6 +23,7 @@ from dimfock.fock import (
     state_add,
     state_scale,
     sum_is_zero,
+    vertex_mode,
 )
 from dimfock.relations import (
     check_crystal_virasoro_relations,
@@ -141,6 +143,37 @@ def test_memoized_operators_match_term_by_term_modes(families, kind, terms, canc
         got[fam.module.empty_tuple()] = Fraction(12345)  # callers own the result
         got.clear()
         assert op(state) == want
+
+
+class _Twice(ModeFamily):
+    """Every mode is the sum of one vertex operator with itself."""
+
+    def __init__(self, module, op):
+        super().__init__(module)
+        self.op = op
+
+    def mode_terms(self, gen, n):
+        return [self.op, self.op]
+
+
+def test_mode_columns_are_reduced_to_their_least_denominator(families):
+    """A sum of terms can share a factor with the lcm of their denominators:
+    doubling a column with an even D must halve D, not the numerators' sum."""
+    fam = families["fraction"]
+    op = fam.x_terms(1)[0]
+    twice = _Twice(fam.module, op)
+    even = 0
+    for n in (-1, 0, 1):
+        single = vertex_mode(op, n, fam.module)
+        for lev in range(STATE_LEVEL + 1):
+            for tup in fam.module.basis(lev):
+                d, col = single.column(tup)
+                even += d % 2 == 0
+                doubled = {k: 2 * Fraction(v, d) for k, v in col.items()}
+                assert same_state(twice.x_mode(1, n).column(tup), doubled)
+                assert_least_integer_column(twice.x_mode(1, n), tup)
+                assert_least_integer_column(single, tup)
+    assert even  # the reduction was exercised
 
 
 @settings(max_examples=60, deadline=None)
