@@ -196,7 +196,8 @@ def solve_unique(a, b):
 
 
 def inverse(a):
-    """Exact inverse of a square matrix; SingularMatrix if it has none.
+    """Exact inverse of a square matrix; SingularMatrix if it has none,
+    ValueError for any other shape.
 
     Over Q: Gauss-Jordan on [A | D I] over primitive integer rows.  Row i is
     cleared to integers n_i = d_i A_i, augmented with d_i e_i and divided by
@@ -208,7 +209,7 @@ def inverse(a):
     is one Fraction of right[i][j] over the pivot of row i.  A matrix with a
     RatFunc entry runs gauss_eliminate over Q(s) instead.
     """
-    n = len(a)
+    n = _square(a, "inverse")
     if _symbolic(a):
         work = [row[:] for row in a]
         rhs = identity(n)
@@ -238,6 +239,17 @@ def inverse(a):
     return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(work)]
 
 
+def _square(a, name):
+    """len(a); ValueError naming the shape unless a is square."""
+    n = len(a)
+    lengths = [len(row) for row in a]
+    if set(lengths) - {n}:
+        ragged = len(set(lengths)) > 1
+        shape = "ragged, row lengths %s" % lengths if ragged else "%dx%d" % (n, lengths[0])
+        raise ValueError("%s needs a square matrix, got %s" % (name, shape))
+    return n
+
+
 def _primitive_row(row, h):
     """row divided by its content h (h = 0 or 1 leaves it as it is)."""
     return [x // h for x in row] if h > 1 else row
@@ -254,31 +266,39 @@ def _combine(p, b, row, prow):
 
 
 def determinant(a):
-    """Exact determinant of a square matrix over Q (Fraction or int entries).
+    """Exact determinant of a square matrix over Q (Fraction or int entries);
+    ValueError for any other shape, TypeError for an entry in Q(s).
 
     Elimination over primitive integer rows.  Each row is cleared to
-    integers and divided by its content, the gcd of its entries; what that
-    takes out of the determinant goes into one running scale, a reduced
-    Fraction.  Each step pivots on the nonzero entry of the trailing
-    submatrix with the fewest bits; ties go to the first such entry in
-    row-major order, so the run is deterministic.  A row swap and a column
-    swap bring it into place, each flipping the sign.  A row with entry b
-    under the pivot p becomes (p/g) row - (b/g) pivot row, g = gcd(p, b),
-    and is made primitive again, so the scale gains its content over p/g.
+    integers and divided by its content, the gcd of its entries, and keeps
+    its own scale: a small Fraction lam_r with primitive row r equal to
+    lam_r times row r of plain Gaussian elimination over Q.  A row starts
+    at lam = d/g, its clearing denominator over its content.  Each step
+    pivots on the nonzero entry of the trailing submatrix with the fewest
+    bits; ties go to the first such entry in row-major order, so the run is
+    deterministic.  A row swap (which swaps the scales) and a column swap
+    bring it into place, each flipping the sign.  A row with entry b under
+    the pivot p becomes (p/g) row - (b/g) pivot row, g = gcd(p, b), and is
+    made primitive again by its content h, so its scale gains (p/g)/h.  The
+    plain pivot of step c is p_c/lam_c, and the determinant is the signed
+    product of the plain pivots, folded in once per step; each partial
+    product is a leading minor of the permuted matrix, so it stays small.
     Only the columns right of the pivot are updated: those to its left are
     zero and are never read again.  Nothing is divided by an earlier pivot,
     so the rows stay as small as their own contents allow.
     """
-    scale = ONE
-    work = []
+    n = _square(a, "determinant")
+    if _symbolic(a):
+        raise TypeError("determinant works over Q only, not over Q(s)")
+    work, scales = [], []
     for row in a:
         d, nums = cleared(row)
         g = gcd(*nums)
         if not g:
             return ZERO
         work.append(_primitive_row(nums, g))
-        scale *= Fraction(g, d)
-    n = len(work)
+        scales.append(Fraction(d, g))
+    det = ONE
     for c in range(n):
         best = None
         for i in range(c, n):
@@ -292,14 +312,15 @@ def determinant(a):
         _, i, j = best
         if i != c:
             work[c], work[i] = work[i], work[c]
-            scale = -scale
+            scales[c], scales[i] = scales[i], scales[c]
+            det = -det
         if j != c:
             for row in work[c:]:
                 row[c], row[j] = row[j], row[c]
-            scale = -scale
+            det = -det
         prow = work[c]
         p = prow[c]
-        scale *= p
+        det = det * p / scales[c]
         tail = prow[c + 1 :]
         for r in range(c + 1, n):
             row = work[r]
@@ -309,5 +330,5 @@ def determinant(a):
             row[c + 1 :], h, pg = _combine(p, b, row[c + 1 :], tail)
             if not h:
                 return ZERO
-            scale *= Fraction(h, pg)
-    return scale
+            scales[r] *= Fraction(pg, h)
+    return det

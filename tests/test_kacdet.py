@@ -49,6 +49,12 @@ def test_kac_det_larger_sizes(point2, point3):
         assert lhs == rhs != 0, (n_comp, n)
 
 
+def test_kac_det_level6_two_bosons():
+    # (2, 6): a Gram matrix of 65 rows, the largest Kac check in the suite
+    lhs, rhs = kac_det_check(6, 2, make_point(101, 2, 7))
+    assert lhs == rhs != 0
+
+
 def test_kac_det_contains_weight_line(point2):
     q, t = point2.q, point2.t
     u1, u2 = point2.u

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import event, given, settings
@@ -252,6 +253,84 @@ def test_determinant_negative_pivots():
     a = [[F(9), F(-1, 2), F(7)], [F(4), F(6), F(-3)], [F(11), F(5), F(8, 3)]]
     assert determinant(a) == leibniz(a) == fraction_determinant(a)
     assert determinant([[F(-2), F(0)], [F(0), F(-3)]]) == 6
+
+
+# scale factors with large contents and large denominators, either sign
+scale_factors = st.builds(
+    lambda sign, num, den: F(sign * num, den),
+    st.sampled_from([1, -1]),
+    st.integers(1, 2**64),
+    st.integers(1, 2**64),
+)
+
+
+def primitive_rows(a):
+    """Each row cleared to integers and divided by its content, as the
+    determinant sees it before its first step."""
+    out = []
+    for row in a:
+        d = lcm(*(x.denominator for x in row))
+        nums = [x.numerator * (d // x.denominator) for x in row]
+        g = gcd(*nums) or 1
+        out.append([x // g for x in nums])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices(), st.data())
+def test_determinant_of_scaled_rows_and_columns(a, data):
+    # det(diag(r) A diag(c)) = prod(r) prod(c) det(A): the row factors land in
+    # the per-row scales, and every swap of the pivot search must carry them
+    n = len(a)
+    r = [data.draw(scale_factors) for _ in range(n)]
+    c = [data.draw(scale_factors) for _ in range(n)]
+    scaled = [[ri * x * cj for x, cj in zip(row, c)] for ri, row in zip(r, a)]
+    want = prod(r) * prod(c) * leibniz(a)
+    event("singular" if want == 0 else "nonsingular")
+    sizes = [
+        (abs(x).bit_length(), i, j)
+        for i, row in enumerate(primitive_rows(scaled))
+        for j, x in enumerate(row)
+        if x
+    ]
+    if sizes:
+        _, i, j = min(sizes)
+        event("first pivot: row swap %s, column swap %s" % (i > 0, j > 0))
+    assert determinant(scaled) == want == fraction_determinant(scaled)
+
+
+def test_determinant_zero_rows_and_rows_that_vanish_after_a_swap():
+    # a zero row at the start, first or not, ends the run before any step
+    assert determinant([[F(0), F(0), F(0)], [F(1), F(2), F(3)], [F(4), F(5), F(7)]]) == 0
+    assert determinant([[F(1), F(2)], [F(0), F(0)]]) == 0
+    # the pivot 1 of the primitive row 1 sits at (1, 1): rows 0 and 1 swap,
+    # and so do their scales 3 and 5, and columns 0 and 1 swap
+    r0 = [F(1000, 3), F(999, 3), F(7)]
+    r1 = [F(9, 5), F(1, 5), F(11, 5)]
+    # row 2 is 3/7 of row 1: it vanishes at the first step
+    a = [r0, r1, [F(3, 7) * x for x in r1]]
+    assert leibniz(a) == 0 and determinant(a) == 0
+    # row 2 is a combination of rows 0 and 1: it vanishes at the second step
+    mixed = [F(2, 11) * x + F(5, 13) * y for x, y in zip(r0, r1)]
+    assert leibniz([r0, r1, mixed]) == 0 and determinant([r0, r1, mixed]) == 0
+    b = [r0, r1, mixed[:2] + [mixed[2] + F(1, 17)]]
+    assert determinant(b) == leibniz(b) == fraction_determinant(b) != 0
+
+
+def test_shape_and_field_guards(sym_point2):
+    with pytest.raises(ValueError, match=r"^determinant needs a square matrix, got ragged, row lengths \[3, 2\]$"):
+        determinant([[1, 2, 3], [4, 5]])
+    with pytest.raises(ValueError, match="^determinant needs a square matrix, got 3x2$"):
+        determinant([[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ValueError, match="^inverse needs a square matrix, got 2x3$"):
+        inverse([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="^inverse needs a square matrix, got 3x2$"):
+        inverse([[1, 2], [3, 4], [5, 6]])
+    s = sym_point2.q
+    with pytest.raises(ValueError, match="^inverse needs a square matrix, got 1x2$"):
+        inverse([[s, F(1)]])
+    with pytest.raises(TypeError, match="over Q only"):
+        determinant([[s, F(1)], [F(1), F(1)]])
 
 
 def test_determinant_matches_the_fraction_oracle_on_kac_grams(point2, point3):
