@@ -245,13 +245,6 @@ def dominance_le(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-def componentwise_le(mu: PartitionTuple, lam: PartitionTuple) -> bool:
-    """Componentwise dominance with equal per-component sizes."""
-    if mu.sizes() != lam.sizes():
-        return False
-    return all(dominance_le(m, l) for m, l in zip(mu, lam))
-
-
 def star_lt(mu: PartitionTuple, lam: PartitionTuple) -> bool:
     """mu *< lam: suffix sums of |mu^(i)| never exceed those of lam, sizes differ."""
     if mu.size != lam.size or mu.n_components != lam.n_components:
@@ -285,56 +278,6 @@ def star_refined_lt(mu: PartitionTuple, lam: PartitionTuple) -> bool:
         if rowmax > target:
             return False
     return True
-
-
-def _partial_sums_key(tup: PartitionTuple, j: int, i: int, reverse: bool) -> int:
-    n = tup.n_components
-    if reverse:
-        outer = sum(tup[k].size for k in range(j - 1))
-    else:
-        outer = sum(tup[k].size for k in range(j, n))
-    return outer + sum(tup[j - 1].part(k) for k in range(1, i + 1))
-
-
-def l_order_le(mu: PartitionTuple, lam: PartitionTuple, reverse: bool = False) -> bool:
-    """mu <=^L lam (or <=^R with reverse=True)."""
-    if mu.size != lam.size or mu.n_components != lam.n_components:
-        return False
-    n = lam.n_components
-    depth = max(max((c.length for c in lam), default=1), max((c.length for c in mu), default=1)) + 1
-    for j in range(1, n + 1):
-        for i in range(1, depth + 1):
-            if _partial_sums_key(mu, j, i, reverse) > _partial_sums_key(lam, j, i, reverse):
-                return False
-    return True
-
-
-_ORDERINGS = ("dominance", "star", "star_refined", "L", "R")
-
-
-def compare(lam: PartitionTuple, mu: PartitionTuple, ordering: str) -> str:
-    """Compare two tuples; returns 'less', 'greater', 'equal' or 'incomparable'."""
-    if ordering not in _ORDERINGS:
-        raise ValueError("unknown ordering %r" % ordering)
-    if lam.n_components != mu.n_components or lam.size != mu.size:
-        return "incomparable"
-    if lam == mu:
-        return "equal"
-    if ordering == "dominance":
-        ge, le = componentwise_le(mu, lam), componentwise_le(lam, mu)
-    elif ordering == "star":
-        ge, le = star_lt(mu, lam), star_lt(lam, mu)
-    elif ordering == "star_refined":
-        ge, le = star_refined_lt(mu, lam), star_refined_lt(lam, mu)
-    else:
-        rev = ordering == "R"
-        ge = l_order_le(mu, lam, rev) and not l_order_le(lam, mu, rev)
-        le = l_order_le(lam, mu, rev) and not l_order_le(mu, lam, rev)
-    if ge:
-        return "greater"
-    if le:
-        return "less"
-    return "incomparable"
 
 
 # ---------------------------------------------------------------------------

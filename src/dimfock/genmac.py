@@ -5,6 +5,10 @@ The canonical tuple order (larger elements first) is a linear extension of
 the suffix-sum ordering, so the zero-mode matrix is triangular in it and
 each eigenvector follows from a back-substitution divided by eigenvalue
 differences; genericity of the point keeps those differences nonzero.
+The product-Macdonald kets are orthogonal for the Fock pairing, so their
+inverse matrix is their bras over their norms (`macdonald_frame`).  The
+left eigenvectors of the same triangular zero mode give the dual bras and
+the inverse state matrix, so no eigenbasis needs a general matrix inverse.
 Also here: integral-form renormalizations, the exact q -> 0 limit through
 the rational-function field, and generalized Jack functions from the
 degenerate-limit differential operator.
@@ -34,7 +38,8 @@ from .fock import (
     pbw_bra,
     state_scale,
 )
-from .linalg import EigenvalueCollision  # noqa: F401  -- re-exported
+from .linalg import EigenvalueCollision
+from .nekrasov import nek_factor
 from .scalars import PoleAtZero, eigenvalue_of
 from .symfunc import SymFunc, macdonald_p, monomial_in_p
 
@@ -61,18 +66,33 @@ def product_monomial_state(module, tup):
     return product_state(module, tup, [monomial_in_p(lam) for lam in tup.components])
 
 
-def zero_mode_conjugation(level, family):
-    """(P, X0, P^-1 X0 P) at one level.
+def macdonald_frame(module, level):
+    """(P, P^-1, N) at one level, without elimination.
 
-    P holds the product-Macdonald kets as columns and X0 is the first-current
-    zero mode, both over the level-n monomials; the last entry is the zero
-    mode in the product-Macdonald basis, indexed by the same tuples.
+    P holds the product-Macdonald kets as columns over the level-n
+    monomials.  The kets are orthogonal for the Fock pairing, which is
+    diagonal on monomials with entries G_v (`monomial_gram`), so
+    P^T G P = diag(N) with the norms N_j = sum_v G_v P[v][j]^2, and
+    P^-1 = N^-1 P^T G: row j is the bra of ket j over its norm.
     """
-    module = family.module
     tuples = module.basis(level)
-    pmat = column_matrix([product_macdonald_state(module, t) for t in tuples], tuples)
-    x0 = operator_matrix(family.x_mode(1, 0), module, level, level)
-    return pmat, x0, linalg.mat_mul(linalg.inverse(pmat), linalg.mat_mul(x0, pmat))
+    kets = [product_macdonald_state(module, t) for t in tuples]
+    grams = {m: module.monomial_gram(m) for m in tuples}
+    bras = [{m: c * grams[m] for m, c in ket.items()} for ket in kets]
+    norms = [module.pair(bra, ket) for bra, ket in zip(bras, kets)]
+    pinv = [coordinates(state_scale(bra, 1 / nj), tuples) for bra, nj in zip(bras, norms)]
+    return column_matrix(kets, tuples), pinv, norms
+
+
+def zero_mode_conjugation(level, family):
+    """(P, P^-1, N, P^-1 X0 P) at one level.
+
+    The first three are `macdonald_frame`; the last is the first-current
+    zero mode X0 in the product-Macdonald basis, indexed by the same tuples.
+    """
+    pmat, pinv, norms = macdonald_frame(family.module, level)
+    x0 = operator_matrix(family.x_mode(1, 0), family.module, level, level)
+    return pmat, pinv, norms, linalg.mat_mul(pinv, linalg.mat_mul(x0, pmat))
 
 
 class GenMacBasis:
@@ -92,47 +112,41 @@ class GenMacBasis:
         self._build()
 
     def _build(self):
-        module = self.module
-        pmat, x0, x0_pp = zero_mode_conjugation(self.level, self.family)
+        tuples = self.tuples
+        pmat, pinv, norms, x0_pp = zero_mode_conjugation(self.level, self.family)
         self.pmat = pmat
-        self.eigenvalues = [eigenvalue_of(t, self.point) for t in self.tuples]
-        n = len(self.tuples)
-        # triangularity in the canonical order: column j only feeds rows i >= j
-        for j in range(n):
+        self.eigenvalues = [eigenvalue_of(t, self.point) for t in tuples]
+        n = len(tuples)
+        # Per column j: an eigenvalue no earlier column has (distinct
+        # eigenvalues make the left eigenvectors below the rows of C^-1), no
+        # entry above the diagonal in the canonical order, and the
+        # closed-form eigenvalue on the diagonal.
+        first = {}
+        for j, (t, ev) in enumerate(zip(tuples, self.eigenvalues)):
+            other = first.setdefault(ev, t)
+            if other != t:
+                raise EigenvalueCollision("%r vs %r" % (other, t))
             for i in range(j):
                 if x0_pp[i][j]:
-                    raise AssertionError(
-                        "zero mode not triangular: %r -> %r" % (self.tuples[j], self.tuples[i])
-                    )
-        # diagonal entries must match the closed-form eigenvalues
-        for j in range(n):
-            if x0_pp[j][j] != self.eigenvalues[j]:
-                raise AssertionError("diagonal eigenvalue mismatch at %r" % (self.tuples[j],))
-        # right eigenvectors, unitriangular over the product-Macdonald basis
-        self.coeff = [linalg.triangular_eigenvector(x0_pp, j, self.tuples) for j in range(n)]
-        # Dual side: the zero mode is not self-adjoint for the monomial Gram,
-        # so the bra expansion needs the right action on bra-products.
-        grams = [module.monomial_gram(m) for m in self.tuples]
-        rmat = [[pmat[v][j] * grams[v] for v in range(n)] for j in range(n)]
-        rx = linalg.mat_mul(rmat, x0)
-        y = linalg.mat_mul(rx, linalg.inverse(rmat))
-        for j in range(n):
-            for i in range(j + 1, n):
-                if y[j][i]:
-                    raise AssertionError(
-                        "dual action not triangular: %r -> %r"
-                        % (self.tuples[j], self.tuples[i])
-                    )
-            if y[j][j] != self.eigenvalues[j]:
-                raise AssertionError("dual diagonal mismatch at %r" % (self.tuples[j],))
-        # left eigenvectors of y: right eigenvectors of its transpose, which
-        # is lower triangular once the index order is reversed
-        y_rev = [row[::-1] for row in linalg.transpose(y)][::-1]
-        rev = self.tuples[::-1]
+                    raise AssertionError("zero mode not triangular: %r -> %r" % (t, tuples[i]))
+            if x0_pp[j][j] != ev:
+                raise AssertionError("diagonal eigenvalue mismatch at %r" % (t,))
+        # right eigenvectors, unitriangular over the product-Macdonald basis:
+        # the columns of C, with state matrix S = P C
+        self.coeff = [linalg.triangular_eigenvector(x0_pp, j, tuples) for j in range(n)]
+        # left eigenvectors d_j (1 in slot j): right eigenvectors of the
+        # transpose, which is lower triangular once the index order is reversed
+        x0_rev = [row[::-1] for row in linalg.transpose(x0_pp)][::-1]
+        rev = tuples[::-1]
+        left = [linalg.triangular_eigenvector(x0_rev, n - 1 - j, rev)[::-1] for j in range(n)]
+        # The dual zero mode, the right action on the bras P^T G = N P^-1, is
+        # N (P^-1 X0 P) N^-1: its left eigenvectors are the d_j N^-1, scaled
+        # to 1 in slot j.
         self.dual_coeff = [
-            linalg.triangular_eigenvector(y_rev, n - 1 - j, rev)[::-1] for j in range(n)
+            [d * nj / ni if d else ZERO for d, ni in zip(dj, norms)]
+            for dj, nj in zip(left, norms)
         ]
-        self._bra_rows = rmat
+        self.norms, self._left, self._pinv = norms, left, pinv
         self._states = {}
         self._state_inverse = None
 
@@ -156,24 +170,28 @@ class GenMacBasis:
 
     def state_matrix_inverse(self):
         """The inverse of state_matrix(), computed on first use and kept on
-        the basis; callers must not modify it."""
+        the basis; callers must not modify it.
+
+        S^-1 = C^-1 P^-1, and C^-1 is the matrix of rows d_j: d_j C has
+        d_j c_k = 0 for k != j, because the eigenvalues are distinct, and
+        d_j c_j = 1 by the two triangular shapes.
+        """
         if self._state_inverse is None:
-            self._state_inverse = linalg.inverse(self.state_matrix())
+            self._state_inverse = linalg.mat_mul(self._left, self._pinv)
         return self._state_inverse
 
+    def renormalized_inverse(self, norm):
+        """The inverse of the state matrix with the column of each tuple t
+        scaled by norm[t]: diag(1 / norm) S^-1."""
+        inv = self.state_matrix_inverse()
+        return [[x / norm[t] for x in row] for t, row in zip(self.tuples, inv)]
+
     def dual_bra(self, tup):
-        """<P_tup| as a functional on creation monomials."""
+        """<P_tup| as a functional on creation monomials: N_j d_j P^-1, that
+        is N_j times row j of the inverse state matrix."""
         j = self.index[tup]
-        out = {}
-        for nu_i, nu in enumerate(self.tuples):
-            acc = ZERO
-            for mu_i in range(len(self.tuples)):
-                c = self.dual_coeff[j][mu_i]
-                if c and self._bra_rows[mu_i][nu_i]:
-                    acc = acc + c * self._bra_rows[mu_i][nu_i]
-            if acc:
-                out[nu] = acc
-        return out
+        nj = self.norms[j]
+        return {m: nj * x for m, x in zip(self.tuples, self.state_matrix_inverse()[j]) if x}
 
     def monomial_transition(self):
         """Transition matrix over products of monomial symmetric functions."""
@@ -236,6 +254,20 @@ class IntegralForms:
                 raise ArithmeticError("designated dual coefficient vanishes at %r" % (tup,))
             self.beta[tup] = [b / b_des for b in bvec]
             self.k_norm_dual[tup] = 1 / b_des
+        # the alternative renormalization M-tilde = m_tilde_norm * P, built
+        # from Nekrasov factors
+        q, t, u = basis.point.q, basis.point.t, basis.module.weights
+        self.m_tilde_norm = {}
+        for tup in tuples:
+            scale = ONE
+            for i in range(len(u)):
+                for j in range(i + 1, len(u)):
+                    scale = scale * nek_factor(tup[j], tup[i], u[j] / u[i], basis.point)
+            for lam in tup:
+                for (bi, bj) in lam.cells():
+                    a, l = arm_leg(lam, bi, bj)
+                    scale = scale * (1 - q**a * t ** (l + 1))
+            self.m_tilde_norm[tup] = scale
 
     def k_state(self, tup):
         return state_scale(self.basis.state(tup), self.k_norm[tup])
@@ -251,22 +283,7 @@ class IntegralForms:
         }
 
     def m_tilde_state(self, tup):
-        """The alternative renormalization built from Nekrasov factors."""
-        from .nekrasov import nek_factor
-
-        point = self.basis.point
-        u = self.basis.module.weights
-        scale = ONE
-        n = tup.n_components
-        for i in range(n):
-            for j in range(i + 1, n):
-                scale = scale * nek_factor(tup[j], tup[i], u[j] / u[i], point)
-        q, t = point.q, point.t
-        for lam in tup:
-            for (bi, bj) in lam.cells():
-                a, l = arm_leg(lam, bi, bj)
-                scale = scale * (1 - q**a * t ** (l + 1))
-        return state_scale(self.basis.state(tup), scale)
+        return state_scale(self.basis.state(tup), self.m_tilde_norm[tup])
 
 
 def integral_forms(basis: GenMacBasis) -> IntegralForms:
@@ -469,16 +486,14 @@ def ordering_vanishing_check(level, point, n_comp=3):
     eta = family._eta(0)
     for n in range(1, level + 1):
         # expand over Macdonald functions of the target level
-        targets = partitions(level - n)
         monos = module.basis(level - n)
-        macs = [product_macdonald_state(module, PartitionTuple([mu])) for mu in targets]
-        minv = linalg.inverse(column_matrix(macs, monos))
+        _, pinv, _ = macdonald_frame(module, level - n)
         for lam in partitions(level):
             img = eta.mode_apply(n, product_macdonald_state(module, PartitionTuple([lam])), module)
-            coords = linalg.mat_vec(minv, coordinates(img, monos))
-            for mu, c in zip(targets, coords):
-                if c and not lam.contains(mu):
-                    failures.append(("eta-containment", lam, n, mu))
+            coords = linalg.mat_vec(pinv, coordinates(img, monos))
+            for mu_tup, c in zip(monos, coords):
+                if c and not lam.contains(mu_tup[0]):
+                    failures.append(("eta-containment", lam, n, mu_tup[0]))
     # (b) transition support within the refined ordering
     basis = gen_macdonald(level, point, n_comp=n_comp)
     for lam in basis.tuples:

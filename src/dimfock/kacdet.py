@@ -186,7 +186,7 @@ def single_eigenvector(level, family, tup):
     eigenvector would contradict its uniqueness and raises.
     """
     tuples = family.module.basis(level)
-    pmat, _, x0_pp = zero_mode_conjugation(level, family)
+    pmat, _, _, x0_pp = zero_mode_conjugation(level, family)
     vec = linalg.triangular_eigenvector(x0_pp, tuples.index(tup), tuples)
     state = {m: c for m, c in zip(tuples, linalg.mat_vec(pmat, vec)) if c}
     # exact eigenvector property at the closed-form eigenvalue

@@ -2,9 +2,9 @@
 
 `mat_mul` and `mat_vec` clear each row and column once (`scalars.cleared`)
 and read each entry out as one reduced quotient, over Q and over Q(s).
-`determinant` works over Q only, and `inverse` over Q runs on primitive
-integer rows; an inverse over Q(s) and the other functions need only the
-Python arithmetic operators.
+`determinant` and `inverse` work over Q only, on primitive integer rows:
+no eigenbasis needs a general inverse over Q(s).  The other functions
+need only the Python arithmetic operators.
 
 Matrices are plain lists of lists.  Fraction(0)/Fraction(1) serve as the
 neutral elements; they coerce into the richer field automatically.
@@ -92,7 +92,10 @@ def triangular_eigenvector(a, j, labels):
 
 
 def gauss_eliminate(a, rhs):
-    """Row-reduce [a | rhs] in place; returns (pivot column list, rank)."""
+    """Row-reduce [a | rhs] in place; returns (pivot column list, rank).
+
+    Plain Gauss-Jordan over any field; the tests' dense oracle for
+    `inverse` and `solve_unique`."""
     rows, cols = len(a), len(a[0]) if a else 0
     piv_cols = []
     r = 0
@@ -196,27 +199,22 @@ def solve_unique(a, b):
 
 
 def inverse(a):
-    """Exact inverse of a square matrix; SingularMatrix if it has none,
-    ValueError for any other shape.
+    """Exact inverse of a square matrix over Q (Fraction or int entries);
+    SingularMatrix if it has none, ValueError for any other shape, TypeError
+    for an entry in Q(s).
 
-    Over Q: Gauss-Jordan on [A | D I] over primitive integer rows.  Row i is
+    Gauss-Jordan on [A | D I] over primitive integer rows.  Row i is
     cleared to integers n_i = d_i A_i, augmented with d_i e_i and divided by
     its content, so that left = right . A holds throughout.  Column c pivots
     on the nonzero entry with the fewest bits among the rows without a pivot
     (ties to the first), and every other row with entry b in that column
     becomes (p/g) row - (b/g) pivot row, g = gcd(p, b), made primitive again.
     At the end the left block is diagonal, and entry (i, j) of the inverse
-    is one Fraction of right[i][j] over the pivot of row i.  A matrix with a
-    RatFunc entry runs gauss_eliminate over Q(s) instead.
+    is one Fraction of right[i][j] over the pivot of row i.
     """
     n = _square(a, "inverse")
     if _symbolic(a):
-        work = [row[:] for row in a]
-        rhs = identity(n)
-        _, rank = gauss_eliminate(work, rhs)
-        if rank < n:
-            raise SingularMatrix("matrix not invertible")
-        return rhs
+        raise TypeError("inverse works over Q only, not over Q(s)")
     work = []
     for i, row in enumerate(a):
         d, nums = cleared(row)

@@ -242,7 +242,7 @@ def integral_form_r_check(level, point3):
         if img != coordinates(kop, tuples):
             failures.append(("swap-action", tup))
     # (b) matrix elements in the integral-form basis, two routes
-    kinv = linalg.inverse(column_matrix(k_states, tuples))
+    kinv = basis.renormalized_inverse(forms.k_norm)
     pair = basis.module.pair
     k_bras = [forms.k_bra(mu) for mu in tuples]
     norms = [pair(bra, kst) for bra, kst in zip(k_bras, k_states)]

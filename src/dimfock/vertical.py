@@ -24,7 +24,6 @@ from .fock import (
     BosonModule,
     GeneratorFamily,
     LinOp,
-    column_matrix,
     coordinates,
     state_combination,
     state_scale,
@@ -343,7 +342,7 @@ def action_conjecture_check(level, point, n_comp):
         forms = integral_forms(bases[n])
         tuples = bases[n].tuples
         state_tables[n] = {tup: forms.m_tilde_state(tup) for tup in tuples}
-        inverses[n] = linalg.inverse(column_matrix([state_tables[n][t] for t in tuples], tuples))
+        inverses[n] = bases[n].renormalized_inverse(forms.m_tilde_norm)
 
     def expand(state, n):
         tuples = bases[n].tuples

@@ -9,7 +9,6 @@ from dimfock.combinat import (
     arm_leg,
     b_factors,
     check_partition,
-    compare,
     enumerate_tuples,
     n_stat,
     partitions,
@@ -81,32 +80,27 @@ def test_enumeration_counts_and_order():
 def test_star_ordering_example():
     lam = PartitionTuple([(1,), (2,)])
     mu = PartitionTuple([(2,), (1,)])
-    assert compare(lam, mu, "star") == "greater"
-    assert compare(lam, lam, "star") == "equal"
+    assert star_lt(mu, lam) and not star_lt(lam, mu)
+    assert not star_lt(lam, lam)
 
 
 def test_star_refined_example():
     lam = PartitionTuple([(), (1,), (2,)])
     mu = PartitionTuple([(), (2,), (1,)])
-    assert compare(lam, mu, "star_refined") == "greater"
+    assert star_refined_lt(mu, lam) and not star_refined_lt(lam, mu)
 
 
-@pytest.mark.parametrize("ordering", ["star", "star_refined", "L", "R"])
-def test_strict_partial_order(ordering):
+@pytest.mark.parametrize("lt", [star_lt, star_refined_lt], ids=["star", "star_refined"])
+def test_strict_partial_order(lt):
     for n_comp, n in [(2, 3), (3, 2), (2, 5)]:
         tuples = enumerate_tuples(n_comp, n)
-        rel = {}
+        below = {a: {b for b in tuples if lt(b, a)} for a in tuples}
         for a in tuples:
-            for b in tuples:
-                rel[(a, b)] = compare(a, b, ordering)
-        for a in tuples:
-            assert rel[(a, a)] == "equal"
-            for b in tuples:
-                if rel[(a, b)] == "greater":
-                    assert rel[(b, a)] == "less"
-                    for c in tuples:
-                        if rel[(b, c)] == "greater":
-                            assert rel[(a, c)] == "greater"
+            # irreflexive, antisymmetric and transitive
+            assert a not in below[a]
+            for b in below[a]:
+                assert a not in below[b]
+                assert below[b] <= below[a]
 
 
 def test_refinement_implies_star():

@@ -14,6 +14,7 @@ from dimfock.combinat import (
 )
 from dimfock.fock import state_scale
 from dimfock.genmac import (
+    EigenvalueCollision,
     gen_hall_littlewood,
     gen_jack,
     gen_macdonald,
@@ -166,6 +167,13 @@ def test_dual_orthogonality(point2):
             for mu in basis.tuples:
                 val = basis.module.pair(bra, basis.state(mu))
                 assert (val == 0) == (lam != mu)
+
+
+def test_eigenvalue_collision_is_named(point2):
+    # equal weights give the swapped tuples one eigenvalue
+    u = point2.u[0]
+    with pytest.raises(EigenvalueCollision, match=r"\(\), \(1,\)\) vs .*\(1,\), \(\)\)"):
+        gen_macdonald(1, point2.with_u([u, u]))
 
 
 def test_restriction_to_single_component(point3):

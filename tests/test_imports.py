@@ -14,7 +14,6 @@ PACKAGE = Path(dimfock.__file__).parent
 
 # (module, name) -> why the import stays although the module never reads it
 KEPT = {
-    ("genmac", "EigenvalueCollision"): "re-exported; tests/test_linalg.py asserts genmac's name",
     ("kacdet", "bra_apply"): "perfbench's rebinding test reads kacdet.bra_apply",
 }
 

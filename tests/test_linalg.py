@@ -6,8 +6,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from dimfock import genmac, kacdet, linalg
-from dimfock.fock import BosonModule, GeneratorFamily
+from dimfock import genmac, kacdet, linalg, symfunc
+from dimfock.fock import BosonModule, GeneratorFamily, operator_matrix
 from dimfock.linalg import (
     EigenvalueCollision,
     SingularMatrix,
@@ -18,6 +18,7 @@ from dimfock.linalg import (
     mat_mul,
     mat_vec,
     solve_unique,
+    transpose,
     triangular_eigenvector,
 )
 from dimfock.scalars import Poly, RatFunc, make_point
@@ -213,10 +214,7 @@ def fraction_determinant(a):
 def test_determinant_matches_leibniz(a):
     want = leibniz(a)
     event("singular" if want == 0 else "nonsingular")
-    sizes = [(bits(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
-    if sizes:
-        _, i, j = min(sizes)
-        event("first pivot: row swap %s, column swap %s" % (i > 0, j > 0))
+    event(first_pivot(a))
     got = determinant(a)
     assert got == want == fraction_determinant(a)
     assert isinstance(got, F)
@@ -224,6 +222,9 @@ def test_determinant_matches_leibniz(a):
 
 def test_determinant_by_hand():
     assert determinant([]) == 1
+    # the cleared row [1, 5000] holds the entry with the fewest bits, in place
+    assert first_pivot([[F(1, 1000), F(5)], [F(3), F(7)]]) == "first pivot: no swap"
+    assert determinant([[F(1, 1000), F(5)], [F(3), F(7)]]) == F(-14993, 1000)
     ints = determinant([[2, 1], [1, 3]])
     assert ints == 5 and isinstance(ints, F)
     # the smallest entry sits at (1, 2): one row swap and one column swap, signs cancel
@@ -276,6 +277,22 @@ def primitive_rows(a):
     return out
 
 
+def first_pivot(a):
+    """The event of determinant's first pivot: the entry with the fewest bits
+    in the cleared primitive rows, ties to the first in row-major order."""
+    sizes = [
+        (abs(x).bit_length(), i, j)
+        for i, row in enumerate(primitive_rows(a))
+        for j, x in enumerate(row)
+        if x
+    ]
+    if not sizes:
+        return "no pivot"
+    _, i, j = min(sizes)
+    swaps = [name for name, moved in (("row swap", i > 0), ("column swap", j > 0)) if moved]
+    return "first pivot: " + (" and ".join(swaps) or "no swap")
+
+
 @settings(max_examples=300, deadline=None)
 @given(square_matrices(), st.data())
 def test_determinant_of_scaled_rows_and_columns(a, data):
@@ -287,15 +304,7 @@ def test_determinant_of_scaled_rows_and_columns(a, data):
     scaled = [[ri * x * cj for x, cj in zip(row, c)] for ri, row in zip(r, a)]
     want = prod(r) * prod(c) * leibniz(a)
     event("singular" if want == 0 else "nonsingular")
-    sizes = [
-        (abs(x).bit_length(), i, j)
-        for i, row in enumerate(primitive_rows(scaled))
-        for j, x in enumerate(row)
-        if x
-    ]
-    if sizes:
-        _, i, j = min(sizes)
-        event("first pivot: row swap %s, column swap %s" % (i > 0, j > 0))
+    event(first_pivot(scaled))
     assert determinant(scaled) == want == fraction_determinant(scaled)
 
 
@@ -331,6 +340,8 @@ def test_shape_and_field_guards(sym_point2):
         inverse([[s, F(1)]])
     with pytest.raises(TypeError, match="over Q only"):
         determinant([[s, F(1)], [F(1), F(1)]])
+    with pytest.raises(TypeError, match="over Q only"):
+        inverse([[s, F(1)], [F(1), F(1)]])
 
 
 def test_determinant_matches_the_fraction_oracle_on_kac_grams(point2, point3):
@@ -481,16 +492,20 @@ def test_cleared_products_over_rational_functions(case):
 
 
 def symbolic_level3_data():
-    """(P, X0, P^-1 X0 P) at level 3 of the symbolic-q point make_point(5, 2, 4, "q")."""
+    """(P, X0, P^-1 X0 P, P^-1) at level 3 of the symbolic-q point
+    make_point(5, 2, 4, "q"): P^-1 X0 P as zero_mode_conjugation forms it,
+    through the orthogonality of the kets, and P^-1 from the Gauss-Jordan
+    oracle."""
     pt = make_point(5, 2, 4, "q")
-    return genmac.zero_mode_conjugation(3, GeneratorFamily(BosonModule(pt, 2, pt.u, 4, kind="qt")))
+    family = GeneratorFamily(BosonModule(pt, 2, pt.u, 4, kind="qt"))
+    pmat, _, _, conj = genmac.zero_mode_conjugation(3, family)
+    x0 = operator_matrix(family.x_mode(1, 0), family.module, 3, 3)
+    return pmat, x0, conj, gauss_inverse(pmat)
 
 
 def test_cleared_products_at_a_symbolic_q_point():
-    pmat, x0, conj = symbolic_level3_data()
+    pmat, x0, conj, pinv = symbolic_level3_data()
     assert any(isinstance(x, RatFunc) for row in pmat for x in row)
-    pinv = inverse(pmat)
-    assert pinv == gauss_inverse(pmat)
     xp = mat_mul(x0, pmat)
     for got, want in ((xp, term_mat_mul(x0, pmat)), (conj, term_mat_mul(pinv, xp))):
         assert got == want and hashes(got) == hashes(want)
@@ -508,8 +523,7 @@ def test_symbolic_products_take_one_gcd_per_entry(monkeypatch):
     of zero_mode_conjugation at make_point(5, 2, 4, "q"), X0 P and
     P^-1 (X0 P), take at most 100 Poly.gcd calls each, where sums reduced
     term by term took about 200-280."""
-    pmat, x0, conj = symbolic_level3_data()
-    pinv = inverse(pmat)
+    pmat, x0, conj, pinv = symbolic_level3_data()
     calls = []
     gcd = Poly.gcd
 
@@ -523,3 +537,70 @@ def test_symbolic_products_take_one_gcd_per_entry(monkeypatch):
     assert linalg.mat_mul(pinv, xp) == conj
     second = len(calls) - first
     assert first <= 100 and second <= 100, (first, second)
+
+
+# -- eigenbases without inverses ----------------------------------------------
+
+
+@pytest.mark.parametrize("n_comp", [2, 3])
+def test_state_matrix_inverse_matches_gauss_jordan(n_comp):
+    for seed in (101, 198):
+        pt = make_point(seed, n_comp, 4)
+        for level in (1, 2, 3):
+            basis = genmac.gen_macdonald(level, pt)
+            smat = basis.state_matrix()
+            assert basis.state_matrix_inverse() == inverse(smat), (seed, level)
+
+
+def test_state_matrix_inverse_at_a_symbolic_q_point():
+    pt = make_point(5, 2, 4, "q")
+    basis = genmac.GenMacBasis(3, GeneratorFamily(BosonModule(pt, 2, pt.u, 4, kind="qt")))
+    smat = basis.state_matrix()
+    assert any(isinstance(x, RatFunc) for row in smat for x in row)
+    assert mat_mul(basis.state_matrix_inverse(), smat) == identity(len(smat))
+
+
+def rmat_dual_side(basis):
+    """(dual coefficients, dual bras) by the construction the eigenbasis used
+    to take: rmat = P^T G holds the bra-products as rows, the dual zero mode
+    is rmat X0 rmat^-1, and the dual coefficients are its left eigenvectors,
+    summed over the rows of rmat for the bras."""
+    module, tuples, n = basis.module, basis.tuples, len(basis.tuples)
+    x0 = operator_matrix(basis.family.x_mode(1, 0), module, basis.level, basis.level)
+    grams = [module.monomial_gram(m) for m in tuples]
+    rmat = [[basis.pmat[v][j] * grams[v] for v in range(n)] for j in range(n)]
+    y = mat_mul(mat_mul(rmat, x0), gauss_inverse(rmat))
+    y_rev = [row[::-1] for row in transpose(y)][::-1]
+    coeffs = [triangular_eigenvector(y_rev, n - 1 - j, tuples[::-1])[::-1] for j in range(n)]
+    bras = [{m: x for m, x in zip(tuples, mat_vec(transpose(rmat), c)) if x} for c in coeffs]
+    return coeffs, bras
+
+
+def test_dual_side_matches_the_rmat_construction(point2, point3):
+    for pt, level in ((point2, 2), (point3, 2), (point2, 3)):
+        basis = genmac.gen_macdonald(level, pt)
+        coeffs, bras = rmat_dual_side(basis)
+        assert basis.dual_coeff == coeffs, level
+        assert [basis.dual_bra(t) for t in basis.tuples] == bras, level
+
+
+def test_eigenbases_call_no_inverse(monkeypatch, point2):
+    """No linalg.inverse call in a GenMacBasis build, its inverse state
+    matrix, its dual bras or gen_hall_littlewood(3).  symfunc's per-degree
+    conversion matrices, cached per process, invert; they are built first."""
+    for n in range(4):
+        symfunc._basis_matrices(n)
+    calls = []
+    original = linalg.inverse
+
+    def counted(a):
+        calls.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(linalg, "inverse", counted)
+    basis = genmac.gen_macdonald(3, point2)
+    basis.state_matrix_inverse()
+    for tup in basis.tuples:
+        basis.dual_bra(tup)
+    genmac.gen_hall_littlewood(3, make_point(7, 2, 4, "q"))
+    assert calls == []
