@@ -117,10 +117,12 @@ def crystal_whittaker_norm(order, point, direct=False):
 
 
 def _ones_inverse_entry(n, family):
-    """Diagonal entry of the inverse level-n Gram at the PBW word (1^n)."""
+    """Diagonal entry of the inverse level-n Gram at the PBW word (1^n):
+    entry c of the solution of G x = e_c, one column of G^-1."""
     gram, tuples = pbw_gram(n, family)
     column = tuples.index(PartitionTuple([Partition((1,) * n)]))
-    return linalg.inverse(gram)[column][column]
+    unit = [ONE if i == column else ZERO for i in range(len(tuples))]
+    return linalg.solve_unique(gram, unit)[column]
 
 
 # ---------------------------------------------------------------------------

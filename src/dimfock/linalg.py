@@ -3,8 +3,11 @@
 `mat_mul` and `mat_vec` clear each row and column once (`scalars.cleared`)
 and read each entry out as one reduced quotient, over Q and over Q(s).
 `determinant` and `inverse` work over Q only, on primitive integer rows:
-no eigenbasis needs a general inverse over Q(s).  The other functions
-need only the Python arithmetic operators.
+no eigenbasis needs a general inverse over Q(s).  `solve_unique` solves a
+system over Q with LIFT_MIN unknowns or more by p-adic lifting modulo one
+word-size prime, certified by exact substitution over Q, and any other
+system by sparse elimination over the field of its entries.
+`triangular_eigenvector` needs only the Python arithmetic operators.
 
 Matrices are plain lists of lists.  Fraction(0)/Fraction(1) serve as the
 neutral elements; they coerce into the richer field automatically.
@@ -14,7 +17,9 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import gcd
+from itertools import chain, compress, repeat
+from math import gcd, isqrt
+from operator import is_not, mul
 
 from .scalars import RatFunc, cleared, dot, quotient
 
@@ -91,37 +96,13 @@ def triangular_eigenvector(a, j, labels):
     return vec
 
 
-def gauss_eliminate(a, rhs):
-    """Row-reduce [a | rhs] in place; returns (pivot column list, rank).
-
-    Plain Gauss-Jordan over any field; the tests' dense oracle for
-    `inverse` and `solve_unique`."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        rhs[r] = [x * inv for x in rhs[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                rhs[i] = [x - f * y for x, y in zip(rhs[i], rhs[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    return piv_cols, r
+# The lifted solve's prime: 2^61 - 1, a Mersenne prime, so that residues and
+# their products stay small integers.
+PRIME = (1 << 61) - 1
+# Below this many unknowns the field elimination is cheaper than the lift.
+# On a 2-vCPU Xeon under CPython 3.11, the vertex systems at 16 unknowns
+# took 0.75 ms over the field and 0.88 ms lifted; at 49, 7.7 and 5.0 ms.
+LIFT_MIN = 32
 
 
 def solve_unique(a, b):
@@ -131,7 +112,195 @@ def solve_unique(a, b):
     SingularMatrix when there are no rows, when the system is inconsistent,
     or when it does not pin every unknown, in that order of precedence.
 
-    Sparse elimination with a Markowitz-style pivot order: rows become
+    Over Q, from LIFT_MIN unknowns on, the system is solved by p-adic
+    lifting (`_lifted_solve`) and certified by exact substitution into
+    every row.  A smaller system, an entry in Q(s), a rank defect modulo
+    the prime or a lift that does not certify takes sparse elimination
+    over the field (`_field_solve`).  Both paths give the same solution and
+    the same SingularMatrix message.
+    """
+    return _solve(a, b, PRIME, LIFT_MIN)
+
+
+def _solve(a, b, p, lift_min=0):
+    """solve_unique with the lifting prime p, lifting from lift_min unknowns."""
+    if not a:
+        raise SingularMatrix("no equations")
+    n = len(a[0])
+    # cells that are ZERO itself, the bulk of a sparse system held dense, are
+    # skipped by identity, without a truth test on each
+    cols = range(n)
+    rows = [
+        ({j: row[j] for j in compress(cols, map(is_not, row, repeat(ZERO))) if row[j]}, rhs)
+        for row, rhs in zip(a, b)
+    ]
+    if n >= lift_min and not _symbolic([row.values() for row, _ in rows], [b]):
+        sol = _lifted_solve(rows, n, p)
+        if sol is not None:
+            return sol
+    return _field_solve(rows, n)
+
+
+def _markowitz(rows, n):
+    """(order, col_count): the row indices, fewest nonzeros first, and the
+    nonzeros of each column, the count that picks a pivot column."""
+    col_count = [0] * n
+    for row, _ in rows:
+        for j in row:
+            col_count[j] += 1
+    return sorted(range(len(rows)), key=lambda i: len(rows[i][0])), col_count
+
+
+def _lifted_solve(rows, n, p):
+    """solve_unique over Q by p-adic lifting (Dixon 1982); None to fall back.
+
+    Each row and its rhs are cleared to integers once.  The elimination of
+    _field_solve, run modulo p with likely dependent rows put off to the
+    end, picks n pivot rows whose square system A x = b is invertible
+    modulo p, and so over Q; it records each pivot row's reduction factors
+    (L) and normalized remainder (U).  With r_0 = b, step k solves
+    A x_k = r_k modulo p through L and U and sets r_(k+1) =
+    (r_k - A x_k) / p, an exact division, so after s steps
+    X = x_0 + x_1 p + ... + x_(s-1) p^(s-1) solves A X = b modulo p^s.
+    Then the entries of X are read back as rationals of height at most
+    sqrt(p^s / 2) over one running common denominator (rational
+    reconstruction, Knuth TAOCP 4.5.3), starting at the entry that stopped
+    the last attempt.  A candidate that satisfies every pivot row exactly
+    is the unique solution of the system, if it has one, so a row that it
+    fails proves the system inconsistent.  By Cramer's rule and Hadamard's
+    bound H on the minors of [A | b], the attempt at p^s > 2 H^2 cannot
+    fail; the lift stops there, returning None if it did.
+    """
+    ints = []  # by row: its entries, in the order of its dict, and its rhs, cleared
+    for row, rhs in rows:
+        _, nums = cleared([*row.values(), rhs])
+        rhs = nums.pop()
+        ints.append((nums, rhs))
+    order, col_count = _markowitz(rows, n)
+    rank_of = {}  # pivot column -> its rank
+    pivots = []  # by rank: (row index, column, U entries, 1/pivot, L ranks, L factors)
+
+    def candidates():
+        # a row whose columns all have pivots when its turn comes is most
+        # often a combination of the pivot rows: it waits until the other
+        # rows are done, and is reduced only if the rank is still short
+        later = []
+        for i in order:
+            if all(j in rank_of for j in rows[i][0]):
+                later.append(i)
+            else:
+                yield i
+        yield from later
+
+    for i in candidates():
+        if len(pivots) == n:
+            break
+        # entries are reduced modulo p when read as a factor and at the end:
+        # a column stays in the row until its pivot takes it, so each rank
+        # enters todo once
+        row = dict(zip(rows[i][0], ints[i][0]))
+        lk, lf = [], []
+        todo = sorted(-rank_of[j] for j in row if j in rank_of)
+        while todo:
+            k = -todo.pop()
+            c, urow = pivots[k][1:3]
+            f = row.pop(c) % p
+            if not f:
+                continue
+            lk.append(k)
+            lf.append(f)
+            for j, v in urow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * v
+                    if j in rank_of:
+                        insort(todo, -rank_of[j])
+                else:
+                    row[j] = x - f * v
+        row = {j: x % p for j, x in row.items() if x % p}
+        if row:
+            c = min(row, key=lambda j: (col_count[j], j))
+            inv = pow(row.pop(c), -1, p)
+            rank_of[c] = len(pivots)
+            pivots.append((i, c, {j: x * inv % p for j, x in row.items()}, inv, lk, lf))
+    if len(pivots) < n:
+        return None
+    arows = [(rows[i][0], ints[i][0]) for i, *_ in pivots]  # A: columns, entries
+    bits = sum((sum(x * x for x in nums) + rhs * rhs).bit_length() + 1 >> 1
+               for nums, rhs in (ints[i] for i, *_ in pivots))
+    last = -(-(2 * bits + 1) // (p.bit_length() - 1))  # p^last > 2 H^2
+    residue = [ints[i][1] for i, *_ in pivots]
+    lifted = [0] * n
+    modulus = 1
+    first = 0  # the entry that stopped the last reconstruction
+    for _ in range(last):
+        y = []  # L y = residue
+        for (_, _, _, inv, lk, lf), r in zip(pivots, residue):
+            y.append((r - sum(map(mul, lf, map(y.__getitem__, lk)))) * inv % p)
+        x = [0] * n  # U x = y
+        for (_, c, urow, _, _, _), yk in zip(reversed(pivots), reversed(y)):
+            x[c] = (yk - sum(map(mul, urow.values(), map(x.__getitem__, urow)))) % p
+        residue = [
+            (r - sum(map(mul, nums, map(x.__getitem__, cols)))) // p
+            for r, (cols, nums) in zip(residue, arows)
+        ]
+        lifted = [a + b * modulus for a, b in zip(lifted, x)]
+        modulus *= p
+        found = _reconstruct(lifted, modulus, first)
+        if type(found) is int:
+            first = found
+            continue
+        den, sol = found
+
+        def satisfied(i):
+            nums, rhs = ints[i]
+            return sum(map(mul, nums, map(sol.__getitem__, rows[i][0]))) == rhs * den
+
+        if all(satisfied(i) for i, *_ in pivots):
+            if all(map(satisfied, range(len(rows)))):
+                return [Fraction(x, den) for x in sol]
+            raise SingularMatrix("inconsistent system")
+    return None
+
+
+def _reconstruct(values, m, first):
+    """(D, [N_j]) with values[j] == N_j / D modulo m, each N_j / D of height
+    at most sqrt(m / 2), or the index of an entry that has no such reading.
+
+    The entries are read from index first on, cyclically, over a common
+    denominator D that grows as needed: an entry whose residue times D is
+    small needs no reconstruction at all.
+    """
+    n = len(values)
+    bound = isqrt(m >> 1)
+    half = m >> 1
+    den = 1
+    read = [None] * n
+    for j in chain(range(first, n), range(first)):
+        y = values[j] * den % m
+        if y > half:
+            y -= m
+        if -bound <= y <= bound:
+            read[j] = (y, den)
+            continue
+        # half-extended Euclid on (m, y): r == t y modulo m throughout
+        r0, r1, t0, t1 = m, y % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > bound:
+            return j
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        den *= t1
+        read[j] = (r1, den)
+    return den, [num * (den // at) for num, at in read]
+
+
+def _field_solve(rows, n):
+    """solve_unique over the field of the entries, on sparse rows.
+
+    Sparse elimination with a Markowitz-style pivot order: rows are
     {column: value} dicts and are taken fewest nonzeros first.  Each row is
     reduced against the pivot rows found so far, oldest pivot first; what is
     left gives a new pivot, normalized to 1, in the column of that row with
@@ -140,15 +309,7 @@ def solve_unique(a, b):
     Once every unknown has a pivot, back-substitution gives the solution and
     each row not yet used is checked by exact substitution.
     """
-    if not a:
-        raise SingularMatrix("no equations")
-    n = len(a[0])
-    rows = [({j: x for j, x in enumerate(row) if x}, rhs) for row, rhs in zip(a, b)]
-    col_count = [0] * n
-    for row, _ in rows:
-        for j in row:
-            col_count[j] += 1
-    order = sorted(range(len(rows)), key=lambda i: len(rows[i][0]))
+    order, col_count = _markowitz(rows, n)
     rank_of = {}  # pivot column -> its rank, the order in which it was found
     pivots = []  # by rank: (column, other entries of the row, rhs)
     used = 0

@@ -113,14 +113,18 @@ def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=Fal
             mats[key] = operator_matrix(fam.x_mode(i, n), mod, level_from, level_to)
         return mats[key]
 
+    def add(row, k, c):
+        x = row.get(k)
+        row[k] = c if x is None else x + c
+
     rows = []
     rhs = []
     band = level_max + 1
     for i in range(1, n_comp + 1):
+        shift = tq**i * e_v
         for n in range(-band, band + 1):
             for lev_s in range(level_max + 1):
-                for s in mod_u.basis(lev_s):
-                    s_col = mod_u.basis(lev_s).index(s)
+                for s_col, s in enumerate(mod_u.basis(lev_s)):
                     for lev_b in range(level_max + 1):
                         # every term of the relation must stay inside the
                         # truncation, else the equation is not represented
@@ -134,30 +138,26 @@ def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=Fal
                                 for sj, s2 in enumerate(mod_v.basis(lev_b + n)):
                                     c = m1[b_i][sj]
                                     if c:
-                                        k = unknown(s2, s)
-                                        row[k] = row.get(k, ZERO) + c
+                                        add(row, unknown(s2, s), c)
                             m2 = mode_matrix(fam_v, mod_v, i, n - 1, lev_b + n - 1)
                             if m2 is not None:
                                 for sj, s2 in enumerate(mod_v.basis(lev_b + n - 1)):
                                     c = m2[b_i][sj]
                                     if c:
-                                        k = unknown(s2, s)
-                                        row[k] = row.get(k, ZERO) - e_v * c
+                                        add(row, unknown(s2, s), -e_v * c)
                             # Phi X_n |s> at nu
                             m3 = mode_matrix(fam_u, mod_u, i, n, lev_s)
                             if m3 is not None:
                                 for tj, s3 in enumerate(mod_u.basis(lev_s - n)):
                                     c = m3[tj][s_col]
                                     if c:
-                                        k = unknown(nu, s3)
-                                        row[k] = row.get(k, ZERO) - c
+                                        add(row, unknown(nu, s3), -c)
                             m4 = mode_matrix(fam_u, mod_u, i, n - 1, lev_s)
                             if m4 is not None:
                                 for tj, s3 in enumerate(mod_u.basis(lev_s - n + 1)):
                                     c = m4[tj][s_col]
                                     if c:
-                                        k = unknown(nu, s3)
-                                        row[k] = row.get(k, ZERO) + tq**i * e_v * c
+                                        add(row, unknown(nu, s3), shift * c)
                             if row:
                                 rows.append(row)
                                 rhs.append(ZERO)
@@ -167,7 +167,8 @@ def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=Fal
     rows.append({unknown(vac_v, vac_u): ONE})
     rhs.append(ONE)
 
-    dense = [[ZERO] * (n_states * n_states) for _ in rows]
+    # empty cells hold linalg.ZERO itself, which solve_unique skips unread
+    dense = [[linalg.ZERO] * (n_states * n_states) for _ in rows]
     for r, row in enumerate(rows):
         for k, c in row.items():
             dense[r][k] = c

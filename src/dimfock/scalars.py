@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
-from .combinat import enumerate_tuples
+from .combinat import enumerate_tuples, partitions
 
 
 def stable_rng(*key) -> random.Random:
@@ -594,13 +594,21 @@ class ScalarPoint:
     @staticmethod
     def _sample_weights(rng, q, t, n, bound, forbid=()):
         """Weights with no ratio u_i / u_j of the form q^r t^-s, |r|, |s| <= bound."""
-        t_pows = _power_table(t, bound).values()
-        ratios = {x * y for x in _power_table(q, bound).values() for y in t_pows}
+        # the ratios as reduced (numerator, denominator) pairs, each from one
+        # integer product, without a Fraction product and hash per pair
+        t_pows = [x.as_integer_ratio() for x in _power_table(t, bound).values()]
+        ratios = set()
+        for x in _power_table(q, bound).values():
+            qn, qd = x.as_integer_ratio()
+            for tn, td in t_pows:
+                num, den = qn * tn, qd * td
+                g = gcd(num, den)
+                ratios.add((num // g, den // g))
         for _ in range(1000):
             u = [_sample_fraction(rng) for _ in range(n)]
             pool = list(u) + list(forbid)
             ok = all(ui != 0 for ui in u) and not any(
-                (pool[i] == 0 if pool[j] == 0 else pool[i] / pool[j] in ratios)
+                (pool[i] == 0 if pool[j] == 0 else (pool[i] / pool[j]).as_integer_ratio() in ratios)
                 for i in range(len(pool))
                 for j in range(len(pool))
                 if i != j
@@ -722,11 +730,16 @@ def eigenvalue_of(tup, point):
     q, t = point.q, point.t
     total = Fraction(0)
     for k, lam in enumerate(tup.components):
-        e = Fraction(1)
-        for i, part in enumerate(lam.parts, start=1):
-            e = e + (t - 1) * (q**part - 1) * t ** (-i)
-        total = total + point.u[k] * e
+        total = total + point.u[k] * _e_value(lam.parts, q, t)
     return total
+
+
+def _e_value(parts, q, t):
+    """e_lambda = 1 + sum_i (t - 1)(q^lambda_i - 1) t^-i."""
+    e = Fraction(1)
+    for i, part in enumerate(parts, start=1):
+        e = e + (t - 1) * (q**part - 1) * t ** (-i)
+    return e
 
 
 def make_point(seed, n_weights, level_max, symbolic_slot="none"):
@@ -739,28 +752,26 @@ def make_point(seed, n_weights, level_max, symbolic_slot="none"):
 
 
 def _eigenvalues_separate(point) -> bool:
-    # In symbolic-q mode separation is certified at the sampled rational q0:
-    # distinct values there imply distinct rational functions.
-    probe = _specialized_view(point) if point.is_symbolic_q else point
+    """Whether the eigenvalue_of values of the tuples of each level up to
+    level_max are distinct.
+
+    Each e_lambda is computed once, and the products u_k e_lambda are
+    cleared to integers over one common denominator, so an eigenvalue is
+    read as a sum of integers.  In symbolic-q mode separation is certified
+    at the sampled rational q = q0^4: distinct values there imply distinct
+    rational functions.
+    """
+    q, t = point.q0**4, point.t0**4
+    parts = [lam.parts for m in range(point.level_max + 1) for lam in partitions(m)]
+    e_values = [_e_value(lam, q, t) for lam in parts]
+    _, nums = cleared([u * e for u in point.u for e in e_values])
+    tables = [dict(zip(parts, nums[k:])) for k in range(0, len(nums), len(parts))]
     for n in range(1, point.level_max + 1):
-        seen = {}
-        for tup in enumerate_tuples(point.n_weights, n):
-            ev = eigenvalue_of(tup, probe)
-            if ev in seen:
-                return False
-            seen[ev] = tup
+        tuples = enumerate_tuples(point.n_weights, n)
+        values = {sum(tab[lam.parts] for tab, lam in zip(tables, tup.components)) for tup in tuples}
+        if len(values) < len(tuples):
+            return False
     return True
-
-
-def _specialized_view(point):
-    view = ScalarPoint.__new__(ScalarPoint)
-    view.seed = point.seed
-    view.n_weights = point.n_weights
-    view.level_max = point.level_max
-    view.symbolic_slot = "none"
-    view.q0, view.t0 = point.q0, point.t0
-    view.u = point.u
-    return view
 
 
 # ---------------------------------------------------------------------------

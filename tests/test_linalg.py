@@ -12,7 +12,6 @@ from dimfock.linalg import (
     EigenvalueCollision,
     SingularMatrix,
     determinant,
-    gauss_eliminate,
     identity,
     inverse,
     mat_mul,
@@ -44,6 +43,39 @@ def test_triangular_eigenvector_collision():
     uncoupled = [[F(2), F(0), F(0)], [F(0), F(2), F(0)], [F(1), F(0), F(5)]]
     assert triangular_eigenvector(uncoupled, 0, ["a", "b", "c"]) == [1, 0, F(-1, 3)]
     assert genmac.EigenvalueCollision is EigenvalueCollision
+
+
+def gauss_eliminate(a, rhs):
+    """Row-reduce [a | rhs] in place; returns (pivot column list, rank).
+
+    Plain Gauss-Jordan over any field: the dense oracle for `inverse` and
+    `solve_unique`."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if a[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
+        inv = F(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        rhs[r] = [x * inv for x in rhs[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                rhs[i] = [x - f * y for x, y in zip(rhs[i], rhs[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    return piv_cols, r
 
 
 def dense_solve(a, b):
@@ -100,6 +132,52 @@ def test_solve_unique_matches_dense_oracle(system):
     assert outcome(solve_unique, a, b) == want
 
 
+def sparse_rows(a, b):
+    return [({j: x for j, x in enumerate(row) if x}, rhs) for row, rhs in zip(a, b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.sampled_from([3, 5, linalg.PRIME]))
+def test_lifted_solve_matches_dense_oracle(system, p):
+    # 3 and 5 divide many pivots and determinants of these small systems: the
+    # lift then falls back, and the answer and its message must not change
+    a, b = system
+    want = outcome(dense_solve, a, b)
+    lifted = outcome(lambda a, b: linalg._lifted_solve(sparse_rows(a, b), len(a[0]), p), a, b)
+    event("lift falls back" if lifted is None else "lift decides")
+    if lifted is not None:
+        assert lifted == want
+    assert outcome(lambda a, b: linalg._solve(a, b, p), a, b) == want
+
+
+def test_lifted_solve_certifies_an_inconsistent_full_rank_system(monkeypatch):
+    # rank n modulo p, and the last row disagrees with the unique solution
+    # of the others: the lift proves the system inconsistent on its own
+    n = linalg.LIFT_MIN
+    a = [[F(int(i == j), i + 1) for j in range(n)] for i in range(n)] + [[F(1)] * n]
+    x = [F(j * j - 5, 7) for j in range(n)]
+    b = mat_vec(a, x)
+    b[-1] += 1
+    with pytest.raises(SingularMatrix, match="inconsistent system"):
+        linalg._lifted_solve(sparse_rows(a, b), n, linalg.PRIME)
+    assert linalg._lifted_solve(sparse_rows(a[-3:], b[-3:]), n, linalg.PRIME) is None  # rank 3
+    monkeypatch.setattr(linalg, "_field_solve", None)  # solve_unique must not need it
+    with pytest.raises(SingularMatrix, match="inconsistent system"):
+        solve_unique(a, b)
+    b[-1] -= 1
+    assert solve_unique(a, b) == x
+
+
+def test_rank_defect_modulo_the_prime_falls_back():
+    a = [[F(5), F(1)], [F(0), F(10)], [F(15), F(3)]]
+    x = [F(1, 3), F(-2, 7)]
+    b = mat_vec(a, x)
+    assert linalg._lifted_solve(sparse_rows(a, b), 2, 5) is None
+    assert linalg._solve(a, b, 5) == x == linalg._solve(a, b, 7)
+    b[2] += F(1, 5)
+    assert outcome(lambda a, b: linalg._solve(a, b, 5), a, b) == "inconsistent system"
+
+
 def test_solve_unique_cases_and_precedence():
     assert solve_unique([[F(2), F(1)], [F(1), F(3)]], [F(3), F(4)]) == [1, 1]
     # overdetermined and consistent; the sparsest row is eliminated first
@@ -125,6 +203,8 @@ def test_solve_unique_over_rational_functions():
     x = [1 / (s - 1), s * s + F(1, 2)]
     b = [row[0] * x[0] + row[1] * x[1] for row in a]
     assert solve_unique(a, b) == x == dense_solve(a, b)
+    # over Q(s) even a lifting solve takes the field path
+    assert linalg._solve(a, b, linalg.PRIME) == x
     b[2] = b[2] + s
     with pytest.raises(SingularMatrix, match="inconsistent system"):
         solve_unique(a, b)

@@ -49,6 +49,11 @@ def test_element_conjecture_solved_n2_level2(point2):
     assert phi_element_conjecture_check(2, point2, point2.with_weights("phiv"), 2) == []
 
 
+def test_element_conjecture_solved_n2_level3(point2):
+    # 865 equations in 324 unknowns: the lifted solve, certified over Q
+    assert phi_element_conjecture_check(3, point2, point2.with_weights("phiv"), 2) == []
+
+
 def crystal_setup(pt, tag="c"):
     u = [pt.fresh_rational((tag + "u", i)) for i in range(2)]
     v = [pt.fresh_rational((tag + "v", i)) for i in range(2)]

@@ -8,6 +8,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from dimfock import scalars
+from dimfock.combinat import enumerate_tuples
 from dimfock.scalars import (
     Poly,
     RatFunc,
@@ -84,10 +85,23 @@ def _naive_sample_weights(rng, q, t, n, bound, forbid=()):
     raise ScalarError("could not sample generic weights after 1000 tries")
 
 
+def _naive_eigenvalues_separate(point):
+    """Tuple by tuple with eigenvalue_of at the rational q0: the oracle for
+    the separation test of make_point."""
+    probe = point.with_params(point.q0, point.t0, point.u)
+    probe.symbolic_slot = "none"
+    for n in range(1, point.level_max + 1):
+        values = [eigenvalue_of(tup, probe) for tup in enumerate_tuples(point.n_weights, n)]
+        if len(set(values)) < len(values):
+            return False
+    return True
+
+
 POINT_CASES = [
     (seed, n_weights, level_max, slot)
     for seed, n_weights, level_max in [
-        (1, 1, 2), (7, 2, 3), (11, 3, 2), (42, 2, 4), (101, 2, 4), (102, 3, 3), (313, 4, 2)
+        (1, 1, 2), (7, 2, 3), (11, 3, 2), (42, 2, 4), (101, 2, 4), (102, 3, 3), (313, 4, 2),
+        (13, 1, 6), (7, 2, 7), (1, 3, 4), (101, 4, 3),
     ]
     for slot in ("none", "q")
 ]
@@ -103,6 +117,7 @@ def test_point_sampling_matches_naive_loops(monkeypatch):
     fast = [_sampled(*case) for case in POINT_CASES]
     monkeypatch.setattr(ScalarPoint, "_qt_ok", staticmethod(_naive_qt_ok))
     monkeypatch.setattr(ScalarPoint, "_sample_weights", staticmethod(_naive_sample_weights))
+    monkeypatch.setattr(scalars, "_eigenvalues_separate", _naive_eigenvalues_separate)
     assert fast == [_sampled(*case) for case in POINT_CASES]
 
 
@@ -142,6 +157,18 @@ def test_weight_rejection_covers_exactly_the_exponent_box():
             for sample in (ScalarPoint._sample_weights, _naive_sample_weights):
                 got = sample(_ScriptedRng(first, second), q, t, 1, bound, forbid)
                 assert got == [second if inside else first], (r, s, sample)
+
+
+def test_separation_verdicts_match_the_eigenvalue_oracle():
+    pt = make_point(7, 2, 4)
+    u = pt.u[0]
+    q, t = pt.q, pt.t
+    # equal weights, and weight ratios q / t, t and q, all collide
+    collide = [pt.with_u([u, u * r]) for r in (1, q / t, t, q)]
+    points = [pt, pt.with_params(pt.q0, pt.q0, [u, 2 * u]), make_point(5, 3, 3, "q")] + collide
+    verdicts = [scalars._eigenvalues_separate(p) for p in points]
+    assert verdicts == [_naive_eigenvalues_separate(p) for p in points]
+    assert verdicts == [True] * 3 + [False] * len(collide)
 
 
 def test_eigenvalue_separation():
