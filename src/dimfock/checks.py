@@ -16,10 +16,10 @@ import itertools
 from fractions import Fraction
 from functools import partial
 
-from . import genmac, kacdet, nekrasov, phi, relations, rmatrix, symfunc, vertical
+from . import genmac, kacdet, linalg, nekrasov, phi, relations, rmatrix, symfunc, vertical
 from . import rmatrix_tables as tables
 from .combinat import EMPTY, Partition, PartitionTuple, b_factor, dominance_le, partitions
-from .fock import BosonModule, GeneratorFamily, state_scale
+from .fock import BosonModule, GeneratorFamily, column_matrix, coordinates, pbw_state, state_scale
 from .scalars import eigenvalue_of, make_point
 
 # ---------------------------------------------------------------------------
@@ -156,12 +156,19 @@ def dual_orthogonality(pt, level, n_comp):
 
 
 def integral_form_normalization(pt, level, n_comp):
-    """Every integral form has coefficient 1 on the designated PBW monomial."""
+    """Every integral form K, expanded over the primed PBW kets by an exact
+    solve, gives its alpha row, with coefficient 1 on the designated PBW
+    monomial."""
     failures = []
     for n in range(level + 1):
         forms = genmac.integral_forms(genmac.gen_macdonald(n, pt, n_comp=n_comp))
-        designated = genmac._designated_index(forms.basis.tuples, n)
-        failures += [tup for tup, vec in forms.alpha.items() if vec[designated] != 1]
+        tuples, family = forms.tuples, forms.basis.family
+        designated = genmac._designated_index(tuples, n)
+        kets = column_matrix([pbw_state(t, family, prime=True) for t in tuples], tuples)
+        for tup in tuples:
+            expansion = linalg.solve_unique(kets, coordinates(forms.k_state(tup), tuples))
+            if expansion != forms.alpha[tup] or expansion[designated] != 1:
+                failures.append(tup)
     return failures
 
 
@@ -342,7 +349,7 @@ def level2_tables(pts):
         q, t, S = pt.q, pt.t, pt.p_half()
         u1, u2, u3 = pt.u
         A2 = _transition(genmac.gen_macdonald(2, pt, n_comp=3))
-        block2, _ = rmatrix.two_boson_block(2, pt, rmatrix.k_from_spectator(2, pt))
+        block2 = rmatrix.two_boson_block(2, pt, rmatrix.k_from_spectator(2, pt))
         comparisons = [
             ("transition", A2, tables.transition_level2_n3(q, t, u1, u2, u3, S)),
             ("eigen-block", block2.eigen_matrix, tables.eigen_block_level2_n2(q, t, u1 / u2, S)),

@@ -204,7 +204,7 @@ def gen_macdonald(level, point, n_comp=None, module=None, crystal_normalized=Fal
     """Generalized Macdonald basis at the given level."""
     if module is None:
         n_comp = n_comp or point.n_weights
-        module = BosonModule(point, n_comp, point.u, max(level + 1, level), kind="qt")
+        module = BosonModule(point, n_comp, point.u, level + 1, kind="qt")
     family = GeneratorFamily(module, crystal_normalized=crystal_normalized)
     return GenMacBasis(level, family)
 
@@ -242,17 +242,14 @@ class IntegralForms:
                 raise ArithmeticError("designated expansion coefficient vanishes at %r" % (tup,))
             self.alpha[tup] = [a / a_des for a in avec]
             self.k_norm[tup] = 1 / a_des
-        # dual side: expand the dual eigenvector over reversed-order PBW bras
+        # dual side: the designated coefficient of the dual eigenvector over
+        # reversed-order PBW bras, one row of the inverse bra matrix
         bmat = column_matrix([pbw_bra(t, family, prime=True) for t in tuples], tuples)
-        binv = linalg.inverse(bmat)
-        self.beta = {}
+        duals = [coordinates(basis.dual_bra(tup), tuples) for tup in tuples]
         self.k_norm_dual = {}
-        for tup in tuples:
-            bvec = linalg.mat_vec(binv, coordinates(basis.dual_bra(tup), tuples))
-            b_des = bvec[des]
+        for tup, b_des in zip(tuples, linalg.mat_vec(duals, linalg.inverse(bmat)[des])):
             if not b_des:
                 raise ArithmeticError("designated dual coefficient vanishes at %r" % (tup,))
-            self.beta[tup] = [b / b_des for b in bvec]
             self.k_norm_dual[tup] = 1 / b_des
         # the alternative renormalization M-tilde = m_tilde_norm * P, built
         # from Nekrasov factors

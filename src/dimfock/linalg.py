@@ -2,11 +2,11 @@
 
 `mat_mul` and `mat_vec` clear each row and column once (`scalars.cleared`)
 and read each entry out as one reduced quotient, over Q and over Q(s).
-`determinant` and `inverse` work over Q only, on primitive integer rows:
-no eigenbasis needs a general inverse over Q(s).  `solve_unique` solves a
-system over Q with LIFT_MIN unknowns or more by p-adic lifting modulo one
-word-size prime, certified by exact substitution over Q, and any other
-system by sparse elimination over the field of its entries.
+`determinant`, `inverse` and `solve_unique` work over Q only, on integer
+rows: no caller needs them over Q(s).  `solve_unique` runs one sparse
+elimination, `_factor`, modulo a word-size prime for p-adic lifting from
+LIFT_MIN unknowns on, or over Q, and certifies its solution by exact
+substitution into every row.
 `triangular_eigenvector` needs only the Python arithmetic operators.
 
 Matrices are plain lists of lists.  Fraction(0)/Fraction(1) serve as the
@@ -16,6 +16,7 @@ neutral elements; they coerce into the richer field automatically.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, isqrt
@@ -99,91 +100,94 @@ def triangular_eigenvector(a, j, labels):
 # The lifted solve's prime: 2^61 - 1, a Mersenne prime, so that residues and
 # their products stay small integers.
 PRIME = (1 << 61) - 1
-# Below this many unknowns the field elimination is cheaper than the lift.
+# Below this many unknowns the factors over Q are cheaper than the lift.
 # On a 2-vCPU Xeon under CPython 3.11, the vertex systems at 16 unknowns
-# took 0.75 ms over the field and 0.88 ms lifted; at 49, 7.7 and 5.0 ms.
+# took 1.1-1.6 ms over Q and 1.1-2.4 ms lifted; at 64, 8.9 and 6.5 ms.
 LIFT_MIN = 32
 
 
 def solve_unique(a, b):
-    """Exact solution of a possibly overdetermined consistent system.
+    """Exact solution of a possibly overdetermined consistent system over Q.
 
-    a is a dense list of rows x n, b the matching vector.  Raises
+    a is a dense list of rows x n and b the matching vector, with Fraction
+    or int entries; an entry in Q(s) raises TypeError.  Raises
     SingularMatrix when there are no rows, when the system is inconsistent,
     or when it does not pin every unknown, in that order of precedence.
 
-    Over Q, from LIFT_MIN unknowns on, the system is solved by p-adic
-    lifting (`_lifted_solve`) and certified by exact substitution into
-    every row.  A smaller system, an entry in Q(s), a rank defect modulo
-    the prime or a lift that does not certify takes sparse elimination
-    over the field (`_field_solve`).  Both paths give the same solution and
-    the same SingularMatrix message.
+    Each row and its rhs are cleared to integers once, and one sparse
+    factorization (`_factor`) serves two substitutions.  From LIFT_MIN
+    unknowns on, its factors modulo the prime drive p-adic lifting
+    (`_lift`).  A smaller system, a rank defect modulo the prime or a lift
+    that finds no candidate takes the factors over Q instead, and one
+    forward and one back substitution.  Either candidate is certified by
+    exact substitution into every row.
     """
     return _solve(a, b, PRIME, LIFT_MIN)
 
 
 def _solve(a, b, p, lift_min=0):
-    """solve_unique with the lifting prime p, lifting from lift_min unknowns."""
+    """solve_unique with the lifting prime p, lifting from lift_min unknowns.
+
+    Over Q the unknowns without a pivot are set to 0, so the candidate
+    satisfies every pivot row.  When the rank is short, every other row has
+    reduced to zero, and the candidate fails such a row exactly when its
+    reduced rhs is nonzero: the substitution into every row decides
+    "inconsistent" before "underdetermined".
+    """
     if not a:
         raise SingularMatrix("no equations")
     n = len(a[0])
-    # cells that are ZERO itself, the bulk of a sparse system held dense, are
-    # skipped by identity, without a truth test on each
-    cols = range(n)
-    rows = [
-        ({j: row[j] for j in compress(cols, map(is_not, row, repeat(ZERO))) if row[j]}, rhs)
-        for row, rhs in zip(a, b)
-    ]
-    if n >= lift_min and not _symbolic([row.values() for row, _ in rows], [b]):
-        sol = _lifted_solve(rows, n, p)
-        if sol is not None:
-            return sol
-    return _field_solve(rows, n)
+    rows = []  # by row: its nonzero columns, their entries and its rhs, cleared
+    for row, rhs in zip(a, b):
+        # cells that are ZERO itself, the bulk of a sparse system held dense,
+        # are skipped by identity, without a truth test on each
+        js = [j for j in compress(range(n), map(is_not, row, repeat(ZERO))) if row[j]]
+        values = [*map(row.__getitem__, js), rhs]
+        if RatFunc in set(map(type, values)):
+            raise TypeError("solve_unique works over Q only, not over Q(s)")
+        nums = cleared(values)[1]
+        rows.append((js, nums, nums.pop()))
+    rank = n
+    found = _lift(rows, n, p) if n >= lift_min else None
+    if found is None:
+        pivots = _factor(rows, n, None)
+        rank = len(pivots)
+        found = cleared(_substitute(pivots, [rows[i][2] for i, *_ in pivots], n, None))
+    den, sol = found
+    if not _satisfies(rows, den, sol):
+        raise SingularMatrix("inconsistent system")
+    if rank < n:
+        raise SingularMatrix("underdetermined: rank %d of %d unknowns" % (rank, n))
+    return [Fraction(v, den) for v in sol]
 
 
-def _markowitz(rows, n):
-    """(order, col_count): the row indices, fewest nonzeros first, and the
-    nonzeros of each column, the count that picks a pivot column."""
-    col_count = [0] * n
-    for row, _ in rows:
-        for j in row:
-            col_count[j] += 1
-    return sorted(range(len(rows)), key=lambda i: len(rows[i][0])), col_count
+def _satisfies(rows, den, sol):
+    """Whether sol / den satisfies each of the cleared rows, exactly."""
+    return all(
+        sum(map(mul, nums, map(sol.__getitem__, js))) == rhs * den for js, nums, rhs in rows
+    )
 
 
-def _lifted_solve(rows, n, p):
-    """solve_unique over Q by p-adic lifting (Dixon 1982); None to fall back.
+def _factor(rows, n, p):
+    """Sparse LU factors of the cleared rows, modulo p or, with p None, over Q.
 
-    Each row and its rhs are cleared to integers once.  The elimination of
-    _field_solve, run modulo p with likely dependent rows put off to the
-    end, picks n pivot rows whose square system A x = b is invertible
-    modulo p, and so over Q; it records each pivot row's reduction factors
-    (L) and normalized remainder (U).  With r_0 = b, step k solves
-    A x_k = r_k modulo p through L and U and sets r_(k+1) =
-    (r_k - A x_k) / p, an exact division, so after s steps
-    X = x_0 + x_1 p + ... + x_(s-1) p^(s-1) solves A X = b modulo p^s.
-    Then the entries of X are read back as rationals of height at most
-    sqrt(p^s / 2) over one running common denominator (rational
-    reconstruction, Knuth TAOCP 4.5.3), starting at the entry that stopped
-    the last attempt.  A candidate that satisfies every pivot row exactly
-    is the unique solution of the system, if it has one, so a row that it
-    fails proves the system inconsistent.  By Cramer's rule and Hadamard's
-    bound H on the minors of [A | b], the attempt at p^s > 2 H^2 cannot
-    fail; the lift stops there, returning None if it did.
+    Rows are taken fewest nonzeros first (Markowitz order), except that a
+    row whose columns all have pivots when its turn comes, most often a
+    combination of the pivot rows, waits until the other rows are done and
+    is reduced only if the rank is still short.  Each row is reduced
+    against the pivot rows found so far, oldest pivot first; what is left
+    gives a new pivot, normalized to 1, in its column with the fewest
+    nonzeros in a.  A pivot row has entries only in columns that had no
+    pivot when it was made, so the reduction never revisits a pivot.  The
+    factoring stops at n pivots.  Returns, by rank, (row index, column,
+    U entries, 1/pivot, L ranks, L factors).
     """
-    ints = []  # by row: its entries, in the order of its dict, and its rhs, cleared
-    for row, rhs in rows:
-        _, nums = cleared([*row.values(), rhs])
-        rhs = nums.pop()
-        ints.append((nums, rhs))
-    order, col_count = _markowitz(rows, n)
+    col_count = Counter(chain.from_iterable(js for js, _, _ in rows))  # picks a pivot column
+    order = sorted(range(len(rows)), key=lambda i: len(rows[i][0]))
     rank_of = {}  # pivot column -> its rank
-    pivots = []  # by rank: (row index, column, U entries, 1/pivot, L ranks, L factors)
+    pivots = []
 
     def candidates():
-        # a row whose columns all have pivots when its turn comes is most
-        # often a combination of the pivot rows: it waits until the other
-        # rows are done, and is reduced only if the rank is still short
         later = []
         for i in order:
             if all(j in rank_of for j in rows[i][0]):
@@ -195,16 +199,18 @@ def _lifted_solve(rows, n, p):
     for i in candidates():
         if len(pivots) == n:
             break
-        # entries are reduced modulo p when read as a factor and at the end:
-        # a column stays in the row until its pivot takes it, so each rank
-        # enters todo once
-        row = dict(zip(rows[i][0], ints[i][0]))
+        # modulo p, entries are reduced when read as a factor and at the end;
+        # over Q, zeros are dropped at the end.  A column stays in the row
+        # until its pivot takes it, so each rank enters todo once
+        js, nums, _ = rows[i]
+        row = dict(zip(js, nums))
         lk, lf = [], []
+        # negated ranks in ascending order: pop() takes the oldest pivot
         todo = sorted(-rank_of[j] for j in row if j in rank_of)
         while todo:
             k = -todo.pop()
             c, urow = pivots[k][1:3]
-            f = row.pop(c) % p
+            f = row.pop(c) if p is None else row.pop(c) % p
             if not f:
                 continue
             lk.append(k)
@@ -217,49 +223,79 @@ def _lifted_solve(rows, n, p):
                         insort(todo, -rank_of[j])
                 else:
                     row[j] = x - f * v
-        row = {j: x % p for j, x in row.items() if x % p}
-        if row:
-            c = min(row, key=lambda j: (col_count[j], j))
+        if p is None:
+            row = {j: x for j, x in row.items() if x}
+        else:
+            row = {j: x % p for j, x in row.items() if x % p}
+        if not row:
+            continue
+        c = min(row, key=lambda j: (col_count[j], j))
+        if p is None:
+            inv = ONE / row.pop(c)
+            urow = {j: x * inv for j, x in row.items()}
+        else:
             inv = pow(row.pop(c), -1, p)
-            rank_of[c] = len(pivots)
-            pivots.append((i, c, {j: x * inv % p for j, x in row.items()}, inv, lk, lf))
+            urow = {j: x * inv % p for j, x in row.items()}
+        rank_of[c] = len(pivots)
+        pivots.append((i, c, urow, inv, lk, lf))
+    return pivots
+
+
+def _substitute(pivots, rhs, n, p):
+    """x with L U x = rhs, modulo p or, with p None, over Q: one forward pass
+    through L and one back pass through U.  Unknowns without a pivot are 0."""
+    y = []
+    for (_, _, _, inv, lk, lf), r in zip(pivots, rhs):
+        r = (r - sum(map(mul, lf, map(y.__getitem__, lk)))) * inv
+        y.append(r if p is None else r % p)
+    x = [0] * n
+    for (_, c, urow, *_), r in zip(reversed(pivots), reversed(y)):
+        r -= sum(map(mul, urow.values(), map(x.__getitem__, urow)))
+        x[c] = r if p is None else r % p
+    return x
+
+
+def _lift(rows, n, p):
+    """(D, [N_j]) with N_j / D the solution of n pivot rows, found by p-adic
+    lifting (Dixon 1982); None to fall back to the factors over Q.
+
+    `_factor` modulo p picks n pivot rows whose square system A x = b is
+    invertible modulo p, and so over Q.  With r_0 = b, step k solves
+    A x_k = r_k modulo p through L and U and sets r_(k+1) =
+    (r_k - A x_k) / p, an exact division, so after s steps
+    X = x_0 + x_1 p + ... + x_(s-1) p^(s-1) solves A X = b modulo p^s.
+    Then the entries of X are read back as rationals of height at most
+    sqrt(p^s / 2) over one running common denominator (rational
+    reconstruction, Knuth TAOCP 4.5.3), starting at the entry that stopped
+    the last attempt.  A candidate that satisfies every pivot row exactly
+    is the unique solution of the system, if it has one.  By Cramer's rule
+    and Hadamard's bound H on the minors of [A | b], the attempt at
+    p^s > 2 H^2 cannot fail; the lift stops there, returning None if it did.
+    """
+    pivots = _factor(rows, n, p)
     if len(pivots) < n:
         return None
-    arows = [(rows[i][0], ints[i][0]) for i, *_ in pivots]  # A: columns, entries
+    prows = [rows[i] for i, *_ in pivots]  # A and b
     bits = sum((sum(x * x for x in nums) + rhs * rhs).bit_length() + 1 >> 1
-               for nums, rhs in (ints[i] for i, *_ in pivots))
+               for _, nums, rhs in prows)
     last = -(-(2 * bits + 1) // (p.bit_length() - 1))  # p^last > 2 H^2
-    residue = [ints[i][1] for i, *_ in pivots]
+    residue = [rhs for *_, rhs in prows]
     lifted = [0] * n
     modulus = 1
     first = 0  # the entry that stopped the last reconstruction
     for _ in range(last):
-        y = []  # L y = residue
-        for (_, _, _, inv, lk, lf), r in zip(pivots, residue):
-            y.append((r - sum(map(mul, lf, map(y.__getitem__, lk)))) * inv % p)
-        x = [0] * n  # U x = y
-        for (_, c, urow, _, _, _), yk in zip(reversed(pivots), reversed(y)):
-            x[c] = (yk - sum(map(mul, urow.values(), map(x.__getitem__, urow)))) % p
+        x = _substitute(pivots, residue, n, p)
         residue = [
-            (r - sum(map(mul, nums, map(x.__getitem__, cols)))) // p
-            for r, (cols, nums) in zip(residue, arows)
+            (r - sum(map(mul, nums, map(x.__getitem__, js)))) // p
+            for r, (js, nums, _) in zip(residue, prows)
         ]
         lifted = [a + b * modulus for a, b in zip(lifted, x)]
         modulus *= p
         found = _reconstruct(lifted, modulus, first)
         if type(found) is int:
             first = found
-            continue
-        den, sol = found
-
-        def satisfied(i):
-            nums, rhs = ints[i]
-            return sum(map(mul, nums, map(sol.__getitem__, rows[i][0]))) == rhs * den
-
-        if all(satisfied(i) for i, *_ in pivots):
-            if all(map(satisfied, range(len(rows)))):
-                return [Fraction(x, den) for x in sol]
-            raise SingularMatrix("inconsistent system")
+        elif _satisfies(prows, *found):
+            return found
     return None
 
 
@@ -295,68 +331,6 @@ def _reconstruct(values, m, first):
         den *= t1
         read[j] = (r1, den)
     return den, [num * (den // at) for num, at in read]
-
-
-def _field_solve(rows, n):
-    """solve_unique over the field of the entries, on sparse rows.
-
-    Sparse elimination with a Markowitz-style pivot order: rows are
-    {column: value} dicts and are taken fewest nonzeros first.  Each row is
-    reduced against the pivot rows found so far, oldest pivot first; what is
-    left gives a new pivot, normalized to 1, in the column of that row with
-    the fewest nonzeros in a.  A pivot row only has entries in columns that
-    had no pivot when it was made, so the reduction never revisits a pivot.
-    Once every unknown has a pivot, back-substitution gives the solution and
-    each row not yet used is checked by exact substitution.
-    """
-    order, col_count = _markowitz(rows, n)
-    rank_of = {}  # pivot column -> its rank, the order in which it was found
-    pivots = []  # by rank: (column, other entries of the row, rhs)
-    used = 0
-    while used < len(order) and len(pivots) < n:
-        row, rhs = rows[order[used]]  # reduced in place; only unused rows are read again
-        used += 1
-        # negated ranks in ascending order: pop() takes the oldest pivot
-        todo = sorted(-rank_of[j] for j in row if j in rank_of)
-        while todo:
-            c, prow, prhs = pivots[-todo.pop()]
-            f = row.pop(c, None)
-            if f is None:
-                continue  # queued twice: cancelled, then brought back
-            for j, v in prow.items():
-                x = row.get(j)
-                if x is None:
-                    row[j] = -f * v
-                    if j in rank_of:
-                        insort(todo, -rank_of[j])
-                else:
-                    x = x - f * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-            if prhs:
-                rhs = rhs - f * prhs
-        if not row:
-            if rhs:
-                raise SingularMatrix("inconsistent system")
-            continue
-        c = min(row, key=lambda j: (col_count[j], j))
-        inv = ONE / row.pop(c)
-        rank_of[c] = len(pivots)
-        pivots.append((c, {j: x * inv for j, x in row.items()}, rhs * inv))
-    if len(pivots) < n:
-        raise SingularMatrix("underdetermined: rank %d of %d unknowns" % (len(pivots), n))
-    sol = [ZERO] * n
-    for c, prow, acc in reversed(pivots):
-        for j, v in prow.items():
-            acc = acc - v * sol[j]
-        sol[c] = acc
-    for i in order[used:]:
-        row, rhs = rows[i]
-        if sum((x * sol[j] for j, x in row.items()), ZERO) != rhs:
-            raise SingularMatrix("inconsistent system")
-    return sol
 
 
 def inverse(a):

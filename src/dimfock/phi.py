@@ -80,8 +80,9 @@ def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=Fal
 
     Unknowns are all matrix elements between monomial bases up to level_max
     on both sides; equations run over both currents and a band of modes wide
-    enough to close the truncated system.  Raises SingularMatrix if the
-    system is under- or over-determined.
+    enough to close the truncated system.  That system is overdetermined,
+    and a consistent one is solved; raises SingularMatrix if it is
+    inconsistent or does not pin every unknown.
     """
     mod_u = BosonModule(point_u, n_comp, point_u.u[:n_comp], level_max, kind="qt")
     mod_v = BosonModule(point_v, n_comp, point_v.u[:n_comp], level_max, kind="qt")

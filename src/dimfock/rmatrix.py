@@ -183,8 +183,7 @@ def k_constant_formula(a, b, point):
 def two_boson_block(level, point, k_values):
     """R-matrix block on two bosons from the proportionality constants."""
     u, bases = point.u[:2], _eigenbases(level, point)
-    basis = bases(u)
-    return _pair_block(basis, bases(swap_weights(u, 1, 2)), k_values), basis
+    return _pair_block(bases(u), bases(swap_weights(u, 1, 2)), k_values)
 
 
 def _pair_block(basis, basis_sw, k_values):

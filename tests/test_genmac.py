@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dimfock import checks, genmac
 from dimfock.combinat import (
     EMPTY,
     Partition,
@@ -12,7 +13,7 @@ from dimfock.combinat import (
     partitions,
     to_json,
 )
-from dimfock.fock import state_scale
+from dimfock.fock import pbw_state, state_scale
 from dimfock.genmac import (
     EigenvalueCollision,
     gen_hall_littlewood,
@@ -167,6 +168,24 @@ def test_dual_orthogonality(point2):
             for mu in basis.tuples:
                 val = basis.module.pair(bra, basis.state(mu))
                 assert (val == 0) == (lam != mu)
+
+
+def test_integral_form_check_catches_a_tampered_k_state(point2, monkeypatch):
+    assert checks.integral_form_normalization(point2, 2, 2) == []
+    k_state = genmac.IntegralForms.k_state
+    target, other = tup2((1,), (1,)), tup2((2,), ())
+
+    def tampered(self, tup):
+        # one extra primed PBW ket off the designated one: the designated
+        # coefficient stays 1, the rest of the expansion does not
+        state = k_state(self, tup)
+        if tup != target:
+            return state
+        extra = pbw_state(other, self.basis.family, prime=True)
+        return {m: state.get(m, 0) + extra.get(m, 0) for m in {*state, *extra}}
+
+    monkeypatch.setattr(genmac.IntegralForms, "k_state", tampered)
+    assert checks.integral_form_normalization(point2, 2, 2) == [target]
 
 
 def test_eigenvalue_collision_is_named(point2):

@@ -132,22 +132,31 @@ def test_solve_unique_matches_dense_oracle(system):
     assert outcome(solve_unique, a, b) == want
 
 
-def sparse_rows(a, b):
-    return [({j: x for j, x in enumerate(row) if x}, rhs) for row, rhs in zip(a, b)]
+def traced_solve(a, b, p):
+    """(outcome of _solve(a, b, p), the moduli _factor ran under: p for the
+    lift, None for the exact path)."""
+    factor, moduli = linalg._factor, []
+
+    def traced(rows, n, q):
+        moduli.append(q)
+        return factor(rows, n, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_factor", traced)
+        return outcome(lambda a, b: linalg._solve(a, b, p), a, b), moduli
 
 
 @settings(max_examples=300, deadline=None)
 @given(systems(), st.sampled_from([3, 5, linalg.PRIME]))
 def test_lifted_solve_matches_dense_oracle(system, p):
     # 3 and 5 divide many pivots and determinants of these small systems: the
-    # lift then falls back, and the answer and its message must not change
+    # lift then falls back to the exact path, and the answer and its message
+    # must not change
     a, b = system
-    want = outcome(dense_solve, a, b)
-    lifted = outcome(lambda a, b: linalg._lifted_solve(sparse_rows(a, b), len(a[0]), p), a, b)
-    event("lift falls back" if lifted is None else "lift decides")
-    if lifted is not None:
-        assert lifted == want
-    assert outcome(lambda a, b: linalg._solve(a, b, p), a, b) == want
+    got, moduli = traced_solve(a, b, p)
+    event("lift falls back" if None in moduli else "lift decides")
+    assert moduli in ([p], [p, None])
+    assert got == outcome(dense_solve, a, b)
 
 
 def test_lifted_solve_certifies_an_inconsistent_full_rank_system(monkeypatch):
@@ -158,12 +167,17 @@ def test_lifted_solve_certifies_an_inconsistent_full_rank_system(monkeypatch):
     x = [F(j * j - 5, 7) for j in range(n)]
     b = mat_vec(a, x)
     b[-1] += 1
-    with pytest.raises(SingularMatrix, match="inconsistent system"):
-        linalg._lifted_solve(sparse_rows(a, b), n, linalg.PRIME)
-    assert linalg._lifted_solve(sparse_rows(a[-3:], b[-3:]), n, linalg.PRIME) is None  # rank 3
-    monkeypatch.setattr(linalg, "_field_solve", None)  # solve_unique must not need it
+    factor = linalg._factor
+
+    def modular_only(rows, n, p):
+        assert p is not None, "the exact path was taken"
+        return factor(rows, n, p)
+
+    monkeypatch.setattr(linalg, "_factor", modular_only)  # solve_unique must not need it
     with pytest.raises(SingularMatrix, match="inconsistent system"):
         solve_unique(a, b)
+    with pytest.raises(AssertionError, match="exact path"):  # rank 3: the lift falls back
+        solve_unique(a[-3:], b[-3:])
     b[-1] -= 1
     assert solve_unique(a, b) == x
 
@@ -172,10 +186,10 @@ def test_rank_defect_modulo_the_prime_falls_back():
     a = [[F(5), F(1)], [F(0), F(10)], [F(15), F(3)]]
     x = [F(1, 3), F(-2, 7)]
     b = mat_vec(a, x)
-    assert linalg._lifted_solve(sparse_rows(a, b), 2, 5) is None
-    assert linalg._solve(a, b, 5) == x == linalg._solve(a, b, 7)
+    assert traced_solve(a, b, 5) == (x, [5, None])
+    assert traced_solve(a, b, 11) == (x, [11])
     b[2] += F(1, 5)
-    assert outcome(lambda a, b: linalg._solve(a, b, 5), a, b) == "inconsistent system"
+    assert traced_solve(a, b, 5) == ("inconsistent system", [5, None])
 
 
 def test_solve_unique_cases_and_precedence():
@@ -198,16 +212,18 @@ def test_solve_unique_cases_and_precedence():
 
 
 def test_solve_unique_over_rational_functions():
+    # solve_unique works over Q only, like determinant and inverse: an entry
+    # in Q(s), in a row or in the right-hand side, raises TypeError
     s = RatFunc.variable()
     a = [[s, F(1)], [F(1), s], [s + 1, s + 1], [F(0), s * s]]
     x = [1 / (s - 1), s * s + F(1, 2)]
     b = [row[0] * x[0] + row[1] * x[1] for row in a]
-    assert solve_unique(a, b) == x == dense_solve(a, b)
-    # over Q(s) even a lifting solve takes the field path
-    assert linalg._solve(a, b, linalg.PRIME) == x
-    b[2] = b[2] + s
-    with pytest.raises(SingularMatrix, match="inconsistent system"):
+    with pytest.raises(TypeError, match="over Q only"):
         solve_unique(a, b)
+    with pytest.raises(TypeError, match="over Q only"):
+        linalg._solve(a, b, linalg.PRIME)
+    with pytest.raises(TypeError, match="over Q only"):
+        solve_unique([[F(1), F(0)], [F(0), F(2)]], [F(1), s])
 
 
 def leibniz(a):

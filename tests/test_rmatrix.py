@@ -55,7 +55,7 @@ def test_level1_two_boson_corner(points3):
         u1, u2, _ = pt.u
         S = pt.p_half()
         ks = k_from_spectator(1, pt)
-        block, _ = two_boson_block(1, pt, ks)
+        block = two_boson_block(1, pt, ks)
         assert block.eigen_matrix == tables.eigen_block_level1_n2(q, t, u1, u2, S)
 
 
@@ -71,7 +71,7 @@ def test_level2_fixtures(points3):
         for (a, b), val in tables.k_constants_level2(q, t, u1, u2, S).items():
             assert b2.k_values[tup3(a, b, ())] == val
         ks2 = k_from_spectator(2, pt)
-        block2, _ = two_boson_block(2, pt, ks2)
+        block2 = two_boson_block(2, pt, ks2)
         Q = u1 / u2
         assert block2.eigen_matrix == tables.eigen_block_level2_n2(q, t, Q, S)
         assert block2.boson_matrix == tables.boson_block_level2_n2(q, t, Q, S)
