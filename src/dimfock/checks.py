@@ -48,7 +48,7 @@ def hall_littlewood_duality(pt, level):
     failures = []
     for n in range(1, level + 1):
         for lam in partitions(n):
-            p_lam, q_lam = symfunc.hall_littlewood(lam, tval=pt.t)
+            p_lam, q_lam = symfunc.hall_littlewood(lam, pt.t)
             b = b_factor(lam, pt.t)
             norm = symfunc.inner_prod(p_lam, p_lam, Fraction(0), pt.t)
             if q_lam != p_lam.scale(b) or norm * b != 1:
@@ -63,7 +63,7 @@ def hl_specializations(pt, level):
         lam
         for n in range(level + 1)
         for lam in partitions(n)
-        if symfunc.principal_specialization(lam, r, tval=pt.t)
+        if symfunc.principal_specialization(lam, r, pt.t)
         != symfunc.principal_specialization_closed(lam, r, pt.t)
     ]
 
@@ -74,7 +74,7 @@ def hl_pairings(pt, level):
         lam
         for n in range(level + 1)
         for lam in partitions(n)
-        if not symfunc.hl_pairing_identities(lam, tval=pt.t)["ok"]
+        if not symfunc.hl_pairing_identities(lam, pt.t)["ok"]
     ]
 
 
@@ -156,9 +156,10 @@ def dual_orthogonality(pt, level, n_comp):
 
 
 def integral_form_normalization(pt, level, n_comp):
-    """Every integral form K, expanded over the primed PBW kets by an exact
-    solve, gives its alpha row, with coefficient 1 on the designated PBW
-    monomial."""
+    """Every integral form K is the combination of the primed PBW kets with
+    its alpha row as coefficients, 1 on the designated PBW monomial.  The
+    kets are a basis (IntegralForms inverts their matrix), so alpha is the
+    expansion of K over them."""
     failures = []
     for n in range(level + 1):
         forms = genmac.integral_forms(genmac.gen_macdonald(n, pt, n_comp=n_comp))
@@ -166,8 +167,9 @@ def integral_form_normalization(pt, level, n_comp):
         designated = genmac._designated_index(tuples, n)
         kets = column_matrix([pbw_state(t, family, prime=True) for t in tuples], tuples)
         for tup in tuples:
-            expansion = linalg.solve_unique(kets, coordinates(forms.k_state(tup), tuples))
-            if expansion != forms.alpha[tup] or expansion[designated] != 1:
+            alpha = forms.alpha[tup]
+            k_state = coordinates(forms.k_state(tup), tuples)
+            if linalg.mat_vec(kets, alpha) != k_state or alpha[designated] != 1:
                 failures.append(tup)
     return failures
 
@@ -280,7 +282,7 @@ def crystal_whittaker(pts, order):
 
 def q_independence(pt, order):
     """The crystal series takes one value at four instanton weights Q."""
-    vals = [nekrasov.z_pure_crystal(order, pt.fresh_rational(("Q", i)), pt) for i in range(4)]
+    vals = [nekrasov.z_pure_crystal(order, pt.fresh_rational(("Q", i)), pt.t) for i in range(4)]
     return [i for i, v in enumerate(vals) if v != vals[0]]
 
 
@@ -321,10 +323,6 @@ def grouped_factorization(pt):
 # R-matrices
 
 
-def _transition(basis):
-    return [[basis.transition(l, m) for m in basis.tuples] for l in basis.tuples]
-
-
 def level1_tables(pts):
     """Level-1 R-matrix blocks and the N = 3 transition matrix against the stored tables."""
     failures = []
@@ -336,7 +334,7 @@ def level1_tables(pts):
             (b12.eigen_matrix, tables.eigen_block_level1_12),
             (rmatrix.solve_r_block(1, pt, (2, 3)).boson_matrix, tables.boson_block_level1_23),
             (rmatrix.solve_r_block(1, pt, (1, 3)).boson_matrix, tables.boson_block_level1_13),
-            (_transition(genmac.gen_macdonald(1, pt, n_comp=3)), tables.transition_level1_n3),
+            (genmac.gen_macdonald(1, pt, n_comp=3).coeff, tables.transition_level1_n3),
         ]
         failures += [(pt.seed, table.__name__) for got, table in comparisons if got != table(*args)]
     return failures
@@ -348,7 +346,7 @@ def level2_tables(pts):
     for pt in pts:
         q, t, S = pt.q, pt.t, pt.p_half()
         u1, u2, u3 = pt.u
-        A2 = _transition(genmac.gen_macdonald(2, pt, n_comp=3))
+        A2 = genmac.gen_macdonald(2, pt, n_comp=3).coeff
         block2 = rmatrix.two_boson_block(2, pt, rmatrix.k_from_spectator(2, pt))
         comparisons = [
             ("transition", A2, tables.transition_level2_n3(q, t, u1, u2, u3, S)),

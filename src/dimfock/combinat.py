@@ -179,10 +179,6 @@ def b_factor_neg(lam: Partition, x):
     return -b if lam.length % 2 else b
 
 
-def b_factors(lam: Partition, x):
-    return b_factor(lam, x), b_factor_neg(lam, x)
-
-
 @lru_cache(maxsize=None)
 def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n, largest part first, in descending lex order."""

@@ -231,20 +231,20 @@ def monomial_product(a: PartitionTuple, b: PartitionTuple) -> PartitionTuple:
     )
 
 
-def apply_symfunc(module, f, boson_maps, state):
+def apply_symfunc(module, f, bosons, state):
     """Multiply a state by f with p_n replaced by a creation combination.
 
-    boson_maps maps n -> list of (boson index, scalar); f must be in the
-    power-sum basis.  Used for Macdonald/Hall-Littlewood dressed states.
+    bosons lists (boson index, scalar) pairs, and p_n becomes the sum of
+    scalar * a^(i)_{-n} over them; f must be in the power-sum basis.  Used
+    for Macdonald/Hall-Littlewood dressed states.
     """
     out = {}
     for lam, coeff in f.coeffs.items():
-        pieces = [module_creation_combo(module, boson_maps, n) for n in lam.parts]
         expanded = {module.empty_tuple(): coeff}
-        for piece in pieces:
+        for n in lam.parts:
             nxt = {}
             for tup, c in expanded.items():
-                for (i, n), w in piece.items():
+                for i, w in bosons:
                     merged = tup.replace(i, Partition(tuple(sorted(tup[i].parts + (n,), reverse=True))))
                     nxt[merged] = nxt.get(merged, ZERO) + c * w
             expanded = nxt
@@ -257,13 +257,6 @@ def apply_symfunc(module, f, boson_maps, state):
             merged = monomial_product(tup, tup2)
             res[merged] = res.get(merged, ZERO) + c * c2
     return {k: v for k, v in res.items() if v}
-
-
-def module_creation_combo(module, boson_maps, n):
-    combo = {}
-    for i, w in boson_maps(n):
-        combo[(i, n)] = combo.get((i, n), ZERO) + w
-    return combo
 
 
 # ---------------------------------------------------------------------------
@@ -824,12 +817,17 @@ def _walk_word(family, letters, value, step):
     return value
 
 
-def pbw_state(tup, family, prime=False):
-    """Apply the negative-mode word to the vacuum."""
-    letters = tuple((i, -part) for i, part in pbw_word(tup, prime=prime))
+def _word_ket(letters, family):
+    """The ket of a negative-mode word: its (generator, mode) letters applied
+    to the vacuum, the rightmost first, through the family's suffix memo."""
     return _walk_word(
         family, letters, family.module.vacuum(), lambda st, sfx: family.x_mode(*sfx[0])(st)
     )
+
+
+def pbw_state(tup, family, prime=False):
+    """Apply the negative-mode word to the vacuum."""
+    return _word_ket(tuple((i, -part) for i, part in pbw_word(tup, prime=prime)), family)
 
 
 def pbw_bra(tup, family, prime=False):

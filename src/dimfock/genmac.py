@@ -51,7 +51,7 @@ def product_state(module, tup, func_per_component):
     """prod_i f_i(a^(i)_{-n}) |u> for symmetric functions f_i in the p basis."""
     state = module.vacuum()
     for i, f in enumerate(func_per_component):
-        state = apply_symfunc(module, f, lambda n, _i=i: [(_i, ONE)], state)
+        state = apply_symfunc(module, f, [(i, ONE)], state)
     return state
 
 
@@ -200,13 +200,10 @@ class GenMacBasis:
         return linalg.transpose(linalg.mat_mul(minv, self.state_matrix()))
 
 
-def gen_macdonald(level, point, n_comp=None, module=None, crystal_normalized=False):
+def gen_macdonald(level, point, n_comp=None):
     """Generalized Macdonald basis at the given level."""
-    if module is None:
-        n_comp = n_comp or point.n_weights
-        module = BosonModule(point, n_comp, point.u, level + 1, kind="qt")
-    family = GeneratorFamily(module, crystal_normalized=crystal_normalized)
-    return GenMacBasis(level, family)
+    module = BosonModule(point, n_comp or point.n_weights, point.u, level + 1, kind="qt")
+    return GenMacBasis(level, GeneratorFamily(module))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +269,6 @@ class IntegralForms:
     def k_bra(self, tup):
         return {
             m: c * self.k_norm_dual[tup] for m, c in self.basis.dual_bra(tup).items()
-        }
-
-    def alpha_table(self):
-        return {
-            tup: dict(zip(self.tuples, vec)) for tup, vec in self.alpha.items()
         }
 
     def m_tilde_state(self, tup):

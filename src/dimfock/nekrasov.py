@@ -32,10 +32,9 @@ class NonGenericPoint(ArithmeticError):
     pass
 
 
-def nek_factor(lam: Partition, mu: Partition, Q, point=None, qval=None, tval=None):
-    """The bifundamental factor N_{lam,mu}(Q)."""
-    if point is not None:
-        qval, tval = point.q, point.t
+def nek_factor(lam: Partition, mu: Partition, Q, point):
+    """The bifundamental factor N_{lam,mu}(Q) at the point's (q, t)."""
+    qval, tval = point.q, point.t
     out = ONE
     for (i, j) in lam.cells():
         a = lam.part(i) - j
@@ -75,10 +74,8 @@ def z_pure(order, Q, point):
 # Crystal limit
 
 
-def crystal_nek(lam: Partition, mu: Partition, Q, point=None, tval=None):
+def crystal_nek(lam: Partition, mu: Partition, Q, tval):
     """Closed form of lim_{q->0} q^(n(mu')) N_{lam,mu}((q/t) Q)."""
-    if point is not None:
-        tval = point.t
     chk = check_partition(mu)
     out = (-Q / tval) ** chk.size
     for (i, j) in chk.cells():
@@ -90,10 +87,8 @@ def crystal_nek(lam: Partition, mu: Partition, Q, point=None, tval=None):
     return out
 
 
-def z_pure_crystal(order, Q, point=None, tval=None):
+def z_pure_crystal(order, Q, tval):
     """Crystal pure-gauge series via the two-integer sum."""
-    if point is not None:
-        tval = point.t
     series_order = 4 * order + 1
     out = Series("lambda", series_order)
     for k in range(order + 1):
@@ -136,7 +131,7 @@ def crystal_limit_check(order, sym_point, Q):
         raise ValueError("needs a symbolic-q point")
     t = sym_point.t
     fails = []
-    target = z_pure_crystal(order, Q, tval=t)
+    target = z_pure_crystal(order, Q, t)
     generic = z_pure(order, Q, sym_point)
     for k in range(order + 1):
         # Lambda^4 = (t/q) * crystal Lambda^4, so the k-th coefficient,
@@ -227,8 +222,8 @@ def four_point_aflt(order, tval, v, w):
             ww = (w1, w2)
             for i in range(2):
                 for j in range(2):
-                    num = num * crystal_nek(EMPTY, tup[j], ww[i] / vv[j], tval=tval)
-                    den = den * crystal_nek(tup[i], tup[j], vv[i] / vv[j], tval=tval)
+                    num = num * crystal_nek(EMPTY, tup[j], ww[i] / vv[j], tval)
+                    den = den * crystal_nek(tup[i], tup[j], vv[i] / vv[j], tval)
             if not den:
                 raise NonGenericPoint("vanishing crystal factor in the tuple sum")
             acc = acc + num / den
@@ -262,8 +257,8 @@ def strange_factorization_check(lam: Partition, tval, v, w):
         den = ONE
         for i in range(2):
             for j in range(2):
-                num = num * crystal_nek(EMPTY, tup[j], (w1, w2)[i] / (v1, v2)[j], tval=tval)
-                den = den * crystal_nek(tup[i], tup[j], (v1, v2)[i] / (v1, v2)[j], tval=tval)
+                num = num * crystal_nek(EMPTY, tup[j], (w1, w2)[i] / (v1, v2)[j], tval)
+                den = den * crystal_nek(tup[i], tup[j], (v1, v2)[i] / (v1, v2)[j], tval)
         lhs = lhs + num / den
     ratio = w1 * w2 / (v1 * v2)
     num = ONE

@@ -24,10 +24,12 @@ from .fock import (
     CrystalGenerators,
     GeneratorFamily,
     VertexOperator,
+    _word_ket,
     column_matrix,
     coordinates,
     operator_matrix,
     pbw_gram,
+    pbw_state,
     pbw_word,
 )
 
@@ -57,9 +59,7 @@ class PhiMatrix:
     entries[s'][s] is the scalar multiplying w^(level(s') - level(s)).
     """
 
-    def __init__(self, n_comp, level_max, entries):
-        self.n_comp = n_comp
-        self.level_max = level_max
+    def __init__(self, entries):
         self.entries = entries
 
     def element(self, bra_state, ket_state, w_value):
@@ -75,7 +75,7 @@ class PhiMatrix:
         return total
 
 
-def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=False):
+def solve_vertex_phi(point_u, point_v, n_comp, level_max):
     """Solve the exchange relations for the matrix elements, exactly.
 
     Unknowns are all matrix elements between monomial bases up to level_max
@@ -86,8 +86,8 @@ def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=Fal
     """
     mod_u = BosonModule(point_u, n_comp, point_u.u[:n_comp], level_max, kind="qt")
     mod_v = BosonModule(point_v, n_comp, point_v.u[:n_comp], level_max, kind="qt")
-    fam_u = GeneratorFamily(mod_u, crystal_normalized=crystal_normalized)
-    fam_v = GeneratorFamily(mod_v, crystal_normalized=crystal_normalized)
+    fam_u = GeneratorFamily(mod_u)
+    fam_v = GeneratorFamily(mod_v)
     e_v = ONE
     for x in point_v.u[:n_comp]:
         e_v = e_v * x
@@ -182,7 +182,7 @@ def solve_vertex_phi(point_u, point_v, n_comp, level_max, crystal_normalized=Fal
             if val:
                 col[b] = val
         entries[s] = col
-    return PhiMatrix(n_comp, level_max, entries)
+    return PhiMatrix(entries)
 
 
 def phi_matrix_rank1(point_u, point_v, level_max):
@@ -197,7 +197,7 @@ def phi_matrix_rank1(point_u, point_v, level_max):
                 part = op.mode_apply(lev - lev2, {s: ONE}, mod)
                 img.update(part)
             entries[s] = img
-    return PhiMatrix(1, level_max, entries)
+    return PhiMatrix(entries)
 
 
 def phi_element_formula(lam_tup, mu_tup, point_u, point_v, w_value):
@@ -269,8 +269,6 @@ class CrystalPhi:
         self.v1v2 = v_weights[0] * v_weights[1]
         self.vsum = v_weights[0] + v_weights[1]
         self.z = z_value
-        self.u1u2 = module_u.weights[0] * module_u.weights[1]
-        self.usum = module_u.weights[0] + module_u.weights[1]
         self._lmemo = {(): ONE}
         self._ememo = {}
         self._pbw = {}
@@ -283,16 +281,9 @@ class CrystalPhi:
             words = [
                 tuple((a, -m) for a, m in pbw_word(t, prime=True)) for t in tuples
             ]
-            wmat = column_matrix([self._eval_word(w) for w in words], tuples)
-            self._pbw[level] = (words, linalg.inverse(wmat))
+            kets = [pbw_state(t, self.gens, prime=True) for t in tuples]
+            self._pbw[level] = (words, linalg.inverse(column_matrix(kets, tuples)))
         return self._pbw[level]
-
-    def _eval_word(self, word):
-        """Apply a signed mode word (leftmost outermost) to the ket vacuum."""
-        state = self.mod.vacuum()
-        for a, m in reversed(word):
-            state = self.gens.x_mode(a, m)(state)
-        return state
 
     # -- vacuum row ------------------------------------------------------
 
@@ -306,7 +297,9 @@ class CrystalPhi:
         if m <= -2:
             val = self.vac_on_word(((a, m + 1),) + rest) / (self.v1v2 * self.z)
         else:
-            rest_state = self._eval_word(rest)
+            # rest is a suffix of a primed PBW word, so its key in the
+            # family's suffix memo is a ket's, the one pbw_state uses
+            rest_state = _word_ket(rest, self.gens)
             zero_mode = self.gens.x_mode(a, 0)(rest_state)
             head = self.vac_on_state(zero_mode)
             tail = self.vac_on_state(rest_state)
@@ -343,6 +336,7 @@ class CrystalPhi:
         if key in self._ememo:
             return self._ememo[key]
         if not left:
+            # not the family's suffix memo: it keys positive-mode words to bras
             state = self.mod.vacuum()
             for a, m in reversed(right):
                 state = self.gens.x_mode(a, m)(state)
@@ -383,15 +377,14 @@ def crystal_four_point_pbw(order, point, u, v, w, z1, z2):
     by the known power of x, which homogeneity makes exact.
     """
     mod_v = BosonModule(point, 2, v, order + 1, kind="crystal")
-    mod_v_inner = BosonModule(point, 2, v, order + 1, kind="crystal")
     phi21 = CrystalPhi(mod_v, w, z2)  # <w| Phi(z2) acting on F_v
     mod_u = BosonModule(point, 2, u, order + 1, kind="crystal")
     phi10 = CrystalPhi(mod_u, v, z1)  # bra words in F*_v against |u>
     x_val = u[0] * u[1] * z1 / (w[0] * w[1] * z2)
-    fam_v = CrystalGenerators(mod_v_inner)
     coeffs = [ONE]
     for n in range(1, order + 1):
-        gram, tuples = pbw_gram(n, fam_v, prime=True)
+        # the Gram's kets and phi21's words share the family's memo
+        gram, tuples = pbw_gram(n, phi21.gens, prime=True)
         ginv = linalg.inverse(gram)
         left = [phi21.vac_on_tuple(t) for t in tuples]
         right = [phi10.bra_tuple_on_vacuum(t) for t in tuples]

@@ -60,20 +60,26 @@ def _swapped_back_states(basis_sw, i1, i2):
     return column_matrix(states, basis_sw.tuples)
 
 
-def _blocks(pop, k_vec, pmat, pinv):
-    """(boson matrix, eigen matrix) of the block with constants k_vec."""
-    boson = linalg.mat_mul([[c * k for c, k in zip(row, k_vec)] for row in pop], pinv)
-    return boson, linalg.mat_mul(pinv, linalg.mat_mul(boson, pmat))
+def _boson_block(pop, k_vec, pinv):
+    """The block over boson monomials with constants k_vec: pop diag(k_vec) S^-1."""
+    return linalg.mat_mul([[c * k for c, k in zip(row, k_vec)] for row in pop], pinv)
 
 
 class RBlock:
-    def __init__(self, level, pair, tuples, k_values, boson_matrix, eigen_matrix):
-        self.level = level
-        self.pair = pair
-        self.tuples = tuples
+    """A level block over the boson monomials of basis, with its constants."""
+
+    def __init__(self, basis, k_values, boson_matrix):
+        self.basis = basis
         self.k_values = k_values
         self.boson_matrix = boson_matrix
-        self.eigen_matrix = eigen_matrix
+
+    @property
+    def eigen_matrix(self):
+        """The block over the eigenbasis, S^-1 B S, computed on each read."""
+        basis = self.basis
+        return linalg.mat_mul(
+            basis.state_matrix_inverse(), linalg.mat_mul(self.boson_matrix, basis.state_matrix())
+        )
 
 
 def solve_r_block(level, point, pair=(1, 2), n_comp=3):
@@ -82,8 +88,9 @@ def solve_r_block(level, point, pair=(1, 2), n_comp=3):
     The proportionality constants on eigenvectors supported purely outside
     the pair are 1; the rest are fixed by requiring that the action on pure
     spectator monomials involves no pair bosons.  The solved block is
-    returned in both the boson-monomial and the eigenvector basis.  Blocks
-    on pairs other than (1, 2) follow by relabeling symmetry.
+    returned over the boson monomials; its eigen_matrix reads it over the
+    eigenvectors.  Blocks on pairs other than (1, 2) follow by relabeling
+    symmetry.
     """
     return _r_block(point.u[:n_comp], pair, _eigenbases(level, point))
 
@@ -95,7 +102,7 @@ def _r_block(u, pair, bases):
     i1, i2 = pair
     basis = bases(u)
     level, tuples = basis.level, basis.tuples
-    pmat, pinv = basis.state_matrix(), basis.state_matrix_inverse()
+    pinv = basis.state_matrix_inverse()
     pop = _swapped_back_states(bases(swap_weights(u, i1, i2)), i1, i2)
 
     fixed = {
@@ -124,7 +131,7 @@ def _r_block(u, pair, bases):
     k_vec = [fixed.get(j, None) for j in range(len(tuples))]
     for pos, j in enumerate(free):
         k_vec[j] = sol[pos]
-    boson, eigen = _blocks(pop, k_vec, pmat, pinv)
+    boson = _boson_block(pop, k_vec, pinv)
     # structural sanity: spectator columns are inert
     for c in spectator_cols:
         for v in range(len(tuples)):
@@ -132,7 +139,7 @@ def _r_block(u, pair, bases):
             if boson[v][c] != want:
                 raise AssertionError("spectator column not inert at level %d" % level)
     k_values = {t: k_vec[j] for j, t in enumerate(tuples)}
-    return RBlock(level, pair, tuples, k_values, boson, eigen)
+    return RBlock(basis, k_values, boson)
 
 
 def _relabelled_block(u, pair, bases):
@@ -148,15 +155,13 @@ def _relabelled_block(u, pair, bases):
     basis = bases(u)
     rows = [basis.index[relabel(m)] for m in basis.tuples]
     boson = [[inner.boson_matrix[a][b] for b in rows] for a in rows]
-    pmat = basis.state_matrix()
-    eigen = linalg.mat_mul(basis.state_matrix_inverse(), linalg.mat_mul(boson, pmat))
     k_values = {}
     for t, k in inner.k_values.items():
         original = [None] * n_comp
         for slot, comp in enumerate(order):
             original[comp] = t[slot]
         k_values[PartitionTuple(original)] = k
-    return RBlock(basis.level, pair, basis.tuples, k_values, boson, eigen)
+    return RBlock(basis, k_values, boson)
 
 
 def yang_baxter_check(level, point):
@@ -188,12 +193,10 @@ def two_boson_block(level, point, k_values):
 
 def _pair_block(basis, basis_sw, k_values):
     """The two-boson block over basis, with basis_sw the swapped-weight basis."""
-    tuples = basis.tuples
-    pmat = basis.state_matrix()
     pop = _swapped_back_states(basis_sw, 1, 2)
-    k_vec = [k_values[t] for t in tuples]
-    boson, eigen = _blocks(pop, k_vec, pmat, basis.state_matrix_inverse())
-    return RBlock(basis.level, (1, 2), tuples, dict(k_values), boson, eigen)
+    k_vec = [k_values[t] for t in basis.tuples]
+    boson = _boson_block(pop, k_vec, basis.state_matrix_inverse())
+    return RBlock(basis, dict(k_values), boson)
 
 
 def k_from_spectator(level, point3):
@@ -227,7 +230,7 @@ def integral_form_r_check(level, point3):
     block = _pair_block(basis, basis_sw, _k_from_spectator(point.u[:3], bases))
     forms = integral_forms(basis)
     forms_sw = integral_forms(basis_sw)
-    tuples = block.tuples
+    tuples = basis.tuples
 
     def kop_state(tup):
         st = forms_sw.k_state(swap_tuple(tup, 1, 2))

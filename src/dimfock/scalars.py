@@ -4,8 +4,8 @@ Two scalar modes:
 
 * fully specialized -- every scalar is a ``fractions.Fraction``.  The
   deformation parameters are built with fourth-root closure, q = q0^4 and
-  t = t0^4, so all half and quarter powers appearing in free-field formulas
-  (p^(1/2), (t/q)^(1/4), q^(1/2), ...) are themselves rational.
+  t = t0^4, so the half powers p^(k/2) of p = q/t appearing in free-field
+  formulas are themselves rational.
 
 * one formal symbol -- scalars are univariate rational functions over Q,
   stored as an integer numerator and denominator in Z[s] and reduced with a
@@ -27,7 +27,6 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
 
 from .combinat import enumerate_tuples, partitions
 
@@ -246,9 +245,6 @@ class RatFunc:
     @property
     def denominator(self):
         return 1
-
-    def is_zero(self):
-        return not self.num.coeffs
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -548,12 +544,11 @@ class ScalarPoint:
     """A seeded specialization of (q, t, u_1..u_N) with fourth-root closure.
 
     q = q0^4 and t = t0^4 for rational q0, t0, so every fractional power used
-    anywhere in the calculus is exact:  p^(1/2) = (q0/t0)^2,
-    (t/q)^(1/4) = t0/q0, q^(1/2) = q0^2, and so on.
+    anywhere in the calculus is exact: p^(k/2) = (q0/t0)^(2k) (`p_half`).
 
     With symbolic_slot='q' the scalar field becomes rational functions in
-    s = (q/t)^(1/2); q = t*s^2 stays exact and the crystal limit q -> 0 is
-    evaluation at s = 0.  Half powers of q itself are refused in that mode.
+    s = (q/t)^(1/2); q = t*s^2 stays exact, p^(k/2) = s^k, and the crystal
+    limit q -> 0 is evaluation at s = 0.
     """
 
     def __init__(self, seed, n_weights, level_max, symbolic_slot="none", _resample=0):
@@ -648,18 +643,6 @@ class ScalarPoint:
         if self.is_symbolic_q:
             return self._sym() ** k
         return (self.q0 / self.t0) ** (2 * k)
-
-    def tq_quarter(self, k=1):
-        """(t/q)^(k/4)."""
-        if self.is_symbolic_q:
-            raise ScalarError("quarter powers of q unavailable in symbolic-q mode")
-        return (self.t0 / self.q0) ** k
-
-    def q_half(self, k=1):
-        """q^(k/2); refused when q is the formal symbol."""
-        if self.is_symbolic_q:
-            raise ScalarError("half powers of q unavailable in symbolic-q mode")
-        return self.q0 ** (2 * k)
 
     def q_pow(self, n):
         return self.q**n if n >= 0 else 1 / (self.q ** (-n))
@@ -874,31 +857,3 @@ class Series:
 
     def __repr__(self):
         return "Series(%r, %d, %r)" % (self.var, self.order, self.coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Multi-point identity certification
-
-
-def identity_check(
-    f: Callable, g: Callable, n_points: int = 3, seeds: Sequence[int] = (), **point_kwargs
-) -> bool:
-    """Exact equality of two point evaluators at several independent points.
-
-    Both callables receive a ScalarPoint and must return a scalar.  With
-    three or more generic points this certifies the polynomial identities
-    arising here with overwhelming margin; arithmetic is exact throughout.
-    """
-    seeds = list(seeds) or list(range(101, 101 + n_points))
-    n_weights = point_kwargs.pop("n_weights", 2)
-    level_max = point_kwargs.pop("level_max", 3)
-    slot = point_kwargs.pop("symbolic_slot", "none")
-    for seed in seeds[:n_points]:
-        pt = make_point(seed, n_weights, level_max, slot)
-        try:
-            lhs, rhs = f(pt), g(pt)
-        except ScalarError as exc:
-            raise ScalarError("evaluator failed at point %r: %s" % (pt.describe(), exc))
-        if lhs != rhs:
-            return False
-    return True

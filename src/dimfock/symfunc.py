@@ -289,33 +289,20 @@ def _macdonald_degree(n: int, qval, tval):
     return out, norms
 
 
-def macdonald(lam: Partition, point=None, qval=None, tval=None):
-    """Macdonald pair (P_lambda, Q_lambda) in the power-sum basis."""
-    if point is not None:
-        qval, tval = point.q, point.t
-    ps, norms = _macdonald_degree(lam.size, qval, tval)
-    p_lam = ps[lam]
-    return p_lam, p_lam.scale(1 / norms[lam])
-
-
 def macdonald_p(lam: Partition, qval, tval) -> SymFunc:
     return _macdonald_degree(lam.size, qval, tval)[0][lam]
 
 
-def hall_littlewood(lam: Partition, point=None, tval=None):
+def hall_littlewood(lam: Partition, tval):
     """Hall-Littlewood pair (P_lambda(;t), Q_lambda(;t)) = Macdonald at q=0."""
-    if point is not None:
-        tval = point.t
     p_lam = macdonald_p(lam, Fraction(0), tval)
     q_lam = p_lam.scale(b_factor(lam, tval))
     return p_lam, q_lam
 
 
-def principal_specialization(lam: Partition, r, point=None, tval=None):
+def principal_specialization(lam: Partition, r, tval):
     """Q_lambda(p_n; t) at p_n = (1-r^n)/(1-t^n); equals the closed product."""
-    if point is not None:
-        tval = point.t
-    _, q_lam = hall_littlewood(lam, tval=tval)
+    _, q_lam = hall_littlewood(lam, tval)
     return q_lam.evaluate(lambda n: (1 - r**n) / (1 - tval**n))
 
 
@@ -326,21 +313,19 @@ def principal_specialization_closed(lam: Partition, r, tval):
     return out
 
 
-def hl_pairing_identities(lam: Partition, point=None, tval=None):
+def hl_pairing_identities(lam: Partition, tval):
     """Two Hall-Littlewood pairing evaluations against negated arguments.
 
     Returns dict entries (computed, expected) for
       <e_s(-p), Q_lambda>_{0,t} = (-1)^s t^(n(lambda)),  s = |lambda|, and
       <Q_(s)(-p), Q_lambda>_{0,t} = t^(|lambda|+n(lambda)) prod_k (1 - t^(-k)).
     """
-    if point is not None:
-        tval = point.t
     s = lam.size
-    _, q_lam = hall_littlewood(lam, tval=tval)
+    _, q_lam = hall_littlewood(lam, tval)
     e_s = elementary_in_p(Partition((s,) if s else ()))
     lhs1 = inner_hl(e_s.negate_argument(), q_lam, tval)
     rhs1 = Fraction(-1) ** s * tval ** n_stat(lam)
-    _, q_row = hall_littlewood(Partition((s,) if s else ()), tval=tval)
+    _, q_row = hall_littlewood(Partition((s,) if s else ()), tval)
     lhs2 = inner_hl(q_row.negate_argument(), q_lam, tval)
     rhs2 = tval ** (s + n_stat(lam))
     for k in range(1, lam.length + 1):

@@ -7,7 +7,6 @@ from dimfock.combinat import (
     PartitionTuple,
     add_remove_sets,
     arm_leg,
-    b_factors,
     check_partition,
     enumerate_tuples,
     n_stat,
@@ -55,13 +54,6 @@ def test_n_stat_two_formulas():
             assert n_stat(lam) == by_cells == by_conjugate
 
 
-def test_b_factors_examples(point2):
-    q, t = point2.q, point2.t
-    assert b_factors(Partition((1,)), q) == (1 - q, -1 + q)
-    b, bp = b_factors(Partition((1, 1)), 1 / t)
-    assert b == (1 - 1 / t) * (1 - 1 / t**2)
-    assert bp == (-1 + 1 / t) * (-1 + 1 / t**2)
-    assert b_factors(EMPTY, q) == (1, 1)
 
 
 def test_enumeration_counts_and_order():

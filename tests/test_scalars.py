@@ -16,7 +16,6 @@ from dimfock.scalars import (
     ScalarPoint,
     Series,
     eigenvalue_of,
-    identity_check,
     make_point,
 )
 
@@ -31,8 +30,6 @@ def test_fourth_root_closure():
         100, 81
     )
     assert pt.p * (pt.t / pt.q) == 1
-    assert pt.tq_quarter() ** 4 == pt.t / pt.q
-    assert pt.q_half() ** 2 == pt.q
 
 
 def test_symbolic_mode_contract():
@@ -41,10 +38,6 @@ def test_symbolic_mode_contract():
     assert spt.at_crystal(spt.q) == 0
     assert spt.at_crystal(spt.p_half()) == 0
     assert spt.p_half() ** 2 == spt.p
-    with pytest.raises(ScalarError):
-        spt.q_half()
-    with pytest.raises(ScalarError):
-        spt.tq_quarter()
 
 
 def test_point_determinism():
@@ -190,7 +183,7 @@ def test_ratfunc_field_axioms():
         num1 = Poly([rng.randint(-5, 5) for _ in range(3)])
         den1 = Poly([rng.randint(-5, 5) for _ in range(2)] + [1])
         a = RatFunc(num1, den1)
-        if a.is_zero():
+        if not a:
             continue
         b = (x + rng.randint(1, 7)) / (x**2 + rng.randint(1, 4))
         assert (a / b) * (b / a) == 1
@@ -348,23 +341,3 @@ def test_series_truncation_consistency():
     assert (a * b).order == 3
     with pytest.raises(ScalarError):
         a * Series("w", 5, [1])
-
-
-def test_identity_check_examples():
-    assert identity_check(
-        lambda p: (p.u[0] - p.u[1]) * (p.u[0] + p.u[1]),
-        lambda p: p.u[0] ** 2 - p.u[1] ** 2,
-    )
-    assert not identity_check(lambda p: p.u[0] ** 2, lambda p: p.u[0] * p.u[1])
-
-
-def test_identity_check_kac_level1():
-    from dimfock.kacdet import kac_det_check
-
-    def lhs(pt):
-        return kac_det_check(1, 1, pt)[0]
-
-    def rhs(pt):
-        return kac_det_check(1, 1, pt)[1]
-
-    assert identity_check(lhs, rhs, n_points=3, n_weights=1, level_max=2)
