@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 from .combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples
 from .scalars import Series, cleared, dot, quotient
@@ -642,6 +642,18 @@ class GeneratorFamily(ModeFamily):
             terms.append(op)
         self._x_cache[i] = terms
         return terms
+
+    def term_weights(self, i, weights):
+        """prod_{j in S} w_j for each i-subset S, in x_terms order.
+
+        The weights enter X^(i) only as these prefactors of its terms: on a
+        module with unit weights the terms are weight-free, and X^(i) at
+        weights w is the sum of their modes times term_weights(i, w).
+        """
+        return [
+            prod((weights[j - 1] for j in subset), start=ONE)
+            for subset in itertools.combinations(range(1, self.module.n_bosons + 1), i)
+        ]
 
     def mode_terms(self, gen, n):
         return self.x_terms(gen)

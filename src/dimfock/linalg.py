@@ -4,7 +4,7 @@
 and read each entry out as one reduced quotient, over Q and over Q(s).
 `determinant`, `inverse` and `solve_unique` work over Q only, on integer
 rows: no caller needs them over Q(s).  `solve_unique` runs one sparse
-elimination, `_factor`, modulo a word-size prime for p-adic lifting from
+elimination, `_factor`, modulo the prime 2^127 - 1 for p-adic lifting from
 LIFT_MIN unknowns on, or over Q, and certifies its solution by exact
 substitution into every row.
 `triangular_eigenvector` needs only the Python arithmetic operators.
@@ -97,12 +97,16 @@ def triangular_eigenvector(a, j, labels):
     return vec
 
 
-# The lifted solve's prime: 2^61 - 1, a Mersenne prime, so that residues and
-# their products stay small integers.
-PRIME = (1 << 61) - 1
-# Below this many unknowns the factors over Q are cheaper than the lift.
-# On a 2-vCPU Xeon under CPython 3.11, the vertex systems at 16 unknowns
-# took 1.1-1.6 ms over Q and 1.1-2.4 ms lifted; at 64, 8.9 and 6.5 ms.
+# The lifted solve's prime: 2^127 - 1, a Mersenne prime.  CPython multiplies
+# residues of this size almost as fast as 61-bit ones, and each lifting step
+# gains 127 bits, so a lift takes about half the steps it takes modulo
+# 2^61 - 1: 14 against 27 for the vertex system at (N, L) = (2, 4).
+PRIME = (1 << 127) - 1
+# Below this many unknowns a system takes the factors over Q.  On a 2-vCPU
+# Xeon under CPython 3.11.7, modulo 2^127 - 1, the vertex systems at 16
+# unknowns took 0.6-1.6 ms over Q and 0.6-1.2 ms lifted, within each other's
+# spread; the lift won at 49 (3.3-4.6 against 2.7-4.3 ms) and at 64 (8.1-12.6
+# against 4.5-7.4 ms).
 LIFT_MIN = 32
 
 

@@ -16,6 +16,7 @@ terminates by induction on the level, with memoization over mode words.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .combinat import PartitionTuple, enumerate_tuples
@@ -31,6 +32,7 @@ from .fock import (
     pbw_gram,
     pbw_state,
     pbw_word,
+    vertex_mode,
 )
 
 ZERO = Fraction(0)
@@ -75,6 +77,34 @@ class PhiMatrix:
         return total
 
 
+def weighted_mode_matrices(family, i, n, level_from, weight_vectors):
+    """X^(i)_n from level_from to level_from - n at each of weight_vectors,
+    as dense matrices (rows: target, cols: source).
+
+    family is a GeneratorFamily on a module with unit weights.  The mode
+    matrix M_S of each weight-free term is extracted once, and X^(i)_n at
+    weights w is the sum over i-subsets S of (prod_{j in S} w_j) M_S.
+    """
+    module = family.module
+    terms = [
+        operator_matrix(vertex_mode(term, n, module), module, level_from, level_from - n)
+        for term in family.x_terms(i)
+    ]
+    return [
+        [
+            [sum([c * x for c, x in zip(coeffs, cells) if x], ZERO) for cells in zip(*lines)]
+            for lines in zip(*terms)
+        ]
+        for coeffs in (family.term_weights(i, w) for w in weight_vectors)
+    ]
+
+
+def _keyed(lines, scale, first, stride):
+    """Each line of a matrix times scale, as [(key, value)] over its nonzero
+    entries, entry j keyed (first + j) * stride."""
+    return [[((first + j) * stride, scale * x) for j, x in enumerate(line) if x] for line in lines]
+
+
 def solve_vertex_phi(point_u, point_v, n_comp, level_max):
     """Solve the exchange relations for the matrix elements, exactly.
 
@@ -83,105 +113,104 @@ def solve_vertex_phi(point_u, point_v, n_comp, level_max):
     enough to close the truncated system.  That system is overdetermined,
     and a consistent one is solved; raises SingularMatrix if it is
     inconsistent or does not pin every unknown.
+
+    The two points share (q, t), so one module with unit weights serves both
+    sides: each weight-free term's mode matrix is extracted once, and each
+    side's X^(i)_n is their sum weighted by its own u or v
+    (`weighted_mode_matrices`).  Each of the four scaled forms an equation
+    reads, X_n and -e_v X_(n-1) on the bra side, -X_n and (t/q)^i e_v X_(n-1)
+    on the ket side, is read once per (i, n) as sparse lines keyed by
+    unknown index.
     """
-    mod_u = BosonModule(point_u, n_comp, point_u.u[:n_comp], level_max, kind="qt")
-    mod_v = BosonModule(point_v, n_comp, point_v.u[:n_comp], level_max, kind="qt")
-    fam_u = GeneratorFamily(mod_u)
-    fam_v = GeneratorFamily(mod_v)
-    e_v = ONE
-    for x in point_v.u[:n_comp]:
-        e_v = e_v * x
+    if (point_u.q, point_u.t) != (point_v.q, point_v.t):
+        raise ValueError("the two points must share (q, t)")
+    mod = BosonModule(point_u, n_comp, [ONE] * n_comp, level_max, kind="qt")
+    fam = GeneratorFamily(mod)
+    weights = (point_u.u[:n_comp], point_v.u[:n_comp])
+    e_v = prod(weights[1], start=ONE)
     tq = point_u.t / point_u.q
 
     states = []
+    first = []  # by level, the index in states of its first monomial
     for lev in range(level_max + 1):
-        states.extend((lev, tup) for tup in mod_u.basis(lev))
-    idx = {tup: i for i, (_, tup) in enumerate(states)}
+        first.append(len(states))
+        states.extend(mod.basis(lev))
     n_states = len(states)
+    # the unknown <b| Phi |s> has index index(b) * n_states + index(s)
+    n_unknowns = n_states * n_states
 
-    def unknown(bra_tup, ket_tup):
-        return idx[bra_tup] * n_states + idx[ket_tup]
+    mats = {}  # (i, n, level_from) -> X^(i)_n on the u side and on the v side
 
-    # cached mode matrices per (family, i, n, level_from)
-    mats = {}
-
-    def mode_matrix(fam, mod, i, n, level_from):
+    def modes(i, n, level_from):
         level_to = level_from - n
-        if level_from < 0 or level_to < 0 or level_to > level_max or level_from > level_max:
+        if not (0 <= level_from <= level_max and 0 <= level_to <= level_max):
             return None
-        key = (fam, i, n, level_from)
+        key = (i, n, level_from)
         if key not in mats:
-            mats[key] = operator_matrix(fam.x_mode(i, n), mod, level_from, level_to)
+            mats[key] = weighted_mode_matrices(fam, i, n, level_from, weights)
         return mats[key]
 
-    def add(row, k, c):
-        x = row.get(k)
-        row[k] = c if x is None else x + c
-
     rows = []
-    rhs = []
     band = level_max + 1
     for i in range(1, n_comp + 1):
         shift = tq**i * e_v
         for n in range(-band, band + 1):
-            for lev_s in range(level_max + 1):
-                for s_col, s in enumerate(mod_u.basis(lev_s)):
-                    for lev_b in range(level_max + 1):
-                        # every term of the relation must stay inside the
-                        # truncation, else the equation is not represented
-                        if lev_b + n > level_max or lev_s - n + 1 > level_max:
-                            continue
-                        for b_i, nu in enumerate(mod_v.basis(lev_b)):
-                            row = {}
-                            # X_n Phi |s> at nu: sources at level lev_b + n
-                            m1 = mode_matrix(fam_v, mod_v, i, n, lev_b + n)
-                            if m1 is not None:
-                                for sj, s2 in enumerate(mod_v.basis(lev_b + n)):
-                                    c = m1[b_i][sj]
-                                    if c:
-                                        add(row, unknown(s2, s), c)
-                            m2 = mode_matrix(fam_v, mod_v, i, n - 1, lev_b + n - 1)
-                            if m2 is not None:
-                                for sj, s2 in enumerate(mod_v.basis(lev_b + n - 1)):
-                                    c = m2[b_i][sj]
-                                    if c:
-                                        add(row, unknown(s2, s), -e_v * c)
-                            # Phi X_n |s> at nu
-                            m3 = mode_matrix(fam_u, mod_u, i, n, lev_s)
-                            if m3 is not None:
-                                for tj, s3 in enumerate(mod_u.basis(lev_s - n)):
-                                    c = m3[tj][s_col]
-                                    if c:
-                                        add(row, unknown(nu, s3), -c)
-                            m4 = mode_matrix(fam_u, mod_u, i, n - 1, lev_s)
-                            if m4 is not None:
-                                for tj, s3 in enumerate(mod_u.basis(lev_s - n + 1)):
-                                    c = m4[tj][s_col]
-                                    if c:
-                                        add(row, unknown(nu, s3), shift * c)
-                            if row:
-                                rows.append(row)
-                                rhs.append(ZERO)
-    # normalization <v|Phi|u> = 1
-    vac_u = mod_u.empty_tuple()
-    vac_v = mod_v.empty_tuple()
-    rows.append({unknown(vac_v, vac_u): ONE})
-    rhs.append(ONE)
+            # every term of the relation must stay inside the truncation,
+            # else the equation is not represented
+            ket_levels = range(min(level_max, level_max + n - 1) + 1)
+            bra_levels = range(min(level_max, level_max - n) + 1)
+            if not (ket_levels and bra_levels):
+                continue
+            # both levels run from 0, so a part's position in these lists
+            # is its monomial's index in states
+            # (X_n - e_v X_(n-1)) Phi |s> at bra nu; each key still needs
+            # the index of s added
+            bra_parts = []
+            for lev_b in bra_levels:
+                parts = [[] for _ in mod.basis(lev_b)]
+                for k, scale in ((n, ONE), (n - 1, -e_v)):
+                    m = modes(i, k, lev_b + k)
+                    if m is not None:
+                        for part, line in zip(parts, _keyed(m[1], scale, first[lev_b + k], n_states)):
+                            part.extend(line)
+                bra_parts.extend(parts)
+            # Phi (-X_n + (t/q)^i e_v X_(n-1)) |s> at ket s; each key still
+            # needs index(nu) * n_states added
+            ket_parts = []
+            for lev_s in ket_levels:
+                parts = [[] for _ in mod.basis(lev_s)]
+                for k, scale in ((n, -ONE), (n - 1, shift)):
+                    m = modes(i, k, lev_s)
+                    if m is not None:
+                        for part, line in zip(parts, _keyed(zip(*m[0]), scale, first[lev_s - k], 1)):
+                            part.extend(line)
+                ket_parts.extend(parts)
+            for ks, ket_part in enumerate(ket_parts):
+                for kb, bra_part in enumerate(bra_parts):
+                    if not (bra_part or ket_part):
+                        continue
+                    # empty cells hold linalg.ZERO itself, which solve_unique
+                    # skips unread
+                    row = [linalg.ZERO] * n_unknowns
+                    for key, c in bra_part:
+                        row[key + ks] = c
+                    offset = kb * n_states
+                    for key, c in ket_part:
+                        x = row[key + offset]
+                        row[key + offset] = c if x is linalg.ZERO else x + c
+                    rows.append(row)
+    rhs = [ZERO] * len(rows) + [ONE]
+    # normalization <v|Phi|u> = 1: both vacua have index 0
+    rows.append([ONE] + [linalg.ZERO] * (n_unknowns - 1))
 
-    # empty cells hold linalg.ZERO itself, which solve_unique skips unread
-    dense = [[linalg.ZERO] * (n_states * n_states) for _ in rows]
-    for r, row in enumerate(rows):
-        for k, c in row.items():
-            dense[r][k] = c
-    sol = linalg.solve_unique(dense, rhs)
+    sol = linalg.solve_unique(rows, rhs)
     entries = {}
-    for (lev_s, s) in states:
-        col = {}
-        for (lev_b, b) in states:
-            val = sol[unknown(b, s)]
+    for ks, s in enumerate(states):
+        col = entries[s] = {}
+        for kb, b in enumerate(states):
+            val = sol[kb * n_states + ks]
             if val:
                 col[b] = val
-        entries[s] = col
     return PhiMatrix(entries)
 
 

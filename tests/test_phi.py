@@ -1,17 +1,20 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from dimfock.combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples, n_stat, partitions
-from dimfock.fock import BosonModule
+from dimfock.fock import BosonModule, GeneratorFamily, VertexOperator, operator_matrix
 from dimfock.phi import (
     CrystalPhi,
     crystal_four_point_pbw,
     phi_element_conjecture_check,
     phi_matrix_rank1,
     solve_vertex_phi,
+    weighted_mode_matrices,
 )
 from dimfock.nekrasov import four_point_closed
+from dimfock.scalars import make_point
 
 
 def test_rank1_solver_matches_closed_form(point1):
@@ -52,6 +55,72 @@ def test_element_conjecture_solved_n2_level2(point2):
 def test_element_conjecture_solved_n2_level3(point2):
     # 865 equations in 324 unknowns: the lifted solve, certified over Q
     assert phi_element_conjecture_check(3, point2, point2.with_weights("phiv"), 2) == []
+
+
+def test_element_conjecture_solved_n3_level2(point3):
+    # three bosons: three currents, and X^(2) has three terms
+    assert phi_element_conjecture_check(2, point3, point3.with_weights("phiv"), 3) == []
+
+
+def entries_digest(entries):
+    lines = sorted("%r %r %s" % (s, b, v) for s, col in entries.items() for b, v in col.items())
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the solved entries at seed 7, recorded from the solve that built
+# one module and one family per side and lifted modulo 2^61 - 1
+SOLVED_DIGESTS = {
+    (1, 3): "8737cfcf7177052133fa88074b84f32ef9f299edd3ed39b4ae0463cd3a197a32",
+    (2, 2): "ce4a1cf16ad828e448fd40766c47c10c1439860188636e11f39243a0d3d21d4d",
+    (2, 3): "ef528d053214c45c83001e7749a5e895cfb9b6d865e67141d635f62ee8a5d72f",
+    (3, 2): "8598462100915db805589e0afd3bc3bd46be1365395a72888c264e9032e70ae7",
+}
+
+
+@pytest.mark.parametrize("n_comp, level", sorted(SOLVED_DIGESTS))
+def test_solved_entries_match_recorded_digests(n_comp, level):
+    pt = make_point(7, n_comp, level + 1)
+    matrix = solve_vertex_phi(pt, pt.with_weights("phiv"), n_comp, level)
+    assert entries_digest(matrix.entries) == SOLVED_DIGESTS[(n_comp, level)]
+
+
+@pytest.mark.parametrize("n_comp", [2, 3])
+def test_weighted_mode_matrices_match_the_family_modes(n_comp, point2, point3):
+    # oracle: the family of a module carrying the weights, term prefactors
+    # included, against the weight-free terms of one unit-weight module
+    point = point2 if n_comp == 2 else point3
+    sides = [point, point.with_weights("phiv")]
+    unit = GeneratorFamily(BosonModule(point, n_comp, [Fraction(1)] * n_comp, 2))
+    for i in range(1, n_comp + 1):
+        for n in range(-3, 4):
+            for level_from in range(max(0, n), min(2, 2 + n) + 1):
+                got = weighted_mode_matrices(unit, i, n, level_from, [p.u[:n_comp] for p in sides])
+                for pt, matrix in zip(sides, got):
+                    mod = BosonModule(pt, n_comp, pt.u[:n_comp], 2)
+                    mode = GeneratorFamily(mod).x_mode(i, n)
+                    want = operator_matrix(mode, mod, level_from, level_from - n)
+                    assert matrix == want, (i, n, level_from)
+
+
+def test_solve_extracts_each_term_mode_once(monkeypatch):
+    # both sides read one set of weight-free term matrices: 72 extractions
+    # at (2, 2), half of what one family per side takes
+    calls = []
+    mode_apply = VertexOperator.mode_apply
+
+    def counted(self, k, state, module):
+        calls.append(k)
+        return mode_apply(self, k, state, module)
+
+    monkeypatch.setattr(VertexOperator, "mode_apply", counted)
+    pt = make_point(7, 2, 3)
+    solve_vertex_phi(pt, pt.with_weights("phiv"), 2, 2)
+    assert 0 < len(calls) <= 72
+
+
+def test_solve_needs_a_shared_q_and_t():
+    with pytest.raises(ValueError, match="share"):
+        solve_vertex_phi(make_point(7, 1, 3), make_point(8, 1, 3), 1, 2)
 
 
 def crystal_setup(pt, tag="c"):
