@@ -7,7 +7,9 @@ the sizes of the suite table at the end of this module; the acceptance tests
 run the same functions at their contractual sizes.
 
 Every check builds its own modules and families, so the operator caches they
-hold are freed when it returns.
+hold are freed when it returns.  The generalized Macdonald bases are the
+exception: inside a suite run `genmac.gen_macdonald` shares each one, with
+its family's caches, between the checks, and they die with the run.
 """
 
 from __future__ import annotations

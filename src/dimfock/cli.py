@@ -14,24 +14,31 @@ from fractions import Fraction
 
 from .checks import PASS_DETAILS, SUITES
 from .combinat import to_json
-from .genmac import gen_jack, gen_macdonald
+from .genmac import gen_jack, gen_macdonald, shared_bases
 from .report import CheckReport, timed
 from .rmatrix import solve_r_block
 from .scalars import make_point
 
 
 def run_suites(name, opts):
-    """Run the named suite, or every suite for "all", into one report."""
+    """Run the named suite, or every suite for "all", into one report.
+
+    The checks of one run share their eigenbases (`genmac.shared_bases`):
+    each distinct basis is built once and dropped when the run ends.
+    """
     report = CheckReport(name)
-    for suite_name in SUITES if name == "all" else [name]:
-        points, entries = SUITES[suite_name](opts)
-        report.points.extend(p.describe() for p in points)
-        for check_id, anchor, call in entries:
-            with timed(report, check_id, anchor) as tm:
-                failures = call()
-                # a failure's witness is the first entry of its list
-                details = repr(failures[0])[:200] if failures else PASS_DETAILS.get(check_id, "")
-                tm.result(not failures, details)
+    with shared_bases():
+        for suite_name in SUITES if name == "all" else [name]:
+            points, entries = SUITES[suite_name](opts)
+            report.points.extend(p.describe() for p in points)
+            for check_id, anchor, call in entries:
+                with timed(report, check_id, anchor) as tm:
+                    failures = call()
+                    # a failure's witness is the first entry of its list
+                    details = (
+                        repr(failures[0])[:200] if failures else PASS_DETAILS.get(check_id, "")
+                    )
+                    tm.result(not failures, details)
     return report
 
 

@@ -16,6 +16,7 @@ degenerate-limit differential operator.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import linalg
@@ -200,10 +201,43 @@ class GenMacBasis:
         return linalg.transpose(linalg.mat_mul(minv, self.state_matrix()))
 
 
+# value key of gen_macdonald -> its basis inside `shared_bases`, None outside
+_shared = None
+
+
+@contextmanager
+def shared_bases():
+    """Inside the block, gen_macdonald builds each basis once and hands the
+    same object to every later call with the same values; the bases, with
+    their families' caches, are dropped when the block exits, however it
+    exits."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
 def gen_macdonald(level, point, n_comp=None):
-    """Generalized Macdonald basis at the given level."""
-    module = BosonModule(point, n_comp or point.n_weights, point.u, level + 1, kind="qt")
-    return GenMacBasis(level, GeneratorFamily(module))
+    """Generalized Macdonald basis at the given level, over the first n_comp
+    weights of the point (all of them by default).
+
+    Inside `shared_bases` the basis is keyed by everything its build reads,
+    all by value: the level, the number of bosons, (q0, t0), the symbolic
+    slot and the weights.  A shared basis is read-only, like the matrices
+    it keeps.
+    """
+    n = n_comp or point.n_weights
+    weights = point.u[:n]
+    key = (level, n, point.q0, point.t0, point.symbolic_slot, tuple(weights))
+    basis = None if _shared is None else _shared.get(key)
+    if basis is None:
+        module = BosonModule(point, n, weights, level + 1, kind="qt")
+        basis = GenMacBasis(level, GeneratorFamily(module))
+        if _shared is not None:
+            _shared[key] = basis
+    return basis
 
 
 # ---------------------------------------------------------------------------

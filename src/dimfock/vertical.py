@@ -28,7 +28,7 @@ from .fock import (
     state_combination,
     state_scale,
 )
-from .genmac import GenMacBasis, integral_forms
+from .genmac import gen_macdonald, integral_forms
 from .relations import relation_failures
 from .scalars import Series, eigenvalue_of
 from . import linalg
@@ -244,7 +244,7 @@ def higher_hamiltonian_check(k_max, level, point, n_comp):
                         failures.append(("commutator", ka, kb, tup))
     # eigenvalues on the eigenbasis
     for n in range(level + 1):
-        basis = GenMacBasis(n, family)
+        basis = gen_macdonald(n, point, n_comp)
         for tup in basis.tuples:
             st = basis.state(tup)
             for k in range(1, k_max + 1):
@@ -338,7 +338,7 @@ def action_conjecture_check(level, point, n_comp):
     state_tables = {}
     inverses = {}
     for n in range(level + 2):
-        bases[n] = GenMacBasis(n, family)
+        bases[n] = gen_macdonald(n, point, n_comp)
         forms = integral_forms(bases[n])
         tuples = bases[n].tuples
         state_tables[n] = {tup: forms.m_tilde_state(tup) for tup in tuples}
@@ -384,9 +384,9 @@ def eigen_move_coefficients(sign, level, point, n_comp):
     """Expansion of X_{+-1} over the plain eigenbasis (no renormalization)."""
     module = BosonModule(point, n_comp, point.u[:n_comp], level + 2, kind="qt")
     family = GeneratorFamily(module)
-    src = GenMacBasis(level, family)
+    src = gen_macdonald(level, point, n_comp)
     tgt_level = level - 1 if sign > 0 else level + 1
-    tgt = GenMacBasis(tgt_level, family)
+    tgt = gen_macdonald(tgt_level, point, n_comp)
     minv = tgt.state_matrix_inverse()
     out = {}
     for tup in src.tuples:

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
-from dimfock import checks
+from dimfock import checks, genmac
 from dimfock.cli import main
+from dimfock.fock import BosonModule, GeneratorFamily
 from dimfock.report import CheckReport, timed
+from dimfock.scalars import make_point
 
 
 def run_cli(args):
@@ -123,3 +125,86 @@ def test_report_body_pinned(tmp_path, capsys):
         check.pop("seconds")
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
     assert digest == "6b24919e40625606984224db298d66c49d642f8a2f14829ad328920e9d2021c8"
+
+
+LEVEL2_RUN = ["--suite", "all", "--points", "1", "--level", "2", "--seed", "7"]
+
+
+def test_report_body_pinned_at_level2(tmp_path, capsys):
+    # the benchmark's size; recorded before the suite run shared its eigenbases
+    out = tmp_path / "report.json"
+    assert run_cli(LEVEL2_RUN + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    body = json.loads(out.read_text())
+    for check in body["checks"]:
+        check.pop("seconds")
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert digest == "342034a87af8792faa616b36c7a3cd1b9a44174c026ffad86577a1b29da02c97"
+
+
+def _recording_builds(monkeypatch):
+    """Every GenMacBasis built from now on, in build order."""
+    built = []
+    init = genmac.GenMacBasis.__init__
+
+    def recording(self, level, family):
+        init(self, level, family)
+        built.append(self)
+
+    monkeypatch.setattr(genmac.GenMacBasis, "__init__", recording)
+    return built
+
+
+def _value_key(basis):
+    module = basis.module
+    pt = module.point
+    return (basis.level, module.n_bosons, pt.q0, pt.t0, pt.symbolic_slot,
+            tuple(module.weights), basis.family.crystal_normalized)
+
+
+def test_suite_run_builds_each_basis_once(monkeypatch, capsys):
+    built = _recording_builds(monkeypatch)
+    assert run_cli(LEVEL2_RUN) == 0
+    keys = [_value_key(b) for b in built]
+    assert len(set(keys)) == len(keys) <= 32  # 95 builds of 32 bases without the memo
+    # the next run builds its bases again
+    first = len(built)
+    assert run_cli(LEVEL2_RUN) == 0
+    assert [_value_key(b) for b in built[first:]] == keys
+    capsys.readouterr()
+    assert genmac._shared is None
+
+
+def test_shared_bases_are_read_only(monkeypatch, capsys):
+    # a check that modified a shared basis would hand the next check a wrong one
+    built = _recording_builds(monkeypatch)
+    assert run_cli(LEVEL2_RUN) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    for basis in built:
+        m = basis.module
+        module = BosonModule(m.point, m.n_bosons, m.weights, m.level_max, kind=m.kind)
+        fresh = genmac.GenMacBasis(
+            basis.level, GeneratorFamily(module, crystal_normalized=basis.family.crystal_normalized)
+        )
+        assert basis.coeff == fresh.coeff, _value_key(basis)
+        assert basis.dual_coeff == fresh.dual_coeff, _value_key(basis)
+        assert basis.state_matrix() == fresh.state_matrix(), _value_key(basis)
+        assert basis.state_matrix_inverse() == fresh.state_matrix_inverse(), _value_key(basis)
+
+
+def test_interrupted_run_drops_its_bases(monkeypatch, capsys):
+    held = []
+
+    def interrupt(level, n_comp):
+        held.append(len(genmac._shared))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checks, "jack_tables", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["--suite", "genmac", "--points", "1", "--level", "1"])
+    capsys.readouterr()
+    assert held and held[0] > 0  # the earlier checks' bases were shared
+    assert genmac._shared is None
+    pt = make_point(7, 2, 2)
+    assert genmac.gen_macdonald(1, pt) is not genmac.gen_macdonald(1, pt)

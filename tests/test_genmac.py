@@ -319,3 +319,21 @@ def test_gen_jack_tables():
 
 def test_ordering_vanishing(point3):
     assert ordering_vanishing_check(3, point3, n_comp=3) == []
+
+
+def test_shared_bases_key_on_values(point2, point3):
+    # inside one run a value twin shares the basis; any other input does not
+    sym = make_point(101, 2, 4, "q")
+    assert (sym.q0, sym.t0, sym.u) == (point2.q0, point2.t0, point2.u)
+    with genmac.shared_bases():
+        basis = gen_macdonald(1, point2)
+        assert gen_macdonald(1, point2.with_u(point2.u)) is basis
+        others = [
+            gen_macdonald(1, point2.with_weights("x")),
+            gen_macdonald(1, sym),
+            gen_macdonald(1, point2, n_comp=1),
+            gen_macdonald(2, point2),
+        ]
+        assert all(other is not basis for other in others)
+        assert gen_macdonald(1, point3, n_comp=2) is not gen_macdonald(1, point3)
+    assert gen_macdonald(1, point2) is not gen_macdonald(1, point2)
