@@ -9,7 +9,9 @@ run the same functions at their contractual sizes.
 Every check builds its own modules and families, so the operator caches they
 hold are freed when it returns.  The generalized Macdonald bases are the
 exception: inside a suite run `genmac.gen_macdonald` shares each one, with
-its family's caches, between the checks, and they die with the run.
+its family's caches, its state matrix and its integral forms, between the
+checks, and they die with the run.  The R-matrix checks open the same memo
+themselves, so called directly they still build each basis once.
 """
 
 from __future__ import annotations

@@ -119,17 +119,14 @@ class GenMacBasis:
         self.eigenvalues = [eigenvalue_of(t, self.point) for t in tuples]
         n = len(tuples)
         # Per column j: an eigenvalue no earlier column has (distinct
-        # eigenvalues make the left eigenvectors below the rows of C^-1), no
-        # entry above the diagonal in the canonical order, and the
-        # closed-form eigenvalue on the diagonal.
+        # eigenvalues make the left eigenvectors below the rows of C^-1) and
+        # the closed-form eigenvalue on the diagonal.  The triangular solves
+        # check that no entry lies above the diagonal in the canonical order.
         first = {}
         for j, (t, ev) in enumerate(zip(tuples, self.eigenvalues)):
             other = first.setdefault(ev, t)
             if other != t:
                 raise EigenvalueCollision("%r vs %r" % (other, t))
-            for i in range(j):
-                if x0_pp[i][j]:
-                    raise AssertionError("zero mode not triangular: %r -> %r" % (t, tuples[i]))
             if x0_pp[j][j] != ev:
                 raise AssertionError("diagonal eigenvalue mismatch at %r" % (t,))
         # right eigenvectors, unitriangular over the product-Macdonald basis:
@@ -148,8 +145,7 @@ class GenMacBasis:
             for dj, nj in zip(left, norms)
         ]
         self.norms, self._left, self._pinv = norms, left, pinv
-        self._states = {}
-        self._state_inverse = None
+        self._state_matrix = self._state_inverse = self._forms = None
 
     def transition(self, lam_tup, mu_tup):
         """Coefficient of the mu product-Macdonald vector inside P_lam."""
@@ -159,15 +155,17 @@ class GenMacBasis:
         return self.dual_coeff[self.index[lam_tup]][self.index[mu_tup]]
 
     def state(self, tup):
-        """P_tup as a Fock state (monomial coordinates)."""
-        if tup not in self._states:
-            coords = linalg.mat_vec(self.pmat, self.coeff[self.index[tup]])
-            self._states[tup] = {m: c for m, c in zip(self.tuples, coords) if c}
-        return self._states[tup]
+        """P_tup as a Fock state (monomial coordinates): column j of S."""
+        j = self.index[tup]
+        return {m: row[j] for m, row in zip(self.tuples, self.state_matrix()) if row[j]}
 
     def state_matrix(self):
-        """The eigenvectors as columns over the level-n monomials."""
-        return column_matrix([self.state(t) for t in self.tuples], self.tuples)
+        """The eigenvectors as columns over the level-n monomials, S = P C,
+        computed on first use and kept on the basis; callers must not
+        modify it."""
+        if self._state_matrix is None:
+            self._state_matrix = linalg.mat_mul(self.pmat, linalg.transpose(self.coeff))
+        return self._state_matrix
 
     def state_matrix_inverse(self):
         """The inverse of state_matrix(), computed on first use and kept on
@@ -181,11 +179,11 @@ class GenMacBasis:
             self._state_inverse = linalg.mat_mul(self._left, self._pinv)
         return self._state_inverse
 
-    def renormalized_inverse(self, norm):
-        """The inverse of the state matrix with the column of each tuple t
-        scaled by norm[t]: diag(1 / norm) S^-1."""
-        inv = self.state_matrix_inverse()
-        return [[x / norm[t] for x in row] for t, row in zip(self.tuples, inv)]
+    def expand(self, state):
+        """A level-n state over the eigenvectors, {tup: c} with every tuple
+        present: the coefficients S^-1 v of its monomial coordinates v."""
+        coords = coordinates(state, self.tuples)
+        return dict(zip(self.tuples, linalg.mat_vec(self.state_matrix_inverse(), coords)))
 
     def dual_bra(self, tup):
         """<P_tup| as a functional on creation monomials: N_j d_j P^-1, that
@@ -208,15 +206,19 @@ _shared = None
 @contextmanager
 def shared_bases():
     """Inside the block, gen_macdonald builds each basis once and hands the
-    same object to every later call with the same values; the bases, with
-    their families' caches, are dropped when the block exits, however it
-    exits."""
+    same object to every later call with the same values.  The block yields
+    the memo.  A block opened inside another one uses the outer memo; the
+    outermost block drops it, with the bases and their families' caches,
+    when it exits, however it exits.  Also a decorator: @shared_bases()."""
     global _shared
-    outer, _shared = _shared, {}
+    if _shared is not None:
+        yield _shared
+        return
+    _shared = {}
     try:
-        yield
+        yield _shared
     finally:
-        _shared = outer
+        _shared = None
 
 
 def gen_macdonald(level, point, n_comp=None):
@@ -305,12 +307,12 @@ class IntegralForms:
             m: c * self.k_norm_dual[tup] for m, c in self.basis.dual_bra(tup).items()
         }
 
-    def m_tilde_state(self, tup):
-        return state_scale(self.basis.state(tup), self.m_tilde_norm[tup])
-
 
 def integral_forms(basis: GenMacBasis) -> IntegralForms:
-    return IntegralForms(basis)
+    """The integral forms of basis, built on first use and kept on it."""
+    if basis._forms is None:
+        basis._forms = IntegralForms(basis)
+    return basis._forms
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +479,6 @@ def gen_jack(level, beta, uprime):
     hmat = column_matrix([_hbeta_apply({m: ONE}, beta, uprime) for m in tuples], tuples)
     h_mm = linalg.mat_mul(minv, linalg.mat_mul(hmat, mmat))
     n = len(tuples)
-    for j in range(n):
-        for i in range(j):
-            if h_mm[i][j]:
-                raise AssertionError(
-                    "limit Hamiltonian not triangular: %r -> %r" % (tuples[j], tuples[i])
-                )
     eigvals = [h_mm[j][j] for j in range(n)]
     rows = [linalg.triangular_eigenvector(h_mm, j, tuples) for j in range(n)]
     return tuples, rows, eigvals

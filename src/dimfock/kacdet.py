@@ -87,8 +87,6 @@ def whittaker_norm(order, k_weight, point):
     series_order = 4 * order + 1
     out = Series("lambda", series_order)
     for n in range(order + 1):
-        if 4 * n >= series_order:
-            break
         if n == 0:
             coeff = ONE
         else:
@@ -104,8 +102,6 @@ def crystal_whittaker_norm(order, point, direct=False):
     out = Series("lambda", series_order)
     t = point.t
     for n in range(order + 1):
-        if 4 * n >= series_order:
-            break
         if direct:
             k_weight = point.fresh_rational("crystal-k")
             module = BosonModule(point, 1, [k_weight], n, kind="crystal")

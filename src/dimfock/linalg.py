@@ -79,9 +79,14 @@ def triangular_eigenvector(a, j, labels):
     The vector has a 1 in slot j and zeros above it; the slots below follow
     by back-substitution, each divided by a difference of diagonal entries.
     A zero difference that a nonzero numerator needs raises
-    EigenvalueCollision naming labels[j] and the colliding label.
+    EigenvalueCollision naming labels[j] and the colliding label; an entry
+    above the diagonal in column j raises AssertionError naming labels[j]
+    and the label of its row.
     """
     n = len(a)
+    for i in range(j):
+        if a[i][j]:
+            raise AssertionError("not triangular: %r -> %r" % (labels[j], labels[i]))
     vec = [ZERO] * n
     vec[j] = ONE
     for i in range(j + 1, n):

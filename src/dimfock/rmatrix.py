@@ -15,49 +15,37 @@ from fractions import Fraction
 from . import linalg
 from .combinat import EMPTY, PartitionTuple
 from .fock import column_matrix, coordinates
-from .genmac import gen_macdonald, integral_forms
+from .genmac import gen_macdonald, integral_forms, shared_bases
 from .nekrasov import nek_factor
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def swap_tuple(tup: PartitionTuple, i1: int, i2: int) -> PartitionTuple:
-    return tup.swap(i1 - 1, i2 - 1)
+def swap_tuple(tup: PartitionTuple) -> PartitionTuple:
+    """The tuple with bosons 1 and 2 exchanged."""
+    return tup.swap(0, 1)
 
 
-def swap_weights(u, i1, i2):
-    u = list(u)
-    u[i1 - 1], u[i2 - 1] = u[i2 - 1], u[i1 - 1]
-    return u
+def swap_weights(u):
+    """The weights with the first two exchanged."""
+    return [u[1], u[0], *u[2:]]
 
 
-def _eigenbases(level, point):
-    """bases(u): the level eigenbasis at the weights u, one boson per weight.
-
-    Each weight tuple's basis is built once, for as long as the caller keeps
-    bases; a check that meets the same weights in several blocks shares it.
-    """
-    built = {}
-
-    def bases(u):
-        u = tuple(u)
-        if u not in built:
-            built[u] = gen_macdonald(level, point.with_u(list(u)))
-        return built[u]
-
-    return bases
-
-
-def _swapped_back_states(basis_sw, i1, i2):
-    """The eigenvectors of the swapped basis with bosons i1 and i2 exchanged
+def _swapped_back_states(basis_sw):
+    """The eigenvectors of the swapped basis with bosons 1 and 2 exchanged
     back, as columns over the level-n monomials: column j is the eigenvector
-    of tuples[j] with i1 and i2 exchanged."""
+    of tuples[j] with 1 and 2 exchanged."""
     states = [
-        {swap_tuple(m, i1, i2): c for m, c in basis_sw.state(swap_tuple(t, i1, i2)).items()}
+        {swap_tuple(m): c for m, c in basis_sw.state(swap_tuple(t)).items()}
         for t in basis_sw.tuples
     ]
     return column_matrix(states, basis_sw.tuples)
+
+
+def _swapped_basis(level, point, n_comp):
+    """The level eigenbasis over the first n_comp weights, 1 and 2 exchanged."""
+    return gen_macdonald(level, point.with_u(swap_weights(point.u[:n_comp])))
 
 
 def _boson_block(pop, k_vec, pinv):
@@ -82,8 +70,10 @@ class RBlock:
         )
 
 
-def solve_r_block(level, point, pair=(1, 2), n_comp=3):
-    """Level block of the R-matrix acting on the chosen pair of bosons.
+@shared_bases()
+def solve_r_block(level, point, pair=(1, 2)):
+    """Level block of the R-matrix acting on the chosen pair of bosons, one
+    boson per weight of the point.
 
     The proportionality constants on eigenvectors supported purely outside
     the pair are 1; the rest are fixed by requiring that the action on pure
@@ -92,28 +82,16 @@ def solve_r_block(level, point, pair=(1, 2), n_comp=3):
     eigenvectors.  Blocks on pairs other than (1, 2) follow by relabeling
     symmetry.
     """
-    return _r_block(point.u[:n_comp], pair, _eigenbases(level, point))
-
-
-def _r_block(u, pair, bases):
-    """solve_r_block at the weights u, its eigenbases taken from bases."""
     if pair != (1, 2):
-        return _relabelled_block(u, pair, bases)
-    i1, i2 = pair
-    basis = bases(u)
-    level, tuples = basis.level, basis.tuples
+        return _relabelled_block(level, point, pair)
+    basis = gen_macdonald(level, point)
+    tuples = basis.tuples
     pinv = basis.state_matrix_inverse()
-    pop = _swapped_back_states(bases(swap_weights(u, i1, i2)), i1, i2)
+    pop = _swapped_back_states(_swapped_basis(level, point, point.n_weights))
 
-    fixed = {
-        j: ONE
-        for j, t in enumerate(tuples)
-        if t[i1 - 1] == EMPTY and t[i2 - 1] == EMPTY
-    }
+    fixed = {j: ONE for j, t in enumerate(tuples) if t[0] == EMPTY and t[1] == EMPTY}
     free = [j for j in range(len(tuples)) if j not in fixed]
-    spectator_cols = [
-        v for v, m in enumerate(tuples) if m[i1 - 1] == EMPTY and m[i2 - 1] == EMPTY
-    ]
+    spectator_cols = [v for v, m in enumerate(tuples) if m[0] == EMPTY and m[1] == EMPTY]
     active_rows = [v for v in range(len(tuples)) if v not in spectator_cols]
     if free:
         rows = []
@@ -142,17 +120,18 @@ def _r_block(u, pair, bases):
     return RBlock(basis, k_values, boson)
 
 
-def _relabelled_block(u, pair, bases):
+def _relabelled_block(level, point, pair):
     i1, i2 = pair
+    u = point.u
     n_comp = len(u)
     order = [i1 - 1, i2 - 1] + [k for k in range(n_comp) if k not in (i1 - 1, i2 - 1)]
-    inner = _r_block([u[k] for k in order], (1, 2), bases)
+    inner = solve_r_block(level, point.with_u([u[k] for k in order]))
 
     def relabel(tup):
         return PartitionTuple([tup[k] for k in order])
 
     # the inner block is indexed by the same level-n tuples
-    basis = bases(u)
+    basis = gen_macdonald(level, point)
     rows = [basis.index[relabel(m)] for m in basis.tuples]
     boson = [[inner.boson_matrix[a][b] for b in rows] for a in rows]
     k_values = {}
@@ -164,10 +143,12 @@ def _relabelled_block(u, pair, bases):
     return RBlock(basis, k_values, boson)
 
 
+@shared_bases()
 def yang_baxter_check(level, point):
     """B12 B13 B23 = B23 B13 B12 on the level block, three bosons."""
-    u, bases = point.u[:3], _eigenbases(level, point)
-    b12, b13, b23 = (_r_block(u, pair, bases).boson_matrix for pair in ((1, 2), (1, 3), (2, 3)))
+    b12, b13, b23 = (
+        solve_r_block(level, point, pair).boson_matrix for pair in ((1, 2), (1, 3), (2, 3))
+    )
     lhs = linalg.mat_mul(linalg.mat_mul(b12, b13), b23)
     rhs = linalg.mat_mul(linalg.mat_mul(b23, b13), b12)
     return lhs == rhs
@@ -185,34 +166,26 @@ def k_constant_formula(a, b, point):
     )
 
 
+@shared_bases()
 def two_boson_block(level, point, k_values):
-    """R-matrix block on two bosons from the proportionality constants."""
-    u, bases = point.u[:2], _eigenbases(level, point)
-    return _pair_block(bases(u), bases(swap_weights(u, 1, 2)), k_values)
-
-
-def _pair_block(basis, basis_sw, k_values):
-    """The two-boson block over basis, with basis_sw the swapped-weight basis."""
-    pop = _swapped_back_states(basis_sw, 1, 2)
+    """R-matrix block on the first two bosons from the proportionality constants."""
+    basis = gen_macdonald(level, point, n_comp=2)
+    pop = _swapped_back_states(_swapped_basis(level, point, 2))
     k_vec = [k_values[t] for t in basis.tuples]
     boson = _boson_block(pop, k_vec, basis.state_matrix_inverse())
     return RBlock(basis, dict(k_values), boson)
 
 
+@shared_bases()
 def k_from_spectator(level, point3):
     """Extract two-boson constants from the three-boson solve."""
-    return _k_from_spectator(point3.u[:3], _eigenbases(level, point3))
+    block = solve_r_block(level, point3)
+    return {
+        PartitionTuple([t3[0], t3[1]]): k for t3, k in block.k_values.items() if t3[2] == EMPTY
+    }
 
 
-def _k_from_spectator(u3, bases):
-    block = _r_block(u3, (1, 2), bases)
-    out = {}
-    for t3, k in block.k_values.items():
-        if t3[2] == EMPTY:
-            out[PartitionTuple([t3[0], t3[1]])] = k
-    return out
-
-
+@shared_bases()
 def integral_form_r_check(level, point3):
     """Integral-form statements for the two-boson blocks at one level.
 
@@ -225,16 +198,15 @@ def integral_form_r_check(level, point3):
     """
     point = point3
     failures = []
-    bases = _eigenbases(level, point)
-    basis, basis_sw = bases(point.u[:2]), bases(swap_weights(point.u[:2], 1, 2))
-    block = _pair_block(basis, basis_sw, _k_from_spectator(point.u[:3], bases))
+    block = two_boson_block(level, point, k_from_spectator(level, point))
+    basis = block.basis
     forms = integral_forms(basis)
-    forms_sw = integral_forms(basis_sw)
+    forms_sw = integral_forms(_swapped_basis(level, point, 2))
     tuples = basis.tuples
 
     def kop_state(tup):
-        st = forms_sw.k_state(swap_tuple(tup, 1, 2))
-        return {swap_tuple(m, 1, 2): c for m, c in st.items()}
+        st = forms_sw.k_state(swap_tuple(tup))
+        return {swap_tuple(m): c for m, c in st.items()}
 
     k_states = [forms.k_state(t) for t in tuples]
     kops = [kop_state(t) for t in tuples]
@@ -243,15 +215,15 @@ def integral_form_r_check(level, point3):
         img = linalg.mat_vec(block.boson_matrix, coordinates(kst, tuples))
         if img != coordinates(kop, tuples):
             failures.append(("swap-action", tup))
-    # (b) matrix elements in the integral-form basis, two routes
-    kinv = basis.renormalized_inverse(forms.k_norm)
+    # (b) matrix elements in the integral-form basis, two routes; the K
+    # basis is the eigenbasis scaled by k_norm
     pair = basis.module.pair
     k_bras = [forms.k_bra(mu) for mu in tuples]
     norms = [pair(bra, kst) for bra, kst in zip(k_bras, k_states)]
     for lam, kop in zip(tuples, kops):
-        expansion = linalg.mat_vec(kinv, coordinates(kop, tuples))
-        for mu, bra, norm, c in zip(tuples, k_bras, norms, expansion):
-            if pair(bra, kop) != c * norm:
+        expansion = basis.expand(kop)
+        for mu, bra, norm in zip(tuples, k_bras, norms):
+            if pair(bra, kop) != expansion[mu] / forms.k_norm[mu] * norm:
                 failures.append(("element-formula", lam, mu))
     # (c) closed form for the constants
     for tup in tuples:
@@ -261,15 +233,15 @@ def integral_form_r_check(level, point3):
     return failures
 
 
+@shared_bases()
 def involution_check(level, point3):
     """Swap-conjugated block composed with itself is the identity."""
-    u, bases = point3.u[:3], _eigenbases(level, point3)
-    u_sw = swap_weights(u, 1, 2)
-    basis, basis_sw = bases(u[:2]), bases(u_sw[:2])
-    block = _pair_block(basis, basis_sw, _k_from_spectator(u, bases))
-    block_sw = _pair_block(basis_sw, basis, _k_from_spectator(u_sw, bases))
-    tuples = basis.tuples
-    perm = [[ONE if swap_tuple(m, 1, 2) == t else ZERO for t in tuples] for m in tuples]
+    point_sw = point3.with_u(swap_weights(point3.u))
+    block, block_sw = (
+        two_boson_block(level, pt, k_from_spectator(level, pt)) for pt in (point3, point_sw)
+    )
+    tuples = block.basis.tuples
+    perm = [[ONE if swap_tuple(m) == t else ZERO for t in tuples] for m in tuples]
     conj = linalg.mat_mul(perm, linalg.mat_mul(block_sw.boson_matrix, perm))
     prod = linalg.mat_mul(conj, block.boson_matrix)
     return prod == linalg.identity(len(tuples))

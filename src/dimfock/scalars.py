@@ -838,19 +838,6 @@ class Series:
             out = out + term
         return out
 
-    def log(self):
-        if self.coeffs[0] != 1:
-            raise ScalarError("log needs constant term 1")
-        u = self - Series.const(self.var, self.order)
-        out = Series(self.var, self.order)
-        term = Series.const(self.var, self.order)
-        sign = 1
-        for k in range(1, self.order):
-            term = term * u
-            out = out + term.scale(Fraction(sign, k))
-            sign = -sign
-        return out
-
     def __eq__(self, other):
         n = self._check(other)
         return self.coeffs[:n] == other.coeffs[:n]

@@ -130,9 +130,6 @@ class SymFunc:
             self.coeffs.items(), key=lambda kv: kv[0].parts))
         return "SymFunc({%s}, %r)" % (items, self.basis)
 
-    def to_json(self):
-        return {",".join(map(str, lam.parts)): str(c) for lam, c in self.coeffs.items()}
-
 
 # ---------------------------------------------------------------------------
 # Change of basis

@@ -24,14 +24,12 @@ from .fock import (
     BosonModule,
     GeneratorFamily,
     LinOp,
-    coordinates,
     state_combination,
     state_scale,
 )
 from .genmac import gen_macdonald, integral_forms
 from .relations import relation_failures
 from .scalars import Series, eigenvalue_of
-from . import linalg
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -327,52 +325,33 @@ def action_conjecture_check(level, point, n_comp):
 
     For every tuple up to the level, expands X_{+1} and X_{-1} applied to
     the renormalized eigenvector over the neighbouring renormalized basis
-    and compares each coefficient with the box formula.  Also verifies the
-    conjugation relation sending the raising coefficients at (q, t, u) to
-    the lowering ones at (1/t, 1/q, reversed rescaled weights).
+    and compares each coefficient with the box formula.  The M-tilde forms
+    are the eigenvectors scaled by m_tilde_norm, so the coefficient of the
+    move lam -> mu is the plain one times m_tilde(lam) / m_tilde(mu).
     """
     failures = []
     module = BosonModule(point, n_comp, point.u[:n_comp], level + 1, kind="qt")
     family = GeneratorFamily(module)
-    bases = {}
-    state_tables = {}
-    inverses = {}
-    for n in range(level + 2):
-        bases[n] = gen_macdonald(n, point, n_comp)
-        forms = integral_forms(bases[n])
-        tuples = bases[n].tuples
-        state_tables[n] = {tup: forms.m_tilde_state(tup) for tup in tuples}
-        inverses[n] = bases[n].renormalized_inverse(forms.m_tilde_norm)
-
-    def expand(state, n):
-        tuples = bases[n].tuples
-        return dict(zip(tuples, linalg.mat_vec(inverses[n], coordinates(state, tuples))))
-
+    bases = [gen_macdonald(n, point, n_comp) for n in range(level + 2)]
+    norms = [integral_forms(basis).m_tilde_norm for basis in bases]
     for n in range(level + 1):
+        # per move: its name, sign, target level and coefficient table
+        moves = [
+            (name, sign, n - sign, _moves(family, sign, bases[n], bases[n - sign]))
+            for name, sign in (("raising", +1), ("lowering", -1))
+            if n - sign >= 0
+        ]
         for tup in bases[n].tuples:
-            st = state_tables[n][tup]
-            if n >= 1:
-                img = family.x_mode(1, 1)(st)
-                coeffs = expand(img, n - 1)
-                for mu, c in coeffs.items():
+            for name, sign, target, table in moves:
+                for mu, c in table[tup].items():
+                    big, small = (tup, mu) if sign > 0 else (mu, tup)
                     want = (
-                        box_coefficient(+1, tup, mu, point, n_comp)
-                        if _contains(tup, mu)
+                        box_coefficient(sign, tup, mu, point, n_comp)
+                        if _contains(big, small)
                         else ZERO
                     )
-                    if c != want:
-                        failures.append(("raising", tup, mu))
-            if n + 1 <= level + 1:
-                img = family.x_mode(1, -1)(st)
-                coeffs = expand(img, n + 1)
-                for mu, c in coeffs.items():
-                    want = (
-                        box_coefficient(-1, tup, mu, point, n_comp)
-                        if _contains(mu, tup)
-                        else ZERO
-                    )
-                    if c != want:
-                        failures.append(("lowering", tup, mu))
+                    if c * norms[n][tup] / norms[target][mu] != want:
+                        failures.append((name, tup, mu))
     return failures
 
 
@@ -380,20 +359,18 @@ def _contains(big: PartitionTuple, small: PartitionTuple) -> bool:
     return all(b.contains(s) for b, s in zip(big, small))
 
 
+def _moves(family, sign, source, target):
+    """X_{+1} (sign +1) or X_{-1} (sign -1) of the family on each eigenvector
+    of source, expanded over the eigenvectors of target: {tup: {mu: c}}."""
+    op = family.x_mode(1, sign)
+    return {tup: target.expand(op(source.state(tup))) for tup in source.tuples}
+
+
 def eigen_move_coefficients(sign, level, point, n_comp):
     """Expansion of X_{+-1} over the plain eigenbasis (no renormalization)."""
     module = BosonModule(point, n_comp, point.u[:n_comp], level + 2, kind="qt")
-    family = GeneratorFamily(module)
-    src = gen_macdonald(level, point, n_comp)
-    tgt_level = level - 1 if sign > 0 else level + 1
-    tgt = gen_macdonald(tgt_level, point, n_comp)
-    minv = tgt.state_matrix_inverse()
-    out = {}
-    for tup in src.tuples:
-        img = family.x_mode(1, 1 if sign > 0 else -1)(src.state(tup))
-        coords = linalg.mat_vec(minv, coordinates(img, tgt.tuples))
-        out[tup] = dict(zip(tgt.tuples, coords))
-    return out
+    source, target = (gen_macdonald(n, point, n_comp) for n in (level, level - sign))
+    return _moves(GeneratorFamily(module), sign, source, target)
 
 
 def raising_lowering_duality_check(level, point, n_comp):

@@ -175,6 +175,20 @@ def test_suite_run_builds_each_basis_once(monkeypatch, capsys):
     assert genmac._shared is None
 
 
+def test_suite_run_builds_integral_forms_once_per_basis(monkeypatch, capsys):
+    built = []
+    init = genmac.IntegralForms.__init__
+
+    def recording(self, basis):
+        init(self, basis)
+        built.append(basis)
+
+    monkeypatch.setattr(genmac.IntegralForms, "__init__", recording)
+    assert run_cli(LEVEL2_RUN) == 0
+    capsys.readouterr()
+    assert len({id(b) for b in built}) == len(built) <= 16  # 31 builds without the cache
+
+
 def test_shared_bases_are_read_only(monkeypatch, capsys):
     # a check that modified a shared basis would hand the next check a wrong one
     built = _recording_builds(monkeypatch)
@@ -191,6 +205,10 @@ def test_shared_bases_are_read_only(monkeypatch, capsys):
         assert basis.dual_coeff == fresh.dual_coeff, _value_key(basis)
         assert basis.state_matrix() == fresh.state_matrix(), _value_key(basis)
         assert basis.state_matrix_inverse() == fresh.state_matrix_inverse(), _value_key(basis)
+        if basis._forms is not None:
+            forms, fresh_forms = genmac.integral_forms(basis), genmac.integral_forms(fresh)
+            for name in ("alpha", "k_norm", "k_norm_dual", "m_tilde_norm"):
+                assert getattr(forms, name) == getattr(fresh_forms, name), (name, _value_key(basis))
 
 
 def test_interrupted_run_drops_its_bases(monkeypatch, capsys):

@@ -337,3 +337,44 @@ def test_shared_bases_key_on_values(point2, point3):
         assert all(other is not basis for other in others)
         assert gen_macdonald(1, point3, n_comp=2) is not gen_macdonald(1, point3)
     assert gen_macdonald(1, point2) is not gen_macdonald(1, point2)
+
+
+def test_nested_shared_bases_use_the_outer_memo(point2):
+    with genmac.shared_bases() as outer:
+        basis = gen_macdonald(1, point2)
+        with genmac.shared_bases() as inner:
+            assert inner is outer
+            assert gen_macdonald(1, point2) is basis
+        # the inner exit leaves the memo open
+        assert genmac._shared is outer
+        assert gen_macdonald(1, point2) is basis
+    assert genmac._shared is None
+
+
+def test_outermost_shared_bases_exit_drops_the_memo_on_error(point2):
+    with pytest.raises(KeyError):
+        with genmac.shared_bases():
+            with genmac.shared_bases():
+                gen_macdonald(1, point2)
+                raise KeyError("inner")
+    assert genmac._shared is None
+    with pytest.raises(KeyError):
+        with genmac.shared_bases():
+            raise KeyError("outer")
+    assert genmac._shared is None
+
+
+def test_integral_forms_are_kept_on_the_basis(point2):
+    basis = gen_macdonald(2, point2)
+    forms = integral_forms(basis)
+    assert integral_forms(basis) is forms
+    assert integral_forms(gen_macdonald(2, point2)) is not forms
+
+
+@pytest.mark.parametrize("n_comp", [2, 3])
+def test_expand_inverts_state(point3, n_comp):
+    for level in (1, 2, 3):
+        basis = gen_macdonald(level, point3, n_comp=n_comp)
+        for tup in basis.tuples:
+            unit = {mu: Fraction(int(mu == tup)) for mu in basis.tuples}
+            assert basis.expand(basis.state(tup)) == unit, (level, tup)

@@ -45,6 +45,14 @@ def test_triangular_eigenvector_collision():
     assert genmac.EigenvalueCollision is EigenvalueCollision
 
 
+def test_triangular_eigenvector_rejects_an_entry_above_the_diagonal():
+    a = [[F(2), F(0), F(1)], [F(1), F(3), F(0)], [F(4), F(5), F(7)]]
+    with pytest.raises(AssertionError, match="'c' -> 'a'"):
+        triangular_eigenvector(a, 2, ["a", "b", "c"])
+    # only column j is read above the diagonal
+    assert triangular_eigenvector(a, 1, ["a", "b", "c"]) == [0, 1, F(-5, 4)]
+
+
 def gauss_eliminate(a, rhs):
     """Row-reduce [a | rhs] in place; returns (pivot column list, rank).
 

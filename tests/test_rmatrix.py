@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import dimfock.rmatrix_tables as tables
+from dimfock import genmac
 from dimfock.combinat import Partition, PartitionTuple
 from dimfock.genmac import gen_macdonald
 from dimfock.scalars import make_point
@@ -114,3 +115,18 @@ def test_level3_yang_baxter_and_involution():
     pt = make_point(7, 3, 4)
     assert yang_baxter_check(3, pt)
     assert involution_check(3, pt)
+
+
+def test_direct_check_builds_each_basis_once(monkeypatch, point3):
+    # the entry points share one memo: the three blocks read six bases
+    built = []
+    init = genmac.GenMacBasis.__init__
+
+    def recording(self, level, family):
+        init(self, level, family)
+        built.append((level, self.module.n_bosons, tuple(self.module.weights)))
+
+    monkeypatch.setattr(genmac.GenMacBasis, "__init__", recording)
+    assert yang_baxter_check(2, point3)
+    assert len(set(built)) == len(built) == 6
+    assert genmac._shared is None

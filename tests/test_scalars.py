@@ -1,7 +1,7 @@
 import operator
 import random
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -326,13 +326,24 @@ def test_ratfunc_matches_fraction_arithmetic(expr, xs):
     event("points checked: %d" % checked)
 
 
-def test_series_exp_log_roundtrip():
+def _random_series(rng, order):
+    """A series with zero constant term and small random coefficients."""
+    tail = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(order - 1)]
+    return Series("z", order, [Fraction(0)] + tail)
+
+
+def test_series_exp_of_a_sum_is_the_product():
     rng = random.Random(5)
     for _ in range(5):
-        coeffs = [Fraction(0)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(6)]
-        s = Series("z", 7, coeffs)
-        one_plus = Series.const("z", 7) + s
-        assert one_plus.log().exp() == one_plus
+        a, b = _random_series(rng, 7), _random_series(rng, 7)
+        assert (a + b).exp() == a.exp() * b.exp()
+
+
+def test_series_exp_coefficients():
+    # exp(c z) = sum_k c^k z^k / k!
+    for c in (Fraction(1), Fraction(-3, 2), Fraction(5, 7)):
+        got = Series.monomial("z", 7, 1, c).exp()
+        assert got.coeffs == [c**k / factorial(k) for k in range(7)]
 
 
 def test_series_truncation_consistency():
