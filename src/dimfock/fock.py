@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 
 from .combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples
-from .scalars import Series, cleared, dot, quotient
+from .scalars import cleared, dot, exp_series, quotient
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -582,14 +582,14 @@ class GeneratorFamily(ModeFamily):
     # dressed single-boson currents
     def _eta(self, i):
         pt, L = self.point, self.module.level_max
-        cre = {(i, n): (1 - pt.t_pow(-n)) / n for n in range(1, L + 1)}
-        ann = {(i, n): -(1 - pt.t_pow(n)) / n for n in range(1, L + 1)}
+        cre = {(i, n): (1 - pt.t ** (-n)) / n for n in range(1, L + 1)}
+        ann = {(i, n): -(1 - pt.t**n) / n for n in range(1, L + 1)}
         return VertexOperator(cre, ann)
 
     def _phi_dress(self, i):
         pt, L = self.point, self.module.level_max
         cre = {
-            (i, n): (1 - pt.t_pow(-n)) * (1 - pt.p_half(-2 * n)) / n for n in range(1, L + 1)
+            (i, n): (1 - pt.t ** (-n)) * (1 - pt.p_half(-2 * n)) / n for n in range(1, L + 1)
         }
         return VertexOperator(cre, {})
 
@@ -616,16 +616,16 @@ class GeneratorFamily(ModeFamily):
         if self.module.n_bosons != 2:
             raise ValueError("crystal normalization is defined for two bosons")
         if i == 1:
-            cre = {(0, n): (1 - pt.t_pow(-n)) * pt.p_half(n) / n for n in range(1, L + 1)}
-            ann = {(0, n): -(1 - pt.t_pow(n)) * pt.p_half(-n) / n for n in range(1, L + 1)}
+            cre = {(0, n): (1 - pt.t ** (-n)) * pt.p_half(n) / n for n in range(1, L + 1)}
+            ann = {(0, n): -(1 - pt.t**n) * pt.p_half(-n) / n for n in range(1, L + 1)}
             return VertexOperator(cre, ann, self.module.weights[0])
         cre = {
-            (0, n): -(1 - pt.t_pow(-n)) * (1 - pt.p_half(2 * n)) * pt.p_half(-n) / n
+            (0, n): -(1 - pt.t ** (-n)) * (1 - pt.p_half(2 * n)) * pt.p_half(-n) / n
             for n in range(1, L + 1)
         }
         for n in range(1, L + 1):
-            cre[(1, n)] = (1 - pt.t_pow(-n)) * pt.p_half(-n) / n
-        ann = {(1, n): -(1 - pt.t_pow(n)) * pt.p_half(n) / n for n in range(1, L + 1)}
+            cre[(1, n)] = (1 - pt.t ** (-n)) * pt.p_half(-n) / n
+        ann = {(1, n): -(1 - pt.t**n) * pt.p_half(n) / n for n in range(1, L + 1)}
         return VertexOperator(cre, ann, self.module.weights[1])
 
     def x_terms(self, i):
@@ -659,11 +659,11 @@ class GeneratorFamily(ModeFamily):
         return self.x_terms(gen)
 
 
-def structure_series(point, kind, order) -> Series:
-    """Structure constants f_l of the quadratic exchange relations."""
+def structure_series(point, kind, order):
+    """Structure constants f_0 .. f_(order-1) of the quadratic exchange relations."""
     t, q = point.t, point.q
     p = point.p
-    log = Series("z", order)
+    log = [ZERO]
     for n in range(1, order):
         if kind == "virasoro":
             c = (1 - q**n) * (1 - t ** (-n)) / (n * (1 + p**n))
@@ -673,8 +673,8 @@ def structure_series(point, kind, order) -> Series:
             c = (1 - q**n) * (1 - t ** (-n)) * (1 + p**n) / n
         else:
             raise ValueError(kind)
-        log = log + Series.monomial("z", order, n, c)
-    return log.exp()
+        log.append(c)
+    return exp_series(log)
 
 
 # -- deformed Virasoro -------------------------------------------------------
@@ -693,18 +693,18 @@ class VirasoroFamily(ModeFamily):
         L = module.level_max
         self.plus = VertexOperator(
             {
-                (0, n): -(1 - pt.t_pow(n)) / (n * (pt.t_pow(n) + pt.q_pow(n))) * pt.p_half(-n)
+                (0, n): -(1 - pt.t**n) / (n * (pt.t**n + pt.q**n)) * pt.p_half(-n)
                 for n in range(1, L + 1)
             },
-            {(0, n): -(1 - pt.t_pow(n)) / n * pt.p_half(n) for n in range(1, L + 1)},
+            {(0, n): -(1 - pt.t**n) / n * pt.p_half(n) for n in range(1, L + 1)},
             k_weight,
         )
         self.minus = VertexOperator(
             {
-                (0, n): (1 - pt.t_pow(n)) / (n * (pt.t_pow(n) + pt.q_pow(n))) * pt.p_half(n)
+                (0, n): (1 - pt.t**n) / (n * (pt.t**n + pt.q**n)) * pt.p_half(n)
                 for n in range(1, L + 1)
             },
-            {(0, n): (1 - pt.t_pow(n)) / n * pt.p_half(-n) for n in range(1, L + 1)},
+            {(0, n): (1 - pt.t**n) / n * pt.p_half(-n) for n in range(1, L + 1)},
             1 / k_weight,
         )
 
@@ -725,13 +725,13 @@ class CrystalVirasoro(ModeFamily):
         L = module.level_max
         self.k_weight = k_weight
         self.lam_plus = VertexOperator(
-            {(0, n): (1 - pt.t_pow(-n)) / n for n in range(1, L + 1)},
-            {(0, n): -(1 - pt.t_pow(n)) / n for n in range(1, L + 1)},
+            {(0, n): (1 - pt.t ** (-n)) / n for n in range(1, L + 1)},
+            {(0, n): -(1 - pt.t**n) / n for n in range(1, L + 1)},
             k_weight,
         )
         self.lam_minus = VertexOperator(
-            {(0, n): -(1 - pt.t_pow(-n)) / n for n in range(1, L + 1)},
-            {(0, n): (1 - pt.t_pow(n)) / n for n in range(1, L + 1)},
+            {(0, n): -(1 - pt.t ** (-n)) / n for n in range(1, L + 1)},
+            {(0, n): (1 - pt.t**n) / n for n in range(1, L + 1)},
             1 / k_weight,
         )
 
@@ -749,20 +749,20 @@ class CrystalGenerators(ModeFamily):
         L = module.level_max
         u1, u2 = module.weights
         self.lam1 = VertexOperator(
-            {(0, n): (1 - pt.t_pow(-n)) / n for n in range(1, L + 1)},
-            {(0, n): -(1 - pt.t_pow(n)) / n for n in range(1, L + 1)},
+            {(0, n): (1 - pt.t ** (-n)) / n for n in range(1, L + 1)},
+            {(0, n): -(1 - pt.t**n) / n for n in range(1, L + 1)},
             u1,
         )
-        cre2 = {(0, n): -(1 - pt.t_pow(-n)) / n for n in range(1, L + 1)}
+        cre2 = {(0, n): -(1 - pt.t ** (-n)) / n for n in range(1, L + 1)}
         for n in range(1, L + 1):
-            cre2[(1, n)] = (1 - pt.t_pow(-n)) / n
+            cre2[(1, n)] = (1 - pt.t ** (-n)) / n
         self.lam2 = VertexOperator(
-            cre2, {(1, n): -(1 - pt.t_pow(n)) / n for n in range(1, L + 1)}, u2
+            cre2, {(1, n): -(1 - pt.t**n) / n for n in range(1, L + 1)}, u2
         )
-        x2_cre = {(1, n): (1 - pt.t_pow(-n)) / n for n in range(1, L + 1)}
-        x2_ann = {(0, n): -(1 - pt.t_pow(n)) / n for n in range(1, L + 1)}
+        x2_cre = {(1, n): (1 - pt.t ** (-n)) / n for n in range(1, L + 1)}
+        x2_ann = {(0, n): -(1 - pt.t**n) / n for n in range(1, L + 1)}
         for n in range(1, L + 1):
-            x2_ann[(1, n)] = -(1 - pt.t_pow(n)) / n
+            x2_ann[(1, n)] = -(1 - pt.t**n) / n
         self.x2 = VertexOperator(x2_cre, x2_ann, u1 * u2)
 
     def mode_terms(self, gen, n):

@@ -42,7 +42,7 @@ from .fock import (
 from .linalg import EigenvalueCollision
 from .nekrasov import nek_factor
 from .scalars import PoleAtZero, eigenvalue_of
-from .symfunc import SymFunc, macdonald_p, monomial_in_p
+from .symfunc import macdonald_p, monomial_in_p
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -319,20 +319,16 @@ def integral_forms(basis: GenMacBasis) -> IntegralForms:
 # Crystal limit (q -> 0) through the rational-function field
 
 
-def gen_hall_littlewood(level, sym_point, n_comp=2):
-    """Transition tables of the q -> 0 limit, with pole detection.
+def gen_hall_littlewood(level, sym_point):
+    """Transition tables of the two-boson q -> 0 limit, with pole detection.
 
-    For two components the generators are taken in the crystal-normalized
-    form (first boson rescaled by half powers of p), under which every
-    zero-mode matrix entry is a rational function of q; the limit is exact
-    evaluation at q = 0.  Returns (limit table, dual limit table, poles).
+    The generators are taken in the crystal-normalized form (first boson
+    rescaled by half powers of p), under which every zero-mode matrix entry
+    is a rational function of q; the limit is exact evaluation at q = 0.
+    Returns (limit table, dual limit table, poles).
     """
     if not sym_point.is_symbolic_q:
         raise ValueError("needs a symbolic-q point")
-    if n_comp == 1:
-        return _gen_hl_rank1(level, sym_point)
-    if n_comp != 2:
-        raise ValueError("crystal limit implemented for one or two components")
     module = BosonModule(sym_point, 2, sym_point.u, level + 1, kind="qt")
     family = GeneratorFamily(module, crystal_normalized=True)
     basis = GenMacBasis(level, family)
@@ -353,36 +349,6 @@ def gen_hall_littlewood(level, sym_point, n_comp=2):
         table[lam] = row
         dual_table[lam] = drow
     return table, dual_table, poles
-
-
-def _gen_hl_rank1(level, sym_point):
-    q, t = sym_point.q, sym_point.t
-    table = {}
-    poles = []
-    for lam in _rank1_tuples(level):
-        mac = macdonald_p(lam[0], q, t)
-        row = {}
-        for mu in _rank1_tuples(level):
-            val = _mono_coeff(mac, mu[0])
-            try:
-                row[mu] = sym_point.at_crystal(val)
-            except PoleAtZero:
-                row[mu] = None
-                poles.append((lam, mu))
-        table[lam] = row
-    return table, table, poles
-
-
-def _rank1_tuples(level):
-    from .combinat import partitions
-
-    return [PartitionTuple([lam]) for lam in partitions(level)]
-
-
-def _mono_coeff(f: SymFunc, mu: Partition):
-    from .symfunc import convert
-
-    return convert(f, "m")[mu]
 
 
 # ---------------------------------------------------------------------------

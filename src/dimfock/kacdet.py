@@ -32,7 +32,7 @@ from .fock import (
     state_scale,
 )
 from .genmac import zero_mode_conjugation
-from .scalars import Series, eigenvalue_of
+from .scalars import eigenvalue_of
 from .symfunc import macdonald_p
 
 ZERO = Fraction(0)
@@ -80,26 +80,22 @@ def kac_det_check(n, n_comp, point):
 
 
 def whittaker_norm(order, k_weight, point):
-    """<G|G> = sum_n Lambda^(4n) B^((1^n),(1^n)) as a series in Lambda.
+    """<G|G> = sum_n Lambda^(4n) B^((1^n),(1^n)): entry n is the coefficient of
+    Lambda^(4n), n <= order.
 
     B is the Shapovalov (PBW Gram) matrix of the deformed Virasoro modes.
     """
-    series_order = 4 * order + 1
-    out = Series("lambda", series_order)
-    for n in range(order + 1):
-        if n == 0:
-            coeff = ONE
-        else:
-            module = BosonModule(point, 1, [k_weight], n, kind="qt")
-            coeff = _ones_inverse_entry(n, VirasoroFamily(module, k_weight))
-        out = out + Series.monomial("lambda", series_order, 4 * n, coeff)
+    out = [ONE]
+    for n in range(1, order + 1):
+        module = BosonModule(point, 1, [k_weight], n, kind="qt")
+        out.append(_ones_inverse_entry(n, VirasoroFamily(module, k_weight)))
     return out
 
 
 def crystal_whittaker_norm(order, point, direct=False):
-    """Crystal Whittaker norm; closed form or via direct Gram inversion."""
-    series_order = 4 * order + 1
-    out = Series("lambda", series_order)
+    """Crystal Whittaker norm by instanton order; closed form or via direct Gram
+    inversion."""
+    out = []
     t = point.t
     for n in range(order + 1):
         if direct:
@@ -108,7 +104,7 @@ def crystal_whittaker_norm(order, point, direct=False):
             coeff = _ones_inverse_entry(n, CrystalVirasoro(module, k_weight))
         else:
             coeff = 1 / b_factor(Partition((1,) * n), 1 / t)
-        out = out + Series.monomial("lambda", series_order, 4 * n, coeff)
+        out.append(coeff)
     return out
 
 
@@ -132,12 +128,10 @@ def rectangle_tuple(n_comp, i, r, s):
     return PartitionTuple(comps)
 
 
-def constrained_point_single(point, n_comp, i, r, s, tag=0):
-    """Impose u_{N-i} = q^s t^(-r) u_{N-i+1} on fresh generic weights."""
-    base = point.with_weights(("sing", i, r, s, tag)) if tag else point
-    u = list(base.u[:n_comp])
-    q, t = point.q, point.t
-    u[n_comp - i - 1] = q**s * t ** (-r) * u[n_comp - i]
+def constrained_point_single(point, n_comp, i, r, s):
+    """Impose u_{N-i} = q^s t^(-r) u_{N-i+1} on the weights of point."""
+    u = list(point.u[:n_comp])
+    u[n_comp - i - 1] = point.q**s * point.t ** (-r) * u[n_comp - i]
     return point.with_u(u)
 
 

@@ -1,10 +1,12 @@
 """Nekrasov factors, pure-gauge partition functions, their crystal limits,
 and the four-point sums of the crystal vertex operator.
 
-All series are exact; the instanton expansion variable enters through its
-fourth power only.  The crystal factor is the closed-form q -> 0 limit of
-the rescaled generic factor, never a runtime limit, and the limit statement
-itself is verified order by order inside the rational-function field.
+A series is the list of its exact coefficients.  The instanton expansion
+variable Lambda enters through its fourth power only, so a series in it is
+indexed by instanton order: entry k is the coefficient of Lambda^(4k).  The
+crystal factor is the closed-form q -> 0 limit of the rescaled generic
+factor, never a runtime limit, and the limit statement itself is verified
+order by order inside the rational-function field.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .combinat import (
     n_stat,
     partitions,
 )
-from .scalars import PoleAtZero, Series
+from .scalars import PoleAtZero
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,10 +50,9 @@ def nek_factor(lam: Partition, mu: Partition, Q, point):
 
 
 def z_pure(order, Q, point):
-    """Pure-gauge instanton series: coefficient of Lambda^(4k) for k <= order."""
-    series_order = 4 * order + 1
+    """Pure-gauge instanton series: entry k is the coefficient of Lambda^(4k), k <= order."""
     q, t = point.q, point.t
-    out = Series("lambda", series_order)
+    out = []
     for k in range(order + 1):
         coeff = ZERO
         for tot_l in range(k + 1):
@@ -66,7 +67,7 @@ def z_pure(order, Q, point):
                     if not den:
                         raise NonGenericPoint("vanishing denominator in the instanton sum")
                     coeff = coeff + (t / q) ** k / den
-        out = out + Series.monomial("lambda", series_order, 4 * k, coeff)
+        out.append(coeff)
     return out
 
 
@@ -88,9 +89,8 @@ def crystal_nek(lam: Partition, mu: Partition, Q, tval):
 
 
 def z_pure_crystal(order, Q, tval):
-    """Crystal pure-gauge series via the two-integer sum."""
-    series_order = 4 * order + 1
-    out = Series("lambda", series_order)
+    """Crystal pure-gauge series via the two-integer sum, by instanton order."""
+    out = []
     for k in range(order + 1):
         coeff = ZERO
         for n in range(k + 1):
@@ -103,19 +103,18 @@ def z_pure_crystal(order, Q, tval):
             if not den:
                 raise NonGenericPoint("vanishing crystal denominator")
             coeff = coeff + 1 / den
-        out = out + Series.monomial("lambda", series_order, 4 * k, coeff)
+        out.append(coeff)
     return out
 
 
 def z_pure_crystal_closed(order, tval):
     """The Q-independent evaluation: coefficients 1 / prod (1 - t^-s)."""
-    series_order = 4 * order + 1
-    out = Series("lambda", series_order)
+    out = []
     for m in range(order + 1):
         den = ONE
         for s in range(1, m + 1):
             den = den * (1 - tval ** (-s))
-        out = out + Series.monomial("lambda", series_order, 4 * m, 1 / den)
+        out.append(1 / den)
     return out
 
 
@@ -136,13 +135,13 @@ def crystal_limit_check(order, sym_point, Q):
     for k in range(order + 1):
         # Lambda^4 = (t/q) * crystal Lambda^4, so the k-th coefficient,
         # which carries (t/q)^k already, picks up (t/q)^(2k) in total.
-        coeff = generic[4 * k] * (t / sym_point.q) ** k
+        coeff = generic[k] * (t / sym_point.q) ** k
         try:
             value = sym_point.at_crystal(coeff)
         except PoleAtZero:
             fails.append((k, "pole"))
             continue
-        if value != target[4 * k]:
+        if value != target[k]:
             fails.append((k, "mismatch"))
     return fails
 

@@ -644,12 +644,6 @@ class ScalarPoint:
             return self._sym() ** k
         return (self.q0 / self.t0) ** (2 * k)
 
-    def q_pow(self, n):
-        return self.q**n if n >= 0 else 1 / (self.q ** (-n))
-
-    def t_pow(self, n):
-        return self.t**n if n >= 0 else 1 / (self.t ** (-n))
-
     def at_crystal(self, x):
         """Evaluate a scalar at q = 0 (s = 0); raises PoleAtZero on a pole."""
         if isinstance(x, RatFunc):
@@ -658,16 +652,14 @@ class ScalarPoint:
 
     # -- auxiliary generic parameters -----------------------------------
 
-    def fresh_rational(self, tag, nonzero=True, not_one=True):
-        """Deterministic extra generic rational attached to this point."""
+    def fresh_rational(self, tag):
+        """Deterministic extra generic rational attached to this point, never 0
+        (numerators are at least 2) nor 1."""
         rng = stable_rng("dimfock-aux", self.seed, tag)
         while True:
             x = _sample_fraction(rng)
-            if nonzero and x == 0:
-                continue
-            if not_one and x == 1:
-                continue
-            return x
+            if x != 1:
+                return x
 
     def with_weights(self, tag):
         """A sibling point sharing (q0, t0) but with fresh generic weights."""
@@ -758,89 +750,15 @@ def _eigenvalues_separate(point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Truncated power series
+# Power series, as the list of their coefficients
 
 
-class Series:
-    """Dense truncated power series; ``order`` is the exclusive truncation."""
-
-    __slots__ = ("var", "order", "coeffs")
-
-    def __init__(self, var, order, coeffs=()):
-        self.var = var
-        self.order = order
-        cs = list(coeffs)[:order]
-        cs += [Fraction(0)] * (order - len(cs))
-        self.coeffs = cs
-
-    @classmethod
-    def const(cls, var, order, c=1):
-        return cls(var, order, [c])
-
-    @classmethod
-    def monomial(cls, var, order, deg, c=1):
-        cs = [Fraction(0)] * order
-        if deg < order:
-            cs[deg] = c
-        return cls(var, order, cs)
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def _check(self, other):
-        if self.var != other.var:
-            raise ScalarError("series variable mismatch: %s vs %s" % (self.var, other.var))
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        n = self._check(other)
-        return Series(self.var, n, [self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other):
-        n = self._check(other)
-        return Series(self.var, n, [self.coeffs[i] - other.coeffs[i] for i in range(n)])
-
-    def __mul__(self, other):
-        n = self._check(other)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if not a:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Series(self.var, n, out)
-
-    def scale(self, c):
-        return Series(self.var, self.order, [c * x for x in self.coeffs])
-
-    def inverse(self):
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ZeroDivisionError("series has no constant term")
-        inv = [1 / c0] + [Fraction(0)] * (self.order - 1)
-        for k in range(1, self.order):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / c0
-        return Series(self.var, self.order, inv)
-
-    def exp(self):
-        if self.coeffs[0] != 0:
-            raise ScalarError("exp needs zero constant term")
-        out = Series.const(self.var, self.order)
-        term = Series.const(self.var, self.order)
-        for k in range(1, self.order):
-            term = term * self
-            term = term.scale(Fraction(1, k))
-            out = out + term
-        return out
-
-    def __eq__(self, other):
-        n = self._check(other)
-        return self.coeffs[:n] == other.coeffs[:n]
-
-    def __repr__(self):
-        return "Series(%r, %d, %r)" % (self.var, self.order, self.coeffs)
+def exp_series(log):
+    """exp of a power series with zero constant term, to the length of ``log``,
+    by k f_k = sum_(j=1..k) j g_j f_(k-j)."""
+    if log[0]:
+        raise ScalarError("exp needs zero constant term")
+    out = [Fraction(1)]
+    for k in range(1, len(log)):
+        out.append(sum(j * log[j] * out[k - j] for j in range(1, k + 1)) / k)
+    return out

@@ -1,8 +1,9 @@
 """Symmetric functions in the power-sum basis with exact coefficients.
 
-The power sums p_lambda are the working basis; monomial (m) and elementary
-(e) expansions are handled through cached integer change-of-basis matrices
-per degree.  The (q,t) inner product is diagonal on power sums,
+The power sums p_lambda are the working basis; monomial (m) expansions are
+handled through cached change-of-basis matrices per degree, built from the
+elementary functions e_mu, which have closed forms in both bases.  The (q,t)
+inner product is diagonal on power sums,
 
     <p_lambda, p_mu> = delta * z_lambda * prod_k (1-q^(lambda_k))/(1-t^(lambda_k)),
 
@@ -189,31 +190,27 @@ def _bounded_compositions(total, bounds):
 
 @lru_cache(maxsize=None)
 def _basis_matrices(n: int):
-    """Per-degree conversion data: basis list and matrices between p, m, e."""
+    """Per-degree conversion data: basis list and the matrices between p and m."""
     if n > MAX_CONVERT_DEGREE:
         raise DegreeCapError("degree %d exceeds conversion cap %d" % (n, MAX_CONVERT_DEGREE))
     basis = list(partitions(n))
-    idx = {lam: i for i, lam in enumerate(basis)}
     # e_mu = sum_nu E[mu][nu] m_nu  (0-1 matrix counts)
     e2m = [
         [Fraction(_zero_one_matrix_count(mu.parts, nu.parts)) for nu in basis] for mu in basis
     ]
-    m2e = linalg.inverse(e2m)
     # e_mu in power sums
     e2p = []
     for mu in basis:
         f = elementary_in_p(mu)
         e2p.append([f[lam] for lam in basis])
     # m_nu in power sums: m = (e2m)^(-1) e
-    m2p = linalg.mat_mul(m2e, e2p)
-    p2m = linalg.inverse(m2p)
-    p2e = linalg.inverse(e2p)
-    return basis, idx, {"e2m": e2m, "m2e": m2e, "e2p": e2p, "m2p": m2p, "p2m": p2m, "p2e": p2e}
+    m2p = linalg.mat_mul(linalg.inverse(e2m), e2p)
+    return basis, {"m2p": m2p, "p2m": linalg.inverse(m2p)}
 
 
 def convert(f: SymFunc, target: str) -> SymFunc:
-    """Exact change of basis among power sums "p", monomials "m" and elementary "e"."""
-    if target not in ("p", "m", "e"):
+    """Exact change of basis between power sums "p" and monomials "m"."""
+    if target not in ("p", "m"):
         raise ValueError(target)
     if target == f.basis:
         return f
@@ -225,12 +222,8 @@ def convert(f: SymFunc, target: str) -> SymFunc:
             out = out + convert(part, target)
         return out
     n = f.degree()
-    basis, idx, mats = _basis_matrices(n)
-    key = f.basis + "2" + target
-    if key not in mats:
-        mid = convert(f, "p")
-        return convert(mid, target)
-    mat = mats[key]
+    basis, mats = _basis_matrices(n)
+    mat = mats[f.basis + "2" + target]
     vec = [f[lam] for lam in basis]
     out_vec = linalg.mat_vec(linalg.transpose(mat), vec)
     return SymFunc({basis[i]: c for i, c in enumerate(out_vec)}, target)

@@ -29,7 +29,7 @@ from .fock import (
 )
 from .genmac import gen_macdonald, integral_forms
 from .relations import relation_failures
-from .scalars import Series, eigenvalue_of
+from .scalars import eigenvalue_of
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,20 +111,18 @@ def _factor_coefficients(mul, div, order):
     return out
 
 
-def edge_series(lam: Partition, sign: int, order: int, point) -> Series:
-    """B+ or B- as an exact power series."""
-    return Series("z", order, _factor_coefficients(*_edge_factors(lam, sign, point), order))
+def edge_series(lam: Partition, sign: int, order: int, point):
+    """B+ or B- as its coefficients of z^0 .. z^(order-1)."""
+    return _factor_coefficients(*_edge_factors(lam, sign, point), order)
 
 
 # ---------------------------------------------------------------------------
 # Vertical action with delta-function bookkeeping
 
 
-def chi_character(box: BoxCoord, point, weights=None):
+def chi_character(box: BoxCoord, point):
     """chi = u_comp * t^(1-i) * q^(j-1)."""
-    u = weights if weights is not None else point.u
-    q, t = point.q, point.t
-    return u[box.comp - 1] * t ** (1 - box.row) * q ** (box.col - 1)
+    return point.u[box.comp - 1] * point.t ** (1 - box.row) * point.q ** (box.col - 1)
 
 
 def vertical_action(gen: str, lam: Partition, point, u_weight):
@@ -177,15 +175,16 @@ def _x_op(gen, n, point, u_weight):
     )
 
 
-def dim_relation_check(level, point, u_weight, mode_range=2):
-    """[x+_m, x-_n] = c (psi+_{m+n} - psi-_{m+n}) on diagrams up to a size."""
+def dim_relation_check(level, point, u_weight):
+    """[x+_m, x-_n] = c (psi+_{m+n} - psi-_{m+n}) for |m|, |n| <= 2 on diagrams
+    up to a size."""
     q, t = point.q, point.t
     c = (1 - q) * (1 - 1 / t) / (1 - q / t)
-    modes = range(-mode_range, mode_range + 1)
+    modes = range(-2, 3)
     ops = {(gen, m): _x_op(gen, m, point, u_weight) for gen in ("x+", "x-") for m in modes}
 
     def relations(lam, size):
-        plus, minus = (psi_modes(sign, lam, point, u_weight, 2 * mode_range) for sign in (1, -1))
+        plus, minus = (psi_modes(sign, lam, point, u_weight, 4) for sign in (1, -1))
         for m in modes:
             for n in modes:
                 k = m + n

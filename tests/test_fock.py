@@ -30,7 +30,6 @@ from dimfock.relations import (
     check_jing,
     check_virasoro_relation,
     check_x_relations_n2,
-    hl_in_bosons,
 )
 from dimfock.scalars import RatFunc
 
@@ -86,7 +85,6 @@ def test_commutator_example(point2):
                 state_scale(fam.x_mode(1, -1)(fam.x_mode(1, 1)(st)), Fraction(-1)),
             )
             rhs = state_scale(fam.x_mode(2, 0)(st), coef)
-            from dimfock.scalars import Series
             from dimfock.fock import structure_series
 
             f1 = structure_series(pt, "x1", lvl + 4)

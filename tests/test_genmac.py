@@ -23,7 +23,7 @@ from dimfock.genmac import (
     ordering_vanishing_check,
 )
 from dimfock.scalars import eigenvalue_of, make_point
-from dimfock.symfunc import convert, macdonald_p
+from dimfock.symfunc import macdonald_p
 
 
 def tup2(a, b):
@@ -272,19 +272,6 @@ def test_gen_hall_littlewood_level4_unitriangular():
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "2f19544c8ca217b63db232ad3be5755ddf403c3f04ecc542d34301e11598c50b"
-
-
-def test_gen_hall_littlewood_rank1_matches_hl(sym_point2):
-    from dimfock.symfunc import hall_littlewood
-
-    table, _, poles = gen_hall_littlewood(3, sym_point2, n_comp=1)
-    assert poles == []
-    t = sym_point2.t
-    for lam_t, row in table.items():
-        p_lam, _ = hall_littlewood(lam_t[0], tval=t)
-        pm = convert(p_lam, "m")
-        for mu_t, c in row.items():
-            assert c == pm[mu_t[0]]
 
 
 def test_gen_jack_tables():

@@ -1,5 +1,5 @@
-"""Every name a module of the package imports is used in that module, and
-every top-level definition of the package is read somewhere.
+"""Every name a module of the package or of its tests imports is used in that
+module, and every top-level definition of the package is read somewhere.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name bound by an
 import statement, at any scope, must appear as a name somewhere else in the
@@ -15,7 +15,8 @@ from pathlib import Path
 import dimfock
 
 PACKAGE = Path(dimfock.__file__).parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 # (module, name) -> why the import stays although the module never reads it
 KEPT = {
@@ -38,7 +39,7 @@ def _unused_imports(tree):
 
 def test_no_unused_imports():
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
         for name, line in _unused_imports(ast.parse(path.read_text())).items():
             if (path.stem, name) not in KEPT:
                 found.append("%s.py:%d %s" % (path.stem, line, name))

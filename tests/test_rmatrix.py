@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 import dimfock.rmatrix_tables as tables
 from dimfock import genmac
 from dimfock.combinat import Partition, PartitionTuple

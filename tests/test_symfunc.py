@@ -33,8 +33,20 @@ def test_conversion_roundtrip():
         for lam in partitions(n):
             f = monomial_in_p(lam)
             assert convert(convert(f, "m"), "p") == f
-            g = elementary_in_p(lam)
-            assert convert(convert(g, "e"), "p") == g
+        # e_n = m_(1^n)
+        assert convert(elementary_in_p(Partition((n,))), "m") == SymFunc(
+            {Partition((1,) * n): Fraction(1)}, "m"
+        )
+
+
+def test_macdonald_tends_to_hall_littlewood(sym_point2):
+    # the rank-1 crystal limit: P_lambda(q, t) -> P_lambda(t) as q -> 0
+    q, t = sym_point2.q, sym_point2.t
+    for lam in partitions(3):
+        mac = convert(macdonald_p(lam, q, t), "m")
+        hl = convert(hall_littlewood(lam, t)[0], "m")
+        for mu in partitions(3):
+            assert sym_point2.at_crystal(mac[mu]) == hl[mu]
 
 
 def test_degree_cap():
