@@ -11,7 +11,9 @@ is kept in canonical normal-ordered form: a creation coefficient sequence,
 an annihilation coefficient sequence, and a scalar prefactor (the zero-mode
 eigenvalue on the module at hand); products merge the sequences, and the
 mode of index k is extracted exactly by enumerating the finitely many
-contraction patterns.
+contraction patterns.  Every current is built from the dressed boson
+current eta, the phi-dressing, the Virasoro Lambda+ and Jing's H by
+normal-ordered products, argument shifts and inverses.
 
 Operator arithmetic runs over the integers: a mode image, an operator
 column or a relation's sum of terms is kept as integers over one common
@@ -295,14 +297,31 @@ class VertexOperator:
         return VertexOperator(cre, ann, self.prefactor)
 
     def merge(self, other):
-        """Normal-ordered product; contractions are discarded by convention."""
+        """Normal-ordered product; contractions are discarded by convention,
+        and coefficients that cancel to 0 are dropped."""
         cre = dict(self.creation)
         for k, v in other.creation.items():
             cre[k] = cre.get(k, ZERO) + v
         ann = dict(self.annihilation)
         for k, v in other.annihilation.items():
             ann[k] = ann.get(k, ZERO) + v
-        return VertexOperator(cre, ann, self.prefactor * other.prefactor)
+        return VertexOperator(
+            {k: v for k, v in cre.items() if v},
+            {k: v for k, v in ann.items() if v},
+            self.prefactor * other.prefactor,
+        )
+
+    def inverse(self):
+        """The operator whose normal-ordered product with this one is 1."""
+        return VertexOperator(
+            {k: -v for k, v in self.creation.items()},
+            {k: -v for k, v in self.annihilation.items()},
+            1 / self.prefactor,
+        )
+
+    def times(self, c):
+        """The same operator with its prefactor multiplied by c."""
+        return VertexOperator(self.creation, self.annihilation, self.prefactor * c)
 
     # -- exact mode extraction ------------------------------------------
 
@@ -564,6 +583,17 @@ class ModeFamily:
         return self._mode_cache[key]
 
 
+def eta(i, module):
+    """The dressed current of boson i,
+    exp(sum (1 - t^-n)/n a_-n z^n) exp(-sum (1 - t^n)/n a_n z^-n),
+    from which every current of the module is built by normal-ordered
+    products, argument shifts and inverses."""
+    t, L = module.point.t, module.level_max
+    cre = {(i, n): (1 - t ** (-n)) / n for n in range(1, L + 1)}
+    ann = {(i, n): -(1 - t**n) / n for n in range(1, L + 1)}
+    return VertexOperator(cre, ann)
+
+
 class GeneratorFamily(ModeFamily):
     """Modes of the level-N currents on a generic (q,t) module.
 
@@ -579,13 +609,6 @@ class GeneratorFamily(ModeFamily):
         self._lambda_cache = {}
         self._x_cache = {}
 
-    # dressed single-boson currents
-    def _eta(self, i):
-        pt, L = self.point, self.module.level_max
-        cre = {(i, n): (1 - pt.t ** (-n)) / n for n in range(1, L + 1)}
-        ann = {(i, n): -(1 - pt.t**n) / n for n in range(1, L + 1)}
-        return VertexOperator(cre, ann)
-
     def _phi_dress(self, i):
         pt, L = self.point, self.module.level_max
         cre = {
@@ -594,39 +617,20 @@ class GeneratorFamily(ModeFamily):
         return VertexOperator(cre, {})
 
     def lambda_current(self, i):
-        """Dressing of boson i by the lower bosons, argument z, weight u_i."""
-        if i in self._lambda_cache:
-            return self._lambda_cache[i]
-        pt = self.point
-        if self.crystal_normalized:
-            op = self._lambda_crystal_normalized(i)
-        else:
-            op = VertexOperator({}, {}, ONE)
-            for k in range(1, i):
-                op = op.merge(self._phi_dress(k - 1).scaled_argument(pt.p_half(-(k - 1))))
-            op = op.merge(self._eta(i - 1).scaled_argument(pt.p_half(-(i - 1))))
-            op = VertexOperator(op.creation, op.annihilation, self.module.weights[i - 1])
-        self._lambda_cache[i] = op
-        return op
+        """Boson i - 1 dressed by the lower bosons, weight u_i.
 
-    def _lambda_crystal_normalized(self, i):
-        # N = 2 currents with the first boson rescaled by half powers of p,
-        # so that the zero mode of the first current stays regular at q = 0.
-        pt, L = self.point, self.module.level_max
-        if self.module.n_bosons != 2:
-            raise ValueError("crystal normalization is defined for two bosons")
-        if i == 1:
-            cre = {(0, n): (1 - pt.t ** (-n)) * pt.p_half(n) / n for n in range(1, L + 1)}
-            ann = {(0, n): -(1 - pt.t**n) * pt.p_half(-n) / n for n in range(1, L + 1)}
-            return VertexOperator(cre, ann, self.module.weights[0])
-        cre = {
-            (0, n): -(1 - pt.t ** (-n)) * (1 - pt.p_half(2 * n)) * pt.p_half(-n) / n
-            for n in range(1, L + 1)
-        }
-        for n in range(1, L + 1):
-            cre[(1, n)] = (1 - pt.t ** (-n)) * pt.p_half(-n) / n
-        ann = {(1, n): -(1 - pt.t**n) * pt.p_half(n) / n for n in range(1, L + 1)}
-        return VertexOperator(cre, ann, self.module.weights[1])
+        Boson j enters at argument z p^(-j/2).  The crystal normalization
+        moves boson 0 to z p^(1/2), so that the zero modes of the currents
+        stay regular at q = 0.
+        """
+        if i not in self._lambda_cache:
+            shift = lambda j: self.point.p_half(1 if j == 0 and self.crystal_normalized else -j)
+            op = VertexOperator()
+            for j in range(i - 1):
+                op = op.merge(self._phi_dress(j).scaled_argument(shift(j)))
+            op = op.merge(eta(i - 1, self.module).scaled_argument(shift(i - 1)))
+            self._lambda_cache[i] = op.times(self.module.weights[i - 1])
+        return self._lambda_cache[i]
 
     def x_terms(self, i):
         """The merged vertex operators whose modes sum to X^(i)."""
@@ -681,14 +685,14 @@ def structure_series(point, kind, order):
 
 
 class VirasoroFamily(ModeFamily):
-    """T(z) = sum of two dressed currents on a single (q,t) boson; K acts as k.
+    """T(z) = Lambda+(z) + Lambda+(pz)^-1 on a single (q,t) boson; K acts as
+    k, the module's weight.
 
     T has the single generator index 1.
     """
 
-    def __init__(self, module: BosonModule, k_weight):
+    def __init__(self, module: BosonModule):
         super().__init__(module)
-        self.k_weight = k_weight
         pt = module.point
         L = module.level_max
         self.plus = VertexOperator(
@@ -697,16 +701,9 @@ class VirasoroFamily(ModeFamily):
                 for n in range(1, L + 1)
             },
             {(0, n): -(1 - pt.t**n) / n * pt.p_half(n) for n in range(1, L + 1)},
-            k_weight,
+            module.weights[0],
         )
-        self.minus = VertexOperator(
-            {
-                (0, n): (1 - pt.t**n) / (n * (pt.t**n + pt.q**n)) * pt.p_half(n)
-                for n in range(1, L + 1)
-            },
-            {(0, n): (1 - pt.t**n) / n * pt.p_half(-n) for n in range(1, L + 1)},
-            1 / k_weight,
-        )
+        self.minus = self.plus.inverse().scaled_argument(pt.p)
 
     def mode_terms(self, gen, n):
         return [self.plus, self.minus]
@@ -716,24 +713,14 @@ class VirasoroFamily(ModeFamily):
 
 
 class CrystalVirasoro(ModeFamily):
-    """q -> 0 scaled Virasoro modes on the t-boson module (generator index 1)."""
+    """q -> 0 scaled Virasoro modes on the t-boson module (generator index 1):
+    lambda+ = k eta and its inverse, k the module's weight."""
 
-    def __init__(self, module: BosonModule, k_weight):
+    def __init__(self, module: BosonModule):
         assert module.kind == "crystal"
         super().__init__(module)
-        pt = module.point
-        L = module.level_max
-        self.k_weight = k_weight
-        self.lam_plus = VertexOperator(
-            {(0, n): (1 - pt.t ** (-n)) / n for n in range(1, L + 1)},
-            {(0, n): -(1 - pt.t**n) / n for n in range(1, L + 1)},
-            k_weight,
-        )
-        self.lam_minus = VertexOperator(
-            {(0, n): -(1 - pt.t ** (-n)) / n for n in range(1, L + 1)},
-            {(0, n): (1 - pt.t**n) / n for n in range(1, L + 1)},
-            1 / k_weight,
-        )
+        self.lam_plus = eta(0, module).times(module.weights[0])
+        self.lam_minus = self.lam_plus.inverse()
 
     def mode_terms(self, gen, n):
         return [op for op, used in ((self.lam_plus, n <= 0), (self.lam_minus, n >= 0)) if used]
@@ -745,25 +732,12 @@ class CrystalGenerators(ModeFamily):
     def __init__(self, module: BosonModule):
         assert module.kind == "crystal" and module.n_bosons == 2
         super().__init__(module)
-        pt = module.point
-        L = module.level_max
         u1, u2 = module.weights
-        self.lam1 = VertexOperator(
-            {(0, n): (1 - pt.t ** (-n)) / n for n in range(1, L + 1)},
-            {(0, n): -(1 - pt.t**n) / n for n in range(1, L + 1)},
-            u1,
-        )
-        cre2 = {(0, n): -(1 - pt.t ** (-n)) / n for n in range(1, L + 1)}
-        for n in range(1, L + 1):
-            cre2[(1, n)] = (1 - pt.t ** (-n)) / n
-        self.lam2 = VertexOperator(
-            cre2, {(1, n): -(1 - pt.t**n) / n for n in range(1, L + 1)}, u2
-        )
-        x2_cre = {(1, n): (1 - pt.t ** (-n)) / n for n in range(1, L + 1)}
-        x2_ann = {(0, n): -(1 - pt.t**n) / n for n in range(1, L + 1)}
-        for n in range(1, L + 1):
-            x2_ann[(1, n)] = -(1 - pt.t**n) / n
-        self.x2 = VertexOperator(x2_cre, x2_ann, u1 * u2)
+        eta0 = eta(0, module)
+        self.lam1 = eta0.times(u1)
+        # boson 1 dressed by the inverse creation half of boson 0
+        self.lam2 = VertexOperator(eta0.creation).inverse().merge(eta(1, module)).times(u2)
+        self.x2 = self.lam1.merge(self.lam2)
 
     def mode_terms(self, gen, n):
         if gen == 2:
@@ -774,25 +748,21 @@ class CrystalGenerators(ModeFamily):
 # -- Jing operators ----------------------------------------------------------
 
 
-def jing_operators(point, level_max):
-    """H(z) and its adjoint on the t-boson module; modes build Q_lambda."""
+def jing_operator(point, level_max):
+    """H(z) on the t-boson module; its modes build Q_lambda, and those of its
+    inverse, the adjoint H^dagger, the dual functionals."""
     t = point.t
-    h = VertexOperator(
+    return VertexOperator(
         {(0, n): (1 - t**n) / n for n in range(1, level_max + 1)},
         {(0, n): -(1 - t**n) / n for n in range(1, level_max + 1)},
     )
-    h_dag = VertexOperator(
-        {(0, n): -(1 - t**n) / n for n in range(1, level_max + 1)},
-        {(0, n): (1 - t**n) / n for n in range(1, level_max + 1)},
-    )
-    return h, h_dag
 
 
 def jing_build(lam: Partition, point, level_max=None):
     """H_{-lam_1} H_{-lam_2} ... |0>, which equals Q_lambda(b_{-n}; t)|0>."""
     level_max = level_max or max(lam.size, 1)
     module = BosonModule(point, 1, [ONE], level_max, kind="crystal")
-    h, _ = jing_operators(point, level_max)
+    h = jing_operator(point, level_max)
     state = module.vacuum()
     for part in reversed(lam.parts):
         state = h.mode_apply(-part, state, module)

@@ -34,6 +34,7 @@ from .fock import (
     apply_symfunc,
     column_matrix,
     coordinates,
+    eta,
     operator_matrix,
     pbw_state,
     pbw_bra,
@@ -467,14 +468,13 @@ def ordering_vanishing_check(level, point, n_comp=3):
     failures = []
     # (a) single-boson containment
     module = BosonModule(point, 1, [point.u[0]], level + 1, kind="qt")
-    family = GeneratorFamily(module)
-    eta = family._eta(0)
+    current = eta(0, module)
     for n in range(1, level + 1):
         # expand over Macdonald functions of the target level
         monos = module.basis(level - n)
         _, pinv, _ = macdonald_frame(module, level - n)
         for lam in partitions(level):
-            img = eta.mode_apply(n, product_macdonald_state(module, PartitionTuple([lam])), module)
+            img = current.mode_apply(n, product_macdonald_state(module, PartitionTuple([lam])), module)
             coords = linalg.mat_vec(pinv, coordinates(img, monos))
             for mu_tup, c in zip(monos, coords):
                 if c and not lam.contains(mu_tup[0]):

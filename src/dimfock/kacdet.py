@@ -88,7 +88,7 @@ def whittaker_norm(order, k_weight, point):
     out = [ONE]
     for n in range(1, order + 1):
         module = BosonModule(point, 1, [k_weight], n, kind="qt")
-        out.append(_ones_inverse_entry(n, VirasoroFamily(module, k_weight)))
+        out.append(_ones_inverse_entry(n, VirasoroFamily(module)))
     return out
 
 
@@ -101,7 +101,7 @@ def crystal_whittaker_norm(order, point, direct=False):
         if direct:
             k_weight = point.fresh_rational("crystal-k")
             module = BosonModule(point, 1, [k_weight], n, kind="crystal")
-            coeff = _ones_inverse_entry(n, CrystalVirasoro(module, k_weight))
+            coeff = _ones_inverse_entry(n, CrystalVirasoro(module))
         else:
             coeff = 1 / b_factor(Partition((1,) * n), 1 / t)
         out.append(coeff)

@@ -150,27 +150,11 @@ def crystal_limit_check(order, sym_point, Q):
 # Integral-form norm and matrix-element conjectures
 
 
-def k_norm_formula(tup: PartitionTuple, point):
-    """Closed-form norm of the integral form, built from Nekrasov factors."""
-    n = tup.n_components
-    q, t = point.q, point.t
-    u = point.u[:n]
-    e_n = ONE
-    for ui in u:
-        e_n = e_n * ui
-    out = (-ONE) ** (n * tup.size) * e_n**tup.size
-    for i, lam in enumerate(tup):
-        out = out * t ** (-n * n_stat(lam)) * q ** (n * n_stat(lam.conjugate()))
-        out = out * u[i] ** (n * lam.size)
-    for i in range(n):
-        for j in range(n):
-            out = out * nek_factor(tup[i], tup[j], q * u[i] / (t * u[j]), point)
-    return out
-
-
 def conjecture_checks(level, point, n_comp=2):
-    """Integral-form norms against the closed Nekrasov-factor formula."""
+    """Integral-form norms against the closed Nekrasov-factor formula: the
+    diagonal matrix element of the integral forms at v = u."""
     from .genmac import gen_macdonald, integral_forms
+    from .phi import phi_element_formula
 
     failures = []
     for n in range(level + 1):
@@ -179,7 +163,7 @@ def conjecture_checks(level, point, n_comp=2):
         module = basis.module
         for tup in basis.tuples:
             lhs = module.pair(forms.k_bra(tup), forms.k_state(tup))
-            rhs = k_norm_formula(tup, point)
+            rhs = phi_element_formula(tup, tup, point, point, ONE)
             if lhs != rhs:
                 failures.append(("norm", tup, lhs, rhs))
     return failures
@@ -195,39 +179,41 @@ def four_point_closed(order, tval, ratio_w):
     ratio_w is w1 w2 / (v1 v2).  Coefficient of x^n is the sum over single
     partitions of n of prod_k (1 - t^(k-1) ratio) / (t^(2 n(lam)) b_lam(1/t)).
     """
-    coeffs = []
-    for n in range(order + 1):
-        acc = ZERO
-        for lam in partitions(n):
-            num = ONE
-            for k in range(1, lam.length + 1):
-                num = num * (1 - tval ** (k - 1) * ratio_w)
-            acc = acc + num / (tval ** (2 * n_stat(lam)) * b_factor(lam, 1 / tval))
-        coeffs.append(acc)
-    return coeffs
+    return [
+        sum((_closed_term(lam, tval, ratio_w) for lam in partitions(n)), ZERO)
+        for n in range(order + 1)
+    ]
+
+
+def _closed_term(lam: Partition, tval, ratio):
+    """prod_k (1 - t^(k-1) ratio) / (t^(2 n(lam)) b_lam(1/t)), the term of lam
+    in the closed four-point form."""
+    num = ONE
+    for k in range(1, lam.length + 1):
+        num = num * (1 - tval ** (k - 1) * ratio)
+    return num / (tval ** (2 * n_stat(lam)) * b_factor(lam, 1 / tval))
 
 
 def four_point_aflt(order, tval, v, w):
     """AFLT-basis coefficients: tuple sums of crystal-factor ratios."""
-    v1, v2 = v
-    w1, w2 = w
-    coeffs = []
-    for n in range(order + 1):
-        acc = ZERO
-        for tup in enumerate_tuples(2, n):
-            num = ONE
-            den = ONE
-            vv = (v1, v2)
-            ww = (w1, w2)
-            for i in range(2):
-                for j in range(2):
-                    num = num * crystal_nek(EMPTY, tup[j], ww[i] / vv[j], tval)
-                    den = den * crystal_nek(tup[i], tup[j], vv[i] / vv[j], tval)
-            if not den:
-                raise NonGenericPoint("vanishing crystal factor in the tuple sum")
-            acc = acc + num / den
-        coeffs.append(acc)
-    return coeffs
+    return [
+        sum((_aflt_weight(tup, tval, v, w) for tup in enumerate_tuples(2, n)), ZERO)
+        for n in range(order + 1)
+    ]
+
+
+def _aflt_weight(tup: PartitionTuple, tval, v, w):
+    """prod_(i,j) crystal_nek(0, tup_j, w_i / v_j) / crystal_nek(tup_i, tup_j, v_i / v_j),
+    the weight of a pair of partitions in the AFLT-basis sums."""
+    num = ONE
+    den = ONE
+    for i in range(2):
+        for j in range(2):
+            num = num * crystal_nek(EMPTY, tup[j], w[i] / v[j], tval)
+            den = den * crystal_nek(tup[i], tup[j], v[i] / v[j], tval)
+    if not den:
+        raise NonGenericPoint("vanishing crystal factor in the tuple sum")
+    return num / den
 
 
 def pair_groups(lam: Partition):
@@ -248,27 +234,13 @@ def pair_groups(lam: Partition):
 
 def strange_factorization_check(lam: Partition, tval, v, w):
     """Grouped partial sum against its factorized form; returns (lhs, rhs)."""
-    v1, v2 = v
-    w1, w2 = w
-    lhs = ZERO
-    for tup in pair_groups(lam):
-        num = ONE
-        den = ONE
-        for i in range(2):
-            for j in range(2):
-                num = num * crystal_nek(EMPTY, tup[j], (w1, w2)[i] / (v1, v2)[j], tval)
-                den = den * crystal_nek(tup[i], tup[j], (v1, v2)[i] / (v1, v2)[j], tval)
-        lhs = lhs + num / den
-    ratio = w1 * w2 / (v1 * v2)
-    num = ONE
-    for k in range(1, lam.length + 1):
-        num = num * (1 - tval ** (k - 1) * ratio)
+    lhs = sum((_aflt_weight(tup, tval, v, w) for tup in pair_groups(lam)), ZERO)
+    ratio = w[0] * w[1] / (v[0] * v[1])
     # leg-difference statistic: sum over shortened rows of L_empty - L_lam,
     # which evaluates to minus the column lengths
     istat = -sum(lam.conjugate().part(j) for (i, j) in check_partition(lam).cells())
     rhs = (
-        num
-        / (tval ** (2 * n_stat(lam)) * b_factor(lam, 1 / tval))
+        _closed_term(lam, tval, ratio)
         * ratio ** (lam.size - lam.length)
         * tval ** (2 * n_stat(lam) - istat)
     )

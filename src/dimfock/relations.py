@@ -19,7 +19,7 @@ from .fock import (
     bra_apply,
     combination_is_zero,
     jing_build,
-    jing_operators,
+    jing_operator,
     pbw_bra,
     pbw_gram,
     pbw_state,
@@ -35,6 +35,9 @@ from .symfunc import SymFunc, hall_littlewood, inner_prod
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
+
+# the exchange relations are checked for modes n, m in [-MODE_BOUND, MODE_BOUND]
+MODE_BOUND = 2
 
 
 def _products(key):
@@ -99,18 +102,18 @@ def _exchange_terms(a, b, n, m, n_lvl, f, g):
 # Generic two-boson current relations
 
 
-def check_x_relations_n2(level, point, mode_bound=2):
+def check_x_relations_n2(level, point):
     """The three displayed relations of the two-boson currents."""
-    module = BosonModule(point, 2, point.u[:2], level + 2 * mode_bound + 2, kind="qt")
+    module = BosonModule(point, 2, point.u[:2], level + 2 * MODE_BOUND + 2, kind="qt")
     fam = GeneratorFamily(module)
     x1 = lambda k: fam.x_mode(1, k)
     x2 = lambda k: fam.x_mode(2, k)
     q, t, p = point.q, point.t, point.p
-    series_order = level + 2 * mode_bound + 3
+    series_order = level + 2 * MODE_BOUND + 3
     f1 = structure_series(point, "x1", series_order).__getitem__
     f2 = structure_series(point, "x2", series_order).__getitem__
     cc = (1 - q) * (1 - 1 / t) / (1 - p)
-    modes = range(-mode_bound, mode_bound + 1)
+    modes = range(-MODE_BOUND, MODE_BOUND + 1)
 
     def relations(tup, n_lvl):
         for n in modes:
@@ -130,13 +133,13 @@ def check_x_relations_n2(level, point, mode_bound=2):
 # Deformed Virasoro relation
 
 
-def check_virasoro_relation(level, point, k_weight, mode_bound=2):
-    module = BosonModule(point, 1, [k_weight], level + 2 * mode_bound + 2, kind="qt")
-    fam = VirasoroFamily(module, k_weight)
+def check_virasoro_relation(level, point, k_weight):
+    module = BosonModule(point, 1, [k_weight], level + 2 * MODE_BOUND + 2, kind="qt")
+    fam = VirasoroFamily(module)
     q, t, p = point.q, point.t, point.p
-    f = structure_series(point, "virasoro", level + 2 * mode_bound + 3).__getitem__
+    f = structure_series(point, "virasoro", level + 2 * MODE_BOUND + 3).__getitem__
     cc = (1 - q) * (1 - 1 / t) / (1 - p)
-    modes = range(-mode_bound, mode_bound + 1)
+    modes = range(-MODE_BOUND, MODE_BOUND + 1)
     tmode = lambda k: fam.x_mode(1, k)
 
     def relations(tup, n_lvl):
@@ -154,13 +157,13 @@ def check_virasoro_relation(level, point, k_weight, mode_bound=2):
 # Crystal current relations
 
 
-def check_crystal_x_relations(level, point, weights, mode_bound=2):
+def check_crystal_x_relations(level, point, weights):
     """The displayed mode relations of the two crystal currents."""
-    module = BosonModule(point, 2, weights, level + 2 * mode_bound + 2, kind="crystal")
+    module = BosonModule(point, 2, weights, level + 2 * MODE_BOUND + 2, kind="crystal")
     gens = CrystalGenerators(module)
     c = 1 - 1 / point.t
     const = lambda l: c
-    modes = range(-mode_bound, mode_bound + 1)
+    modes = range(-MODE_BOUND, MODE_BOUND + 1)
     x1 = lambda k: gens.x_mode(1, k)
     x2 = lambda k: gens.x_mode(2, k)
 
@@ -207,14 +210,14 @@ def check_crystal_x_relations(level, point, weights, mode_bound=2):
     return relation_failures(module.basis, level, relations)
 
 
-def check_crystal_virasoro_relations(level, point, k_weight, mode_bound=2):
+def check_crystal_virasoro_relations(level, point, k_weight):
     """The scaled-generator relations in the crystal limit."""
-    module = BosonModule(point, 1, [k_weight], level + 2 * mode_bound + 2, kind="crystal")
-    fam = CrystalVirasoro(module, k_weight)
+    module = BosonModule(point, 1, [k_weight], level + 2 * MODE_BOUND + 2, kind="crystal")
+    fam = CrystalVirasoro(module)
     t = point.t
     c = 1 - 1 / t
     c2 = t - 1 / t
-    modes = range(-mode_bound, mode_bound + 1)
+    modes = range(-MODE_BOUND, MODE_BOUND + 1)
     tmode = lambda k: fam.x_mode(1, k)
 
     def relations(tup, n_lvl):
@@ -263,6 +266,7 @@ def hl_in_bosons(lam, tval, module, bosons):
 def check_jing(level, point):
     """Jing modes build the Hall-Littlewood functions on the t-boson."""
     failures = []
+    h_dag = jing_operator(point, max(level, 1)).inverse()
     for n in range(level + 1):
         for lam in partitions(n):
             module, state = jing_build(lam, point, max(level, 1))
@@ -270,7 +274,6 @@ def check_jing(level, point):
             if not _holds([(ONE, state)], [(ONE, want)]):
                 failures.append(("ket", lam))
             # dual side
-            _, h_dag = jing_operators(point, max(level, 1))
             bra, landing = vacuum_bra(module), 0
             for part in reversed(lam.parts):
                 landing += part
@@ -301,7 +304,7 @@ def _symfunc_bra(f: SymFunc, module, sign=1):
 def check_crystal_virasoro_pbw(level, point, k_weight):
     """PBW vectors of the scaled generators against Hall-Littlewood states."""
     module = BosonModule(point, 1, [k_weight], max(level, 1), kind="crystal")
-    fam = CrystalVirasoro(module, k_weight)
+    fam = CrystalVirasoro(module)
     failures = []
     tinv = 1 / point.t
     for n in range(level + 1):

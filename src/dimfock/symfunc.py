@@ -51,8 +51,8 @@ class SymFunc:
                     self.coeffs[lam] = c
 
     @classmethod
-    def one(cls, basis="p"):
-        return cls({EMPTY: Fraction(1)}, basis)
+    def one(cls):
+        return cls({EMPTY: Fraction(1)})
 
     @classmethod
     def power_sum(cls, lam):

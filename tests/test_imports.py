@@ -1,11 +1,14 @@
 """Every name a module of the package or of its tests imports is used in that
-module, and every top-level definition of the package is read somewhere.
+module, every top-level definition of the package is read somewhere, and
+every default of the package is overridden somewhere.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name bound by an
 import statement, at any scope, must appear as a name somewhere else in the
 module's syntax tree.  A top-level function or class must be read, as a name
 or an attribute, somewhere in the package or in perfbench/ outside its own
-definition.
+definition.  A parameter with a default must be passed by some call in the
+package, the tests or perfbench/; one that never is holds a single value
+and is a constant in disguise.
 """
 
 import ast
@@ -119,3 +122,112 @@ def test_checker_flags_an_unread_definition():
     reader = ast.parse("import a, b\na.h()\nb.k()\n")
     assert _unread_definitions(package, [reader]) == {("a", "g"), ("a", "C")}
     assert _unread_definitions(package) == {("a", "g"), ("a", "h"), ("a", "C"), ("b", "k")}
+
+
+def _defaulted_parameters(package):
+    """{(module, function, parameter): (callee names, positional index)} for
+    each parameter with a default of a function or method of the package
+    modules ({module: tree}); the index is None for a keyword-only one.
+
+    A method is called on its instance, so its first parameter takes no
+    position; __init__ is called by its class's name.
+    """
+    out = {}
+    for stem, tree in package.items():
+        owner = {
+            item: node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            cls = owner.get(node)
+            names, qualname = [node.name], node.name
+            if cls is not None:
+                qualname = "%s.%s" % (cls.name, node.name)
+                if not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list):
+                    positional = positional[1:]
+                if node.name == "__init__":
+                    names.append(cls.name)
+            first = len(positional) - len(args.defaults)
+            for pos, arg in enumerate(positional[first:], first):
+                out[(stem, qualname, arg.arg)] = (names, pos)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out[(stem, qualname, arg.arg)] = (names, None)
+    return out
+
+
+def _callee(func):
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _calls(trees):
+    """{callee name: [(positional count, keyword names, passes everything)]}
+    over the calls in the trees; partial(f, ...) is a call of f, and a call
+    with *args or **kwargs passes everything."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            star = any(isinstance(a, ast.Starred) for a in args)
+            star = star or any(k.arg is None for k in node.keywords)
+            out.setdefault(name, []).append((len(args), {k.arg for k in node.keywords}, star))
+    return out
+
+
+def _unpassed_defaults(package, readers=()):
+    """(module, function, parameter) of each defaulted parameter of the
+    package that no call in the package or in readers passes."""
+    calls = _calls([*package.values(), *readers])
+    return {
+        key
+        for key, (names, pos) in _defaulted_parameters(package).items()
+        if not any(
+            star or key[2] in keywords or (pos is not None and n_pos > pos)
+            for name in names
+            for n_pos, keywords, star in calls.get(name, [])
+        )
+    }
+
+
+def test_every_default_is_passed():
+    package = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    paths = [*TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]
+    readers = [ast.parse(path.read_text()) for path in paths]
+    assert sorted(_unpassed_defaults(package, readers)) == []
+
+
+def test_checker_flags_an_unpassed_default():
+    package = {
+        "a": ast.parse(
+            "def f(x, y=1, *, z=2):\n    pass\n\n"
+            "def g(x=1):\n    pass\n\n"
+            "def h(x=1):\n    pass\n\n"
+            "class C:\n"
+            "    def __init__(self, a=1):\n        pass\n\n"
+            "    def m(self, b=1, c=2):\n        pass\n"
+        ),
+    }
+    reader = ast.parse(
+        "from functools import partial\nimport a\n"
+        "a.f(0, 1)\npartial(a.g, 2)\na.h(*())\na.C(1).m(c=3)\n"
+    )
+    assert _unpassed_defaults(package, [reader]) == {("a", "f", "z"), ("a", "C.m", "b")}
+    assert _unpassed_defaults(package) == {
+        ("a", "f", "y"),
+        ("a", "f", "z"),
+        ("a", "g", "x"),
+        ("a", "h", "x"),
+        ("a", "C.__init__", "a"),
+        ("a", "C.m", "b"),
+        ("a", "C.m", "c"),
+    }

@@ -75,7 +75,7 @@ def test_whittaker_level0_and_shapovalov(point2):
     k = point2.fresh_rational("whit-k")
     series = whittaker_norm(1, k, point2)
     assert series[0] == 1
-    gram, basis = pbw_gram(1, VirasoroFamily(BosonModule(point2, 1, [k], 1, kind="qt"), k))
+    gram, basis = pbw_gram(1, VirasoroFamily(BosonModule(point2, 1, [k], 1, kind="qt")))
     assert series[1] == 1 / gram[0][0]
 
 

@@ -16,7 +16,6 @@ from dimfock.fock import (
     CrystalVirasoro,
     GeneratorFamily,
     ModeFamily,
-    VertexOperator,
     cleared_state,
     combination_is_zero,
     pbw_gram,
@@ -284,16 +283,15 @@ class _DoubledX2(CrystalGenerators):
 
     def __init__(self, module):
         super().__init__(module)
-        self.x2 = VertexOperator(self.x2.creation, self.x2.annihilation, 2 * self.x2.prefactor)
+        self.x2 = self.x2.times(2)
 
 
 class _DoubledLamPlus(CrystalVirasoro):
     """Scaled Virasoro modes whose negative half has twice its prefactor."""
 
-    def __init__(self, module, k_weight):
-        super().__init__(module, k_weight)
-        lam = self.lam_plus
-        self.lam_plus = VertexOperator(lam.creation, lam.annihilation, 2 * lam.prefactor)
+    def __init__(self, module):
+        super().__init__(module)
+        self.lam_plus = self.lam_plus.times(2)
 
 
 def _shifted_psi_plus(original):

@@ -7,7 +7,6 @@ from dimfock.nekrasov import (
     crystal_nek,
     four_point_aflt,
     four_point_closed,
-    k_norm_formula,
     nek_factor,
     pair_groups,
     strange_factorization_check,
@@ -77,10 +76,13 @@ def test_k_norm_conjecture(points2):
     assert conjecture_checks(2, pt1, n_comp=1) == []
 
 
-def test_k_norm_formula_trivial(point2):
+def test_vacuum_element_is_one(point2):
+    # the closed form of the vacuum's integral-form norm
     from dimfock.combinat import PartitionTuple
+    from dimfock.phi import phi_element_formula
 
-    assert k_norm_formula(PartitionTuple([EMPTY, EMPTY]), point2) == 1
+    vac = PartitionTuple([EMPTY, EMPTY])
+    assert phi_element_formula(vac, vac, point2, point2, Fraction(1)) == 1
 
 
 def test_four_point_order1_coefficient(point2):
