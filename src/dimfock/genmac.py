@@ -9,9 +9,12 @@ The product-Macdonald kets are orthogonal for the Fock pairing, so their
 inverse matrix is their bras over their norms (`macdonald_frame`).  The
 left eigenvectors of the same triangular zero mode give the dual bras and
 the inverse state matrix, so no eigenbasis needs a general matrix inverse.
-Also here: integral-form renormalizations, the exact q -> 0 limit through
-the rational-function field, and generalized Jack functions from the
-degenerate-limit differential operator.
+At a symbolic-q point the zero mode is conjugated, and checked, over the
+rational-function field Q(s), and the eigenvectors are solved over truncated
+Laurent series in s, which certify their values at s = 0 (q = 0).
+Also here: integral-form renormalizations, the exact q -> 0 limit from
+those series, and generalized Jack functions from the degenerate-limit
+differential operator.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .fock import (
 )
 from .linalg import EigenvalueCollision
 from .nekrasov import nek_factor
-from .scalars import PoleAtZero, eigenvalue_of
+from .scalars import Laurent, PoleAtZero, PrecisionError, eigenvalue_of, laurent
 from .symfunc import macdonald_p, monomial_in_p
 
 ZERO = Fraction(0)
@@ -97,6 +100,62 @@ def zero_mode_conjugation(level, family):
     return pmat, pinv, norms, linalg.mat_mul(pinv, linalg.mat_mul(x0, pmat))
 
 
+def _eigenvectors(x0_pp, norms, tuples):
+    """(C, D, dual coefficients) of the triangular P^-1 X0 P, as rows.
+
+    The rows of C are the right eigenvectors, unitriangular over the
+    product-Macdonald basis, so the state matrix is S = P C^T.  The rows d_j
+    of D are the left eigenvectors with 1 in slot j: right eigenvectors of
+    the transpose, which is lower triangular once the index order is
+    reversed.  The dual zero mode, the right action on the bras
+    P^T G = N P^-1, is N (P^-1 X0 P) N^-1: its left eigenvectors are the
+    d_j N^-1, scaled to 1 in slot j.
+    """
+    n = len(tuples)
+    coeff = [linalg.triangular_eigenvector(x0_pp, j, tuples) for j in range(n)]
+    x0_rev = [row[::-1] for row in linalg.transpose(x0_pp)][::-1]
+    rev = tuples[::-1]
+    left = [linalg.triangular_eigenvector(x0_rev, n - 1 - j, rev)[::-1] for j in range(n)]
+    dual_coeff = [
+        [d * nj / ni if d else ZERO for d, ni in zip(dj, norms)]
+        for dj, nj in zip(left, norms)
+    ]
+    return coeff, left, dual_coeff
+
+
+# Relative precision of the first series solve of a crystal-limit basis.  On
+# a 2-vCPU Xeon under CPython 3.11.7, the solves at the 64 recorded level-3
+# points of perfbench/inputs.json took 0.56, 0.57, 0.34, 0.38 and 0.52 s in
+# all from precisions 1, 2, 3, 4 and 6, with 128, 64, 0, 0 and 0 restarts.
+# At make_point(7, 2, 6, "q"), level 5, they took 0.29, 0.20, 0.26 and 0.16 s
+# from 2, 3, 4 and 6: 3 restarts once, 6 never.  3 is the fastest start at
+# level 3, the highest level the suites run the crystal limit at.
+SERIES_PREC = 3
+
+
+def _crystal_eigenvectors(x0_pp, norms, tuples, prec=SERIES_PREC):
+    """`_eigenvectors` over truncated Laurent series in s, at a symbolic-q
+    point, with every entry of C and of the dual coefficients a Fraction or
+    a Laurent whose value at s = 0 is certified.
+
+    The exact P^-1 X0 P and norms are expanded to relative precision prec; an
+    exact 0 stays exact, so the solves see the exact matrix's zero pattern.
+    When an entry is left uncertified, or a solve divides by an element with
+    no known nonzero coefficient, the solve starts again at twice the
+    precision.
+    """
+    while True:
+        conj = [[laurent(x, prec) for x in row] for row in x0_pp]
+        try:
+            coeff, left, dual_coeff = _eigenvectors(conj, [laurent(x, prec) for x in norms], tuples)
+        except PrecisionError:
+            prec *= 2
+            continue
+        if all(type(x) is not Laurent or x.certified for row in coeff + dual_coeff for x in row):
+            return coeff, left, dual_coeff
+        prec *= 2
+
+
 class GenMacBasis:
     """Level-n eigenbasis data for a generator family.
 
@@ -118,11 +177,11 @@ class GenMacBasis:
         pmat, pinv, norms, x0_pp = zero_mode_conjugation(self.level, self.family)
         self.pmat = pmat
         self.eigenvalues = [eigenvalue_of(t, self.point) for t in tuples]
-        n = len(tuples)
         # Per column j: an eigenvalue no earlier column has (distinct
         # eigenvalues make the left eigenvectors below the rows of C^-1) and
-        # the closed-form eigenvalue on the diagonal.  The triangular solves
-        # check that no entry lies above the diagonal in the canonical order.
+        # the closed-form eigenvalue on the diagonal, both on the exact
+        # matrix.  The triangular solves check that no entry lies above the
+        # diagonal in the canonical order.
         first = {}
         for j, (t, ev) in enumerate(zip(tuples, self.eigenvalues)):
             other = first.setdefault(ev, t)
@@ -130,22 +189,9 @@ class GenMacBasis:
                 raise EigenvalueCollision("%r vs %r" % (other, t))
             if x0_pp[j][j] != ev:
                 raise AssertionError("diagonal eigenvalue mismatch at %r" % (t,))
-        # right eigenvectors, unitriangular over the product-Macdonald basis:
-        # the columns of C, with state matrix S = P C
-        self.coeff = [linalg.triangular_eigenvector(x0_pp, j, tuples) for j in range(n)]
-        # left eigenvectors d_j (1 in slot j): right eigenvectors of the
-        # transpose, which is lower triangular once the index order is reversed
-        x0_rev = [row[::-1] for row in linalg.transpose(x0_pp)][::-1]
-        rev = tuples[::-1]
-        left = [linalg.triangular_eigenvector(x0_rev, n - 1 - j, rev)[::-1] for j in range(n)]
-        # The dual zero mode, the right action on the bras P^T G = N P^-1, is
-        # N (P^-1 X0 P) N^-1: its left eigenvectors are the d_j N^-1, scaled
-        # to 1 in slot j.
-        self.dual_coeff = [
-            [d * nj / ni if d else ZERO for d, ni in zip(dj, norms)]
-            for dj, nj in zip(left, norms)
-        ]
-        self.norms, self._left, self._pinv = norms, left, pinv
+        solve = _crystal_eigenvectors if self.point.is_symbolic_q else _eigenvectors
+        self.coeff, self._left, self.dual_coeff = solve(x0_pp, norms, tuples)
+        self.norms, self._pinv = norms, pinv
         self._state_matrix = self._state_inverse = self._forms = None
 
     def transition(self, lam_tup, mu_tup):
@@ -160,10 +206,18 @@ class GenMacBasis:
         j = self.index[tup]
         return {m: row[j] for m, row in zip(self.tuples, self.state_matrix()) if row[j]}
 
+    def _exact_only(self, reader):
+        if self.point.is_symbolic_q:
+            raise TypeError(
+                "%s needs the exact eigenvectors; at a symbolic-q point the basis "
+                "keeps only truncated series in s, read at s = 0" % reader
+            )
+
     def state_matrix(self):
         """The eigenvectors as columns over the level-n monomials, S = P C,
         computed on first use and kept on the basis; callers must not
-        modify it."""
+        modify it.  TypeError at a symbolic-q point."""
+        self._exact_only("state_matrix")
         if self._state_matrix is None:
             self._state_matrix = linalg.mat_mul(self.pmat, linalg.transpose(self.coeff))
         return self._state_matrix
@@ -174,8 +228,10 @@ class GenMacBasis:
 
         S^-1 = C^-1 P^-1, and C^-1 is the matrix of rows d_j: d_j C has
         d_j c_k = 0 for k != j, because the eigenvalues are distinct, and
-        d_j c_j = 1 by the two triangular shapes.
+        d_j c_j = 1 by the two triangular shapes.  TypeError at a symbolic-q
+        point.
         """
+        self._exact_only("state_matrix_inverse")
         if self._state_inverse is None:
             self._state_inverse = linalg.mat_mul(self._left, self._pinv)
         return self._state_inverse
@@ -310,14 +366,16 @@ class IntegralForms:
 
 
 def integral_forms(basis: GenMacBasis) -> IntegralForms:
-    """The integral forms of basis, built on first use and kept on it."""
+    """The integral forms of basis, built on first use and kept on it.
+    TypeError at a symbolic-q point."""
+    basis._exact_only("integral_forms")
     if basis._forms is None:
         basis._forms = IntegralForms(basis)
     return basis._forms
 
 
 # ---------------------------------------------------------------------------
-# Crystal limit (q -> 0) through the rational-function field
+# Crystal limit (q -> 0) through truncated Laurent series
 
 
 def gen_hall_littlewood(level, sym_point):
@@ -325,7 +383,10 @@ def gen_hall_littlewood(level, sym_point):
 
     The generators are taken in the crystal-normalized form (first boson
     rescaled by half powers of p), under which every zero-mode matrix entry
-    is a rational function of q; the limit is exact evaluation at q = 0.
+    is a rational function of q.  The basis solves for the transition
+    coefficients over truncated Laurent series in s = (q/t)^(1/2), each with
+    a certified value at s = 0 (`_crystal_eigenvectors`), and the limit is
+    that exact value; a certified pole is recorded as None.
     Returns (limit table, dual limit table, poles).
     """
     if not sym_point.is_symbolic_q:

@@ -7,7 +7,9 @@ rows: no caller needs them over Q(s).  `solve_unique` runs one sparse
 elimination, `_factor`, modulo the prime 2^127 - 1 for p-adic lifting from
 LIFT_MIN unknowns on, or over Q, and certifies its solution by exact
 substitution into every row.
-`triangular_eigenvector` needs only the Python arithmetic operators.
+`triangular_eigenvector` needs only the Python arithmetic operators and a
+truth test, so it also runs over the truncated Laurent series of
+`scalars.Laurent`, which the crystal limit solves over.
 
 Matrices are plain lists of lists.  Fraction(0)/Fraction(1) serve as the
 neutral elements; they coerce into the richer field automatically.
@@ -82,6 +84,12 @@ def triangular_eigenvector(a, j, labels):
     EigenvalueCollision naming labels[j] and the colliding label; an entry
     above the diagonal in column j raises AssertionError naming labels[j]
     and the label of its row.
+
+    Over truncated Laurent series a difference of series is never an exact
+    0: one that is not known to be nonzero raises scalars.PrecisionError in
+    the division, not EigenvalueCollision.  Exact collisions are caught
+    before, on the exact matrix (genmac.GenMacBasis), and an exact 0 stays
+    exact, so the triangularity check reads the exact zero pattern.
     """
     n = len(a)
     for i in range(j):

@@ -1,4 +1,5 @@
-"""Exact coefficient fields and seeded specialization points.
+"""Exact coefficient fields, truncated Laurent series and seeded
+specialization points.
 
 Two scalar modes:
 
@@ -15,7 +16,13 @@ Two scalar modes:
   monomial in s, the q -> 0 limit is evaluation at s = 0, and poles at
   q = 0 are detected exactly from the reduced denominator.
 
-Scalars of either kind mix freely with ints and Fractions through operator
+The crystal limit needs only values at s = 0.  Its eigenvector solves run
+over truncated Laurent series in s with tracked precision (`Laurent`,
+expanded from Q(s) by `laurent`): a value at s = 0, or a pole there, is read
+only where the known coefficients certify it, and anything less raises
+PrecisionError.
+
+Scalars of every kind mix freely with ints and Fractions through operator
 overloading; generic code can use Fraction(0) and Fraction(1) as neutral
 elements.
 """
@@ -405,6 +412,240 @@ def _mul(x, y):
 
 
 # ---------------------------------------------------------------------------
+# Truncated Laurent series in s, with tracked precision
+#
+# The crystal limit reads each value at s = 0 only.  Truncated series give
+# those values exactly, without a gcd per operation, provided each element
+# carries how far it is known (X. Caruso, Computations with p-adic numbers,
+# JNCF 2017; the bookkeeping is the same for Laurent series over Q).
+
+
+class PrecisionError(ScalarError):
+    """A truncated series does not know what was asked of it: a division by
+    an element with no known nonzero coefficient, or a value at s = 0 that
+    lies past its precision."""
+
+
+class Laurent:
+    """s^val (c_0 + c_1 s + ... + c_(r-1) s^(r-1)) + O(s^(val + r)) over Q.
+
+    Either c_0 != 0, so that val is the certified valuation, or there are no
+    coefficients and the element is O(s^val): all that is known is that it
+    vanishes below s^val.  val + r is the absolute precision, r the relative
+    one.  `laurent` makes one from an element of Q(s).  The coefficients
+    are held as integers over one positive common denominator,
+    c_i = nums[i] / den, reduced by their joint content, so an operation
+    costs integer products and one gcd instead of a Fraction reduction per
+    coefficient.
+
+    The exact scalars are Fractions and mix in through the operators.  An
+    exact 0 stays a Fraction, and only a product with an exact 0 gives one: a
+    difference of series that agree as far as they are known is O(s^k),
+    never an exact 0.  So a Laurent is always true: a truth test asks "may it
+    be nonzero?".  Division by an element without a known nonzero
+    coefficient raises PrecisionError.
+    """
+
+    __slots__ = ("val", "nums", "den")
+
+    @property
+    def coeffs(self):
+        """c_0 .. c_(r-1) as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
+    def precision(self):
+        """The absolute precision: the series is known modulo s^precision."""
+        return self.val + len(self.nums)
+
+    @property
+    def certified(self):
+        """Whether the value at s = 0 is known: a certified constant term, or
+        a pole (a known nonzero coefficient at a negative valuation)."""
+        return bool(self.nums) or self.val > 0
+
+    def at_zero(self):
+        """The value at s = 0; PoleAtZero at a certified pole, PrecisionError
+        when the series is not certified."""
+        if self.nums:
+            if self.val < 0:
+                raise PoleAtZero("pole of order %d at s=0" % -self.val)
+            return Fraction(self.nums[0], self.den) if self.val == 0 else Fraction(0)
+        if self.val > 0:
+            return Fraction(0)
+        raise PrecisionError("value at s=0 unknown: O(s^%d)" % self.val)
+
+    def __bool__(self):
+        return True
+
+    def __eq__(self, other):
+        """The same truncation: valuation, precision and known coefficients.
+        A Laurent never equals an exact scalar."""
+        if type(other) is not Laurent:
+            return NotImplemented
+        return (self.val, self.nums, self.den) == (other.val, other.nums, other.den)
+
+    def __hash__(self):
+        return hash((self.val, tuple(self.nums), self.den))
+
+    def __neg__(self):
+        return _series(self.val, [-n for n in self.nums], self.den)
+
+    def __add__(self, other):
+        if type(other) is Laurent:
+            return _series_add(self, other)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            return _series_add(self, _exact(other), self.precision)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is Laurent:
+            return _series_mul(self, other)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return Fraction(0)
+            p, q = other.numerator, other.denominator
+            return _reduced(self.val, [n * p for n in self.nums], self.den * q)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is Laurent:
+            return _series_div(self, other, min(len(self.nums), len(other.nums)))
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not self.nums:
+                raise PrecisionError("division by O(s^%d)" % self.val)
+            return _series_div(_exact(other), self, len(self.nums)) if other else Fraction(0)
+        return NotImplemented
+
+    def __repr__(self):
+        return "Laurent(%d, %r)" % (self.val, self.coeffs)
+
+
+def _series(val, nums, den):
+    """A Laurent from parts with nums[0] != 0, or nums == [] and den == 1,
+    without checks."""
+    x = object.__new__(Laurent)
+    x.val, x.nums, x.den = val, nums, den
+    return x
+
+
+def _exact(c):
+    """The nonzero exact scalar c as a one-term Laurent.  Its relative
+    precision 1 understates c, so callers pass the precision of the result
+    themselves."""
+    return _series(0, [c.numerator], c.denominator)
+
+
+def _reduced(val, nums, den):
+    """The Laurent s^val nums / den for a positive den: leading zero
+    numerators dropped, then the joint content divided out."""
+    k = 0
+    for n in nums:
+        if n:
+            break
+        k += 1
+    if k == len(nums):
+        return _series(val + k, [], 1)
+    if k:
+        nums = nums[k:]
+    g = gcd(den, *nums)
+    if g > 1:
+        return _series(val + k, [n // g for n in nums], den // g)
+    return _series(val + k, nums, den)
+
+
+def _series_add(x, y, top=None):
+    """x + y, known to the lower of the two precisions; top, when given, is
+    the precision, for y an exact polynomial."""
+    if top is None:
+        top = min(x.val + len(x.nums), y.val + len(y.nums))
+    low = min(x.val, y.val)
+    if top <= low:
+        return _series(top, [], 1)
+    dx, dy = x.den, y.den
+    g = gcd(dx, dy)
+    out = [0] * (top - low)
+    for z, f in ((x, dy // g), (y, dx // g)):
+        k = z.val - low
+        for n in z.nums[: max(0, top - z.val)]:
+            out[k] += n * f
+            k += 1
+    return _reduced(low, out, dx // g * dy)
+
+
+def _series_mul(x, y):
+    """x y: the valuations add, and the relative precision is the lower one."""
+    a, b = x.nums, y.nums
+    r = min(len(a), len(b))
+    if not r:
+        return _series(x.val + y.val, [], 1)
+    out = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(r)]
+    return _reduced(x.val + y.val, out, x.den * y.den)
+
+
+def _series_div(x, y, r):
+    """x / y to relative precision r, for y with a known nonzero coefficient.
+
+    With b = y's numerators and a = x's, padded with zeros, the quotient
+    q = a / b has q_k b_0^(k+1) = Q_k = a_k b_0^k - sum_(i=1..k) b_i Q_(k-i)
+    b_0^(i-1), all integers.
+    """
+    b = y.nums
+    if not b:
+        raise PrecisionError("division by O(s^%d)" % y.val)
+    a = x.nums
+    if not a:
+        return _series(x.val - y.val, [], 1)
+    b0 = b[0]
+    pows = [1]
+    for _ in range(r):
+        pows.append(pows[-1] * b0)
+    out = []
+    for k in range(r):
+        acc = a[k] * pows[k] if k < len(a) else 0
+        for i in range(1, min(k, len(b) - 1) + 1):
+            acc -= b[i] * out[k - i] * pows[i - 1]
+        out.append(acc)
+    # over the common denominator b_0^r, times y.den / x.den
+    nums = [q * pows[r - 1 - k] * y.den for k, q in enumerate(out)]
+    den = pows[r] * x.den
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    return _reduced(x.val - y.val, nums, den)
+
+
+def laurent(x, prec):
+    """An element of Q(s) to relative precision prec: a RatFunc as a Laurent,
+    an int or a Fraction as the exact Fraction it is.  A nonzero RatFunc
+    gives a series with a certified valuation."""
+    if not isinstance(x, RatFunc):
+        return Fraction(x)
+    if not x:
+        return Fraction(0)
+    num, den = x.num.coeffs, x.den.coeffs
+    vn, vd = _low_zeros(num), _low_zeros(den)
+    top = _series(vn, list(num[vn : vn + prec]), 1)
+    return _series_div(top, _series(vd, list(den[vd : vd + prec]), 1), prec)
+
+
+# ---------------------------------------------------------------------------
 # Rows cleared to one denominator
 #
 # Exact combinations and products clear each row of scalars once to
@@ -645,9 +886,12 @@ class ScalarPoint:
         return (self.q0 / self.t0) ** (2 * k)
 
     def at_crystal(self, x):
-        """Evaluate a scalar at q = 0 (s = 0); raises PoleAtZero on a pole."""
+        """Evaluate a scalar at q = 0 (s = 0); raises PoleAtZero on a pole.
+        A Laurent is read only where it is certified (`Laurent.at_zero`)."""
         if isinstance(x, RatFunc):
             return x.eval(Fraction(0))
+        if isinstance(x, Laurent):
+            return x.at_zero()
         return Fraction(x)
 
     # -- auxiliary generic parameters -----------------------------------

@@ -209,11 +209,13 @@ def hamiltonian(k, family: GeneratorFamily) -> LinOp:
     return family.x_mode(1, -1).commutator(inner)
 
 
-def higher_eigenvalue(k, tup: PartitionTuple, point):
-    """Coefficient extraction from the product of the B+ edge series at u_i z.
+def higher_eigenvalues(k_max, tup: PartitionTuple, point):
+    """[E_1, ..., E_k_max], by coefficient extraction from the product of the
+    B+ edge series at u_i z: E_k is (1 - q)^(k-1) (1 - 1/t)^(k-1) / (1 - t/q)
+    times the coefficient of z^k.
 
     Scaling z by u_i scales each linear factor's constant by u_i, so the
-    product is one list of factors.
+    product is one list of factors, expanded once for the whole tower.
     """
     q, t = point.q, point.t
     mul, div = [], []
@@ -221,8 +223,14 @@ def higher_eigenvalue(k, tup: PartitionTuple, point):
         lam_mul, lam_div = _edge_factors(lam, +1, point)
         mul += [c * u for c in lam_mul]
         div += [d * u for d in lam_div]
-    pref = (1 - q) ** (k - 1) * (1 - 1 / t) ** (k - 1) / (1 - t / q)
-    return pref * _factor_coefficients(mul, div, k + 1)[k]
+    coeffs = _factor_coefficients(mul, div, k_max + 1)
+    step = (1 - q) * (1 - 1 / t)
+    pref = 1 / (1 - t / q)
+    tower = []
+    for k in range(1, k_max + 1):
+        tower.append(pref * coeffs[k])
+        pref = pref * step
+    return tower
 
 
 def higher_hamiltonian_check(k_max, level, point, n_comp):
@@ -239,6 +247,11 @@ def higher_hamiltonian_check(k_max, level, point, n_comp):
                     st = {tup: ONE}
                     if hams[ka].commutator(hams[kb])(st):
                         failures.append(("commutator", ka, kb, tup))
+    towers = {
+        tup: higher_eigenvalues(k_max, tup, point)
+        for n in range(level + 1)
+        for tup in enumerate_tuples(n_comp, n)
+    }
     # eigenvalues on the eigenbasis
     for n in range(level + 1):
         basis = gen_macdonald(n, point, n_comp)
@@ -246,13 +259,13 @@ def higher_hamiltonian_check(k_max, level, point, n_comp):
             st = basis.state(tup)
             for k in range(1, k_max + 1):
                 img = hams[k](st)
-                want = state_scale(st, higher_eigenvalue(k, tup, point))
+                want = state_scale(st, towers[tup][k - 1])
                 if img != want:
                     failures.append(("eigenvalue", k, tup))
     # the first Hamiltonian eigenvalue is the proved closed form
     for n in range(level + 1):
         for tup in enumerate_tuples(n_comp, n):
-            if higher_eigenvalue(1, tup, point) != eigenvalue_of(tup, point):
+            if towers[tup][0] != eigenvalue_of(tup, point):
                 failures.append(("first-eigenvalue", tup))
     return failures
 

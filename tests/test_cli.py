@@ -203,6 +203,8 @@ def test_shared_bases_are_read_only(monkeypatch, capsys):
         )
         assert basis.coeff == fresh.coeff, _value_key(basis)
         assert basis.dual_coeff == fresh.dual_coeff, _value_key(basis)
+        if m.point.is_symbolic_q:
+            continue  # a crystal-limit basis keeps no state matrix
         assert basis.state_matrix() == fresh.state_matrix(), _value_key(basis)
         assert basis.state_matrix_inverse() == fresh.state_matrix_inverse(), _value_key(basis)
         if basis._forms is not None:

@@ -265,13 +265,40 @@ def test_gen_hall_littlewood_level4_unitriangular():
         assert table[lam][lam] == dual[lam][lam] == 1
         assert all(table[lam][mu] == 0 for mu in order[:i])
         assert all(dual[lam][mu] == 0 for mu in order[i + 1 :])
-    # digest of the exact tables as computed over Fraction coefficients
+    # recorded from the tables as computed over Q(s)
+    assert tables_digest(table, dual) == (
+        "2f19544c8ca217b63db232ad3be5755ddf403c3f04ecc542d34301e11598c50b"
+    )
+
+
+def tables_digest(table, dual):
+    """sha256 of the two limit tables, rows and columns in table order."""
+    order = list(table)
     text = json.dumps(
         [[to_json(lam) for lam in order]]
         + [[[str(tab[lam][mu]) for mu in order] for lam in order] for tab in (table, dual)]
     )
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "2f19544c8ca217b63db232ad3be5755ddf403c3f04ecc542d34301e11598c50b"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_gen_hall_littlewood_level5_digest(monkeypatch):
+    # the series solve restarts here (from relative precision 3 to 6), so the
+    # digest, recorded from the tables as computed over Q(s), pins the
+    # restart path
+    precs = set()
+    expand = genmac.laurent
+
+    def recording(x, prec):
+        precs.add(prec)
+        return expand(x, prec)
+
+    monkeypatch.setattr(genmac, "laurent", recording)
+    table, dual, poles = gen_hall_littlewood(5, make_point(7, 2, 6, "q"))
+    assert len(precs) > 1
+    assert poles == [] and len(table) == 36
+    assert tables_digest(table, dual) == (
+        "e201143c8631c43ad91e96d34afd4b01efcba8673c0b4bbcd0ddc6b5146d53ed"
+    )
 
 
 def test_gen_jack_tables():

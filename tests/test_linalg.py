@@ -20,7 +20,7 @@ from dimfock.linalg import (
     transpose,
     triangular_eigenvector,
 )
-from dimfock.scalars import Poly, RatFunc, make_point
+from dimfock.scalars import Laurent, PoleAtZero, Poly, PrecisionError, RatFunc, laurent, make_point
 
 F = Fraction
 
@@ -656,12 +656,211 @@ def test_state_matrix_inverse_matches_gauss_jordan(n_comp):
             assert basis.state_matrix_inverse() == inverse(smat), (seed, level)
 
 
+def ratfunc_eigenvectors(level, family):
+    """(tuples, P, P^-1, C, D, dual coefficients) over Q(s): the right and
+    left eigenvectors of the Q(s) zero_mode_conjugation by
+    triangular_eigenvector, and the dual scaling d N_j / N_i, as the
+    eigenbases of a numeric point take them.  The oracle of the series
+    solves of a symbolic-q basis."""
+    tuples = list(family.module.basis(level))
+    pmat, pinv, norms, conj = genmac.zero_mode_conjugation(level, family)
+    n = len(tuples)
+    coeff = [triangular_eigenvector(conj, j, tuples) for j in range(n)]
+    conj_rev = [row[::-1] for row in transpose(conj)][::-1]
+    left = [triangular_eigenvector(conj_rev, n - 1 - j, tuples[::-1])[::-1] for j in range(n)]
+    dual = [[d * nj / ni if d else F(0) for d, ni in zip(dj, norms)] for dj, nj in zip(left, norms)]
+    return tuples, pmat, pinv, coeff, left, dual
+
+
 def test_state_matrix_inverse_at_a_symbolic_q_point():
+    # S^-1 S = I over Q(s), with S = P C^T and S^-1 = D P^-1 from the Q(s) solves
     pt = make_point(5, 2, 4, "q")
-    basis = genmac.GenMacBasis(3, GeneratorFamily(BosonModule(pt, 2, pt.u, 4, kind="qt")))
-    smat = basis.state_matrix()
+    family = GeneratorFamily(BosonModule(pt, 2, pt.u, 4, kind="qt"))
+    _, pmat, pinv, coeff, left, _ = ratfunc_eigenvectors(3, family)
+    smat = mat_mul(pmat, transpose(coeff))
     assert any(isinstance(x, RatFunc) for row in smat for x in row)
-    assert mat_mul(basis.state_matrix_inverse(), smat) == identity(len(smat))
+    assert mat_mul(mat_mul(left, pinv), smat) == identity(len(smat))
+
+
+def test_a_symbolic_basis_keeps_no_state_matrix():
+    pt = make_point(5, 2, 3, "q")
+    basis = genmac.GenMacBasis(2, GeneratorFamily(BosonModule(pt, 2, pt.u, 3, kind="qt")))
+    readers = (
+        basis.state_matrix,
+        lambda: basis.expand({}),
+        lambda: basis.dual_bra(basis.tuples[0]),
+        lambda: genmac.integral_forms(basis),
+    )
+    for read in readers:
+        with pytest.raises(TypeError, match="symbolic-q point"):
+            read()
+
+
+# -- the crystal limit over truncated Laurent series ----------------------------
+
+
+def crystal_family(level, pt):
+    module = BosonModule(pt, 2, pt.u, level + 1, kind="qt")
+    return GeneratorFamily(module, crystal_normalized=True)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 198])
+def test_series_tables_match_the_ratfunc_solves(seed):
+    for level in (1, 2, 3, 4):
+        pt = make_point(seed, 2, level + 1, "q")
+        tuples, _, _, coeff, _, dual = ratfunc_eigenvectors(level, crystal_family(level, pt))
+        want, want_dual, want_poles = {}, {}, []
+        for lam, row, drow in zip(tuples, coeff, dual):
+            want[lam], want_dual[lam] = {}, {}
+            for mu, x, dx in zip(tuples, row, drow):
+                for store, val in ((want[lam], x), (want_dual[lam], dx)):
+                    try:
+                        store[mu] = pt.at_crystal(val)
+                    except PoleAtZero:
+                        store[mu] = None
+                        want_poles.append((lam, mu))
+        assert genmac.gen_hall_littlewood(level, pt) == (want, want_dual, want_poles), (seed, level)
+
+
+def test_series_solve_restarts_to_the_same_tables(monkeypatch):
+    # from relative precision 1 the level-3 solve restarts; it must end at
+    # the values the default start gives
+    pt = make_point(7, 2, 4, "q")
+    family = crystal_family(3, pt)
+    _, _, norms, conj = genmac.zero_mode_conjugation(3, family)
+    tuples = list(family.module.basis(3))
+    precs = set()
+    expand = genmac.laurent
+
+    def recording(x, prec):
+        precs.add(prec)
+        return expand(x, prec)
+
+    monkeypatch.setattr(genmac, "laurent", recording)
+    default = genmac._crystal_eigenvectors(conj, norms, tuples)
+    assert precs == {genmac.SERIES_PREC}
+    precs.clear()
+    restarted = genmac._crystal_eigenvectors(conj, norms, tuples, prec=1)
+    assert min(precs) == 1 and len(precs) > 1
+    for k in (0, 2):  # C and the dual coefficients
+        read = [[pt.at_crystal(x) for x in row] for row in restarted[k]]
+        assert read == [[pt.at_crystal(x) for x in row] for row in default[k]]
+
+
+def test_series_keep_the_exact_zero_pattern():
+    # an entry is an exact 0 after the expansion exactly when it is 0 in Q(s),
+    # so the triangularity check reads the Q(s) matrix
+    pt = make_point(7, 2, 3, "q")
+    conj = genmac.zero_mode_conjugation(2, crystal_family(2, pt))[3]
+    series = [[laurent(x, 1) for x in row] for row in conj]
+    assert [[bool(x) for x in row] for row in series] == [[bool(x) for x in row] for row in conj]
+    assert any(isinstance(x, Laurent) for row in series for x in row)
+    bad = [row[:] for row in series]
+    bad[0][2] = series[2][0]
+    with pytest.raises(AssertionError, match="not triangular"):
+        triangular_eigenvector(bad, 2, list(range(len(bad))))
+
+
+@st.composite
+def truncations(draw):
+    """(x, v): a Laurent or exact x and the element v of Q(s) it truncates.
+
+    x is v expanded to a drawn relative precision, plus the difference of two
+    expansions of another element, which is O(s^k): so x may be an exact
+    Fraction, a series with a certified valuation, or one with no known
+    coefficient."""
+    v, w = draw(ratfuncs()), draw(ratfuncs())
+    noise = laurent(w, draw(st.integers(1, 4))) - laurent(w, draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        return noise, F(0)
+    return laurent(v, draw(st.integers(1, 4))) + noise, v
+
+
+def coefficient(x, d):
+    """The coefficient of s^d in an exact x, or in a Laurent x below its
+    precision."""
+    if isinstance(x, Laurent):
+        assert d < x.precision
+        k = d - x.val
+        return x.coeffs[k] if 0 <= k else F(0)
+    if not isinstance(x, RatFunc):
+        return F(x) if d == 0 else F(0)
+    first = laurent(x, 1).val
+    return coefficient(laurent(x, max(1, d - first + 1)), d) if d >= first else F(0)
+
+
+OPERATIONS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+              "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+@settings(max_examples=400, deadline=None)
+@given(truncations(), truncations(), st.sampled_from(sorted(OPERATIONS)))
+def test_series_operations_keep_every_coefficient_they_claim(a, b, name):
+    (x, u), (y, v) = a, b
+    op = OPERATIONS[name]
+    if name == "/":
+        if isinstance(y, Laurent) and not y.coeffs:
+            # no known nonzero coefficient: nothing can be divided by it
+            with pytest.raises(PrecisionError):
+                op(x, y)
+            event("division by O(s^k)")
+            return
+        if not v:
+            return
+    got, want = op(x, y), op(u, v)
+    if not isinstance(got, Laurent):
+        assert got == want  # exact operands, or a product with an exact 0
+        return
+    event("certified" if got.coeffs else "O(s^k)")
+    low = min(got.val, laurent(want, 1).val if want else got.val)
+    for d in range(low, got.precision):
+        assert coefficient(got, d) == coefficient(want, d), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(truncations())
+def test_series_read_at_zero_only_when_certified(case):
+    x, v = case
+    pt = make_point(5, 2, 2, "q")
+    if not isinstance(x, Laurent):
+        assert x == pt.at_crystal(v)
+        return
+    if not x.certified:
+        assert not x.coeffs and x.precision <= 0
+        with pytest.raises(PrecisionError):
+            pt.at_crystal(x)
+        return
+    try:
+        want = pt.at_crystal(v)
+    except PoleAtZero:
+        event("pole")
+        with pytest.raises(PoleAtZero):
+            pt.at_crystal(x)
+    else:
+        assert pt.at_crystal(x) == want
+
+
+def test_series_by_hand():
+    s = laurent(RatFunc.variable(), 3)
+    assert (s.val, s.coeffs, s.precision) == (1, (1, 0, 0), 4)
+    x = laurent(1 / (1 - RatFunc.variable()), 3)  # 1 + s + s^2 + O(s^3)
+    assert x.coeffs == (1, 1, 1)
+    assert (x - x).coeffs == () and (x - x).precision == 3 and (x - x).at_zero() == 0
+    assert x * 0 == 0 and not isinstance(x * 0, Laurent)
+    with pytest.raises(PrecisionError):
+        x / (x - x)
+    with pytest.raises(PrecisionError):
+        1 / (x - x)
+    assert (x / s).val == -1 and (1 / (x * s)).coeffs == (1, -1, 0)
+    with pytest.raises(PoleAtZero):
+        (x / s).at_zero()
+    assert (x - 1).coeffs == (1, 1) and (x - 1).val == 1
+    y = laurent((1 + 6 * RatFunc.variable()) / (2 * RatFunc.variable() ** 2), 2)
+    assert (y.val, y.coeffs, y.precision) == (-2, (F(1, 2), 3), 0)
+    with pytest.raises(PrecisionError):
+        (y - y).at_zero()  # O(s^0)
+    z = laurent(1 / RatFunc.variable() ** 2, 3)
+    assert (z - z).precision == 1 and (z - z).at_zero() == 0  # O(s)
 
 
 def rmat_dual_side(basis):

@@ -6,7 +6,7 @@ from dimfock.vertical import (
     dim_relation_check,
     edge_factor_plus,
     edge_series,
-    higher_eigenvalue,
+    higher_eigenvalues,
     higher_hamiltonian_check,
     psi_modes,
     raising_lowering_duality_check,
@@ -51,7 +51,7 @@ def test_first_hamiltonian_eigenvalue(point1, point2, point3):
     for pt, n_comp in [(point1, 1), (point2, 2), (point3, 3)]:
         for n in range(0, 3):
             for tup in enumerate_tuples(n_comp, n):
-                assert higher_eigenvalue(1, tup, pt) == eigenvalue_of(tup, pt)
+                assert higher_eigenvalues(1, tup, pt) == [eigenvalue_of(tup, pt)]
 
 
 def test_hamiltonian_tower_checked_sizes():
