@@ -22,9 +22,17 @@ from functools import partial
 
 from . import genmac, kacdet, linalg, nekrasov, phi, relations, rmatrix, symfunc, vertical
 from . import rmatrix_tables as tables
-from .combinat import EMPTY, Partition, PartitionTuple, b_factor, dominance_le, partitions
+from .combinat import (
+    EMPTY,
+    Partition,
+    PartitionTuple,
+    b_factor,
+    dominance_le,
+    enumerate_tuples,
+    partitions,
+)
 from .fock import BosonModule, GeneratorFamily, column_matrix, coordinates, pbw_state, state_scale
-from .scalars import eigenvalue_of, make_point
+from .scalars import ScalarError, eigenvalue_of, make_point, stable_rng
 
 # ---------------------------------------------------------------------------
 # Symmetric functions
@@ -184,10 +192,29 @@ def crystal_limit(spt, level):
     return poles
 
 
+JACK_BETA = Fraction(3, 7)
+JACK_WEIGHTS = (Fraction(5, 3), Fraction(2, 9), Fraction(7, 11))
+
+
+def jack_weights(level, n_comp):
+    """Weights u' for jack_tables: JACK_WEIGHTS for the first three bosons,
+    then seeded draws, drawn again until the level-n eigenvalues
+    (`genmac.jack_eigenvalue`) are distinct."""
+    tuples = enumerate_tuples(n_comp, level)
+    rng = stable_rng("dimfock-jack-weights", n_comp, level)
+    for _ in range(1000):
+        extra = [Fraction(rng.randint(2, 50), rng.randint(2, 50)) for _ in range(n_comp - 3)]
+        uprime = (list(JACK_WEIGHTS) + extra)[:n_comp]
+        if len({genmac.jack_eigenvalue(t, JACK_BETA, uprime) for t in tuples}) == len(tuples):
+            return uprime
+        if not extra:
+            break
+    raise ScalarError("no separating Jack weights for %d bosons at level %d" % (n_comp, level))
+
+
 def jack_tables(level, n_comp):
     """Generalized Jack eigenfunctions are unitriangular at fixed beta and weights."""
-    uprime = ([Fraction(5, 3), Fraction(2, 9)] + [Fraction(7, 11)] * n_comp)[:n_comp]
-    tuples, rows, eig = genmac.gen_jack(level, Fraction(3, 7), uprime)
+    tuples, rows, eig = genmac.gen_jack(level, JACK_BETA, jack_weights(level, n_comp))
     return [tup for i, tup in enumerate(tuples) if rows[i][i] != 1]
 
 

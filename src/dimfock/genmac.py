@@ -6,12 +6,17 @@ the suffix-sum ordering, so the zero-mode matrix is triangular in it and
 each eigenvector follows from a back-substitution divided by eigenvalue
 differences; genericity of the point keeps those differences nonzero.
 The product-Macdonald kets are orthogonal for the Fock pairing, so their
-inverse matrix is their bras over their norms (`macdonald_frame`).  The
-left eigenvectors of the same triangular zero mode give the dual bras and
-the inverse state matrix, so no eigenbasis needs a general matrix inverse.
-At a symbolic-q point the zero mode is conjugated, and checked, over the
-rational-function field Q(s), and the eigenvectors are solved over truncated
-Laurent series in s, which certify their values at s = 0 (q = 0).
+inverse matrix is their bras over their norms (`MacdonaldFrame`), and the
+zero mode P^-1 X0 P is one fraction-free triple product over the kets,
+the monomial Gram and X0, each cleared once (`zero_mode_conjugation`).  Its
+exact checks read the integer (or Z[s]) numerators; no entry is reduced
+unless a reader asks for it, and P^-1 is formed only for the inverse state
+matrix.  The left eigenvectors of the same triangular zero mode give the
+dual bras and the inverse state matrix, so no eigenbasis needs a general
+matrix inverse.  At a symbolic-q point the eigenvectors are solved over
+truncated Laurent series in s, read from the numerators at the precision
+the solve asks for, which certify their values at s = 0 (q = 0); no
+quotient in Q(s) is formed.
 Also here: integral-form renormalizations, the exact q -> 0 limit from
 those series, and generalized Jack functions from the degenerate-limit
 differential operator.
@@ -45,7 +50,16 @@ from .fock import (
 )
 from .linalg import EigenvalueCollision
 from .nekrasov import nek_factor
-from .scalars import Laurent, PoleAtZero, PrecisionError, eigenvalue_of, laurent
+from .scalars import (
+    Laurent,
+    PoleAtZero,
+    PrecisionError,
+    cleared,
+    dot,
+    eigenvalue_of,
+    laurent,
+    quotient,
+)
 from .symfunc import macdonald_p, monomial_in_p
 
 ZERO = Fraction(0)
@@ -71,33 +85,110 @@ def product_monomial_state(module, tup):
     return product_state(module, tup, [monomial_in_p(lam) for lam in tup.components])
 
 
-def macdonald_frame(module, level):
-    """(P, P^-1, N) at one level, without elimination.
+class MacdonaldFrame:
+    """The product-Macdonald kets at one level, each cleared once.
 
-    P holds the product-Macdonald kets as columns over the level-n
-    monomials.  The kets are orthogonal for the Fock pairing, which is
-    diagonal on monomials with entries G_v (`monomial_gram`), so
-    P^T G P = diag(N) with the norms N_j = sum_v G_v P[v][j]^2, and
-    P^-1 = N^-1 P^T G: row j is the bra of ket j over its norm.
+    P holds the kets as columns over the level-n monomials.  Ket j is
+    cleared to p_j / E_j (`scalars.cleared`), with integer numerators, or
+    numerators in Z[s] at a symbolic-q point.  The kets are orthogonal for
+    the Fock pairing, which is diagonal on monomials with entries G_v
+    (`monomial_gram`), cleared once to g_v / H.  So the bra of ket i,
+    row i of P^T G, is w_i / (H E_i) with w_i = g o p_i (entrywise), and
+    the norm N_i = sum_v G_v P[v][i]^2 is N~_i / (H E_i^2) with N~_i = w_i . p_i.
+    P^-1 = N^-1 P^T G then has the rows w_i E_i / N~_i: no elimination.
     """
-    tuples = module.basis(level)
-    kets = [product_macdonald_state(module, t) for t in tuples]
-    grams = {m: module.monomial_gram(m) for m in tuples}
-    bras = [{m: c * grams[m] for m, c in ket.items()} for ket in kets]
-    norms = [module.pair(bra, ket) for bra, ket in zip(bras, kets)]
-    pinv = [coordinates(state_scale(bra, 1 / nj), tuples) for bra, nj in zip(bras, norms)]
-    return column_matrix(kets, tuples), pinv, norms
+
+    def __init__(self, module, level):
+        self.symbolic = module.point.is_symbolic_q
+        tuples = module.basis(level)
+        kets = [product_macdonald_state(module, t) for t in tuples]
+        self.pmat = column_matrix(kets, tuples)
+        self.kets = [cleared(col, self.symbolic) for col in zip(*self.pmat)]
+        self.gram_den, grams = cleared([module.monomial_gram(m) for m in tuples], self.symbolic)
+        self.bras = [[g * x for g, x in zip(grams, p)] for _, p in self.kets]
+        self.norm_nums = [dot(w, p) for w, (_, p) in zip(self.bras, self.kets)]
+
+    def norms(self):
+        """The norms N_i, each one exact quotient."""
+        h = self.gram_den
+        return [quotient(n, h, e * e) for (e, _), n in zip(self.kets, self.norm_nums)]
+
+    def inverse(self):
+        """P^-1 as rows, each entry one exact quotient."""
+        return [
+            [quotient(x * e, n) for x in w]
+            for (e, _), w, n in zip(self.kets, self.bras, self.norm_nums)
+        ]
+
+
+class Conjugation:
+    """A = P^-1 X P for a matrix X over the monomials of a MacdonaldFrame's
+    level, as exact numerators with one factor per row and one per column.
+
+    X is cleared once to x / F.  With Y_j = x p_j (X P has the columns
+    Y_j / (F E_j)) and the dot products A~_ij = w_i . Y_j over Z or Z[s],
+
+        A_ij = A~_ij E_i / (N~_i F E_j).
+
+    So A_ij is an exact 0 exactly when the numerator A~_ij is 0, and no
+    entry is reduced until a reader asks for it: `exact()` reads each entry
+    as one quotient, `series(prec)` as a truncated Laurent series in s from
+    the numerator and the kept row and column factors.
+    """
+
+    def __init__(self, frame, x):
+        self.frame = frame
+        self.x_den, flat = cleared([v for row in x for v in row], frame.symbolic)
+        n = len(x)
+        rows = [flat[k : k + n] for k in range(0, n * n, n)]
+        cols = [[dot(r, p) for r in rows] for _, p in frame.kets]
+        self.nums = [[dot(w, y) for y in cols] for w in frame.bras]
+
+    def exact(self):
+        """A as rows of exact scalars: Fractions, or canonical elements of Q(s)."""
+        frame = self.frame
+        col_dens = [self.x_den * e for e, _ in frame.kets]
+        return [
+            [quotient(a * e, n, d) for a, d in zip(row, col_dens)]
+            for row, (e, _), n in zip(self.nums, frame.kets, frame.norm_nums)
+        ]
+
+    def series(self, prec):
+        """(A, N) at a symbolic-q point to relative precision prec, each
+        nonzero entry a `scalars.Laurent` with a certified valuation and each
+        zero entry an exact Fraction 0.  Every entry equals the `laurent`
+        expansion of the exact one: a product of series with certified
+        valuations keeps every coefficient its factors know."""
+        frame = self.frame
+        row_factors = [
+            laurent(e, prec) / laurent(n, prec) for (e, _), n in zip(frame.kets, frame.norm_nums)
+        ]
+        col_factors = [1 / laurent(self.x_den * e, prec) for e, _ in frame.kets]
+        conj = [
+            [laurent(a, prec) * r * c if a else ZERO for a, c in zip(row, col_factors)]
+            for row, r in zip(self.nums, row_factors)
+        ]
+        norms = [
+            laurent(n, prec) / laurent(frame.gram_den * e * e, prec)
+            for (e, _), n in zip(frame.kets, frame.norm_nums)
+        ]
+        return conj, norms
+
+    def diagonal_is(self, j, value):
+        """Whether A_jj == value, by one exact cross-multiplication:
+        A_jj = A~_jj / (N~_j F)."""
+        d, (n,) = cleared([value], self.frame.symbolic)
+        return self.nums[j][j] * d == n * self.frame.norm_nums[j] * self.x_den
 
 
 def zero_mode_conjugation(level, family):
-    """(P, P^-1, N, P^-1 X0 P) at one level.
-
-    The first three are `macdonald_frame`; the last is the first-current
-    zero mode X0 in the product-Macdonald basis, indexed by the same tuples.
-    """
-    pmat, pinv, norms = macdonald_frame(family.module, level)
-    x0 = operator_matrix(family.x_mode(1, 0), family.module, level, level)
-    return pmat, pinv, norms, linalg.mat_mul(pinv, linalg.mat_mul(x0, pmat))
+    """P^-1 X0 P at one level, as a `Conjugation`: the first-current zero
+    mode X0 in the product-Macdonald basis, indexed by the level-n tuples,
+    formed in one cleared pass without P^-1.  X0 is read from
+    `fock.operator_matrix`, at numeric and symbolic-q points alike."""
+    module = family.module
+    x0 = operator_matrix(family.x_mode(1, 0), module, level, level)
+    return Conjugation(MacdonaldFrame(module, level), x0)
 
 
 def _eigenvectors(x0_pp, norms, tuples):
@@ -133,21 +224,20 @@ def _eigenvectors(x0_pp, norms, tuples):
 SERIES_PREC = 3
 
 
-def _crystal_eigenvectors(x0_pp, norms, tuples, prec=SERIES_PREC):
+def _crystal_eigenvectors(conj, tuples, prec=SERIES_PREC):
     """`_eigenvectors` over truncated Laurent series in s, at a symbolic-q
     point, with every entry of C and of the dual coefficients a Fraction or
     a Laurent whose value at s = 0 is certified.
 
-    The exact P^-1 X0 P and norms are expanded to relative precision prec; an
-    exact 0 stays exact, so the solves see the exact matrix's zero pattern.
-    When an entry is left uncertified, or a solve divides by an element with
-    no known nonzero coefficient, the solve starts again at twice the
-    precision.
+    P^-1 X0 P and the norms are read from the `Conjugation` conj to
+    relative precision prec; an exact 0 stays exact, so the solves see the
+    exact matrix's zero pattern.  When an entry is left uncertified, or a
+    solve divides by an element with no known nonzero coefficient, the
+    solve starts again at twice the precision.
     """
     while True:
-        conj = [[laurent(x, prec) for x in row] for row in x0_pp]
         try:
-            coeff, left, dual_coeff = _eigenvectors(conj, [laurent(x, prec) for x in norms], tuples)
+            coeff, left, dual_coeff = _eigenvectors(*conj.series(prec), tuples)
         except PrecisionError:
             prec *= 2
             continue
@@ -173,25 +263,37 @@ class GenMacBasis:
         self._build()
 
     def _build(self):
+        """Solve for the eigenvectors from P^-1 X0 P (`zero_mode_conjugation`).
+
+        The exact checks read the conjugation's exact numerators.  Per
+        column j: an eigenvalue no earlier column has (distinct eigenvalues
+        make the left eigenvectors the rows of C^-1) and the closed-form
+        eigenvalue on the diagonal, by one cross-multiplication.  The
+        triangular solves check that no entry lies above the diagonal in the
+        canonical order, on the numerators' zero pattern.  A numeric basis
+        solves over the exact entries and keeps the norms; a symbolic-q
+        basis solves over series (`_crystal_eigenvectors`) and keeps no
+        norms.  Either keeps the frame, so P and P^-1 are read from it.
+        """
         tuples = self.tuples
-        pmat, pinv, norms, x0_pp = zero_mode_conjugation(self.level, self.family)
-        self.pmat = pmat
+        conj = zero_mode_conjugation(self.level, self.family)
+        self._frame = conj.frame
+        self.pmat = conj.frame.pmat
         self.eigenvalues = [eigenvalue_of(t, self.point) for t in tuples]
-        # Per column j: an eigenvalue no earlier column has (distinct
-        # eigenvalues make the left eigenvectors below the rows of C^-1) and
-        # the closed-form eigenvalue on the diagonal, both on the exact
-        # matrix.  The triangular solves check that no entry lies above the
-        # diagonal in the canonical order.
         first = {}
         for j, (t, ev) in enumerate(zip(tuples, self.eigenvalues)):
             other = first.setdefault(ev, t)
             if other != t:
                 raise EigenvalueCollision("%r vs %r" % (other, t))
-            if x0_pp[j][j] != ev:
+            if not conj.diagonal_is(j, ev):
                 raise AssertionError("diagonal eigenvalue mismatch at %r" % (t,))
-        solve = _crystal_eigenvectors if self.point.is_symbolic_q else _eigenvectors
-        self.coeff, self._left, self.dual_coeff = solve(x0_pp, norms, tuples)
-        self.norms, self._pinv = norms, pinv
+        if self.point.is_symbolic_q:
+            self.norms = None
+            self.coeff, self._left, self.dual_coeff = _crystal_eigenvectors(conj, tuples)
+        else:
+            self.norms = conj.frame.norms()
+            solved = _eigenvectors(conj.exact(), self.norms, tuples)
+            self.coeff, self._left, self.dual_coeff = solved
         self._state_matrix = self._state_inverse = self._forms = None
 
     def transition(self, lam_tup, mu_tup):
@@ -228,12 +330,12 @@ class GenMacBasis:
 
         S^-1 = C^-1 P^-1, and C^-1 is the matrix of rows d_j: d_j C has
         d_j c_k = 0 for k != j, because the eigenvalues are distinct, and
-        d_j c_j = 1 by the two triangular shapes.  TypeError at a symbolic-q
-        point.
+        d_j c_j = 1 by the two triangular shapes.  P^-1 is read from the
+        kept frame here, and only here.  TypeError at a symbolic-q point.
         """
         self._exact_only("state_matrix_inverse")
         if self._state_inverse is None:
-            self._state_inverse = linalg.mat_mul(self._left, self._pinv)
+            self._state_inverse = linalg.mat_mul(self._left, self._frame.inverse())
         return self._state_inverse
 
     def expand(self, state):
@@ -246,8 +348,9 @@ class GenMacBasis:
         """<P_tup| as a functional on creation monomials: N_j d_j P^-1, that
         is N_j times row j of the inverse state matrix."""
         j = self.index[tup]
+        row = self.state_matrix_inverse()[j]
         nj = self.norms[j]
-        return {m: nj * x for m, x in zip(self.tuples, self.state_matrix_inverse()[j]) if x}
+        return {m: nj * x for m, x in zip(self.tuples, row) if x}
 
     def monomial_transition(self):
         """Transition matrix over products of monomial symmetric functions."""
@@ -479,6 +582,19 @@ def _hbeta_apply(state, beta, uprime):
     return out
 
 
+def jack_eigenvalue(tup, beta, uprime):
+    """The diagonal entry of the `gen_jack` operator at tup: the sum over
+    components i of u'_i |lam| + n(lam') - beta n(lam) + (1 - beta) |lam| / 2
+    for lam = tup[i], with n(lam) = sum_k (k - 1) lam_k."""
+    total = ZERO
+    for u, lam in zip(uprime, tup.components):
+        parts, size = lam.parts, lam.size
+        n_lam = sum(k * x for k, x in enumerate(parts))
+        n_conj = sum(x * (x - 1) // 2 for x in parts)
+        total += u * size + n_conj - beta * n_lam + (1 - beta) * Fraction(size, 2)
+    return total
+
+
 def gen_jack(level, beta, uprime):
     """Generalized Jack transition matrix over products of monomials."""
     from .combinat import enumerate_tuples
@@ -533,7 +649,7 @@ def ordering_vanishing_check(level, point, n_comp=3):
     for n in range(1, level + 1):
         # expand over Macdonald functions of the target level
         monos = module.basis(level - n)
-        _, pinv, _ = macdonald_frame(module, level - n)
+        pinv = MacdonaldFrame(module, level - n).inverse()
         for lam in partitions(level):
             img = current.mode_apply(n, product_macdonald_state(module, PartitionTuple([lam])), module)
             coords = linalg.mat_vec(pinv, coordinates(img, monos))

@@ -178,9 +178,9 @@ def single_eigenvector(level, family, tup):
     eigenvector would contradict its uniqueness and raises.
     """
     tuples = family.module.basis(level)
-    pmat, _, _, x0_pp = zero_mode_conjugation(level, family)
-    vec = linalg.triangular_eigenvector(x0_pp, tuples.index(tup), tuples)
-    state = {m: c for m, c in zip(tuples, linalg.mat_vec(pmat, vec)) if c}
+    conj = zero_mode_conjugation(level, family)
+    vec = linalg.triangular_eigenvector(conj.exact(), tuples.index(tup), tuples)
+    state = {m: c for m, c in zip(tuples, linalg.mat_vec(conj.frame.pmat, vec)) if c}
     # exact eigenvector property at the closed-form eigenvalue
     ev = eigenvalue_of(tup, family.module.point)
     if family.x_mode(1, 0)(state) != state_scale(state, ev):

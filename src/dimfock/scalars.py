@@ -160,6 +160,9 @@ class Poly:
             acc = acc * p + c * scale
         return Fraction(acc, scale)
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
@@ -632,17 +635,25 @@ def _series_div(x, y, r):
 
 
 def laurent(x, prec):
-    """An element of Q(s) to relative precision prec: a RatFunc as a Laurent,
-    an int or a Fraction as the exact Fraction it is.  A nonzero RatFunc
-    gives a series with a certified valuation."""
+    """An element of Q(s) to relative precision prec: a RatFunc or a Poly as
+    a Laurent, an int or a Fraction as the exact Fraction it is.  A nonzero
+    RatFunc or Poly gives a series with a certified valuation."""
+    if isinstance(x, Poly):
+        return _poly_series(x.coeffs, prec) if x else Fraction(0)
     if not isinstance(x, RatFunc):
         return Fraction(x)
     if not x:
         return Fraction(0)
-    num, den = x.num.coeffs, x.den.coeffs
-    vn, vd = _low_zeros(num), _low_zeros(den)
-    top = _series(vn, list(num[vn : vn + prec]), 1)
-    return _series_div(top, _series(vd, list(den[vd : vd + prec]), 1), prec)
+    num, den = _poly_series(x.num.coeffs, prec), _poly_series(x.den.coeffs, prec)
+    return _series_div(num, den, prec)
+
+
+def _poly_series(coeffs, prec):
+    """The nonzero polynomial with these coefficients to relative precision
+    prec, padded with known zeros."""
+    v = _low_zeros(coeffs)
+    nums = list(coeffs[v : v + prec])
+    return _series(v, nums + [0] * (prec - len(nums)), 1)
 
 
 # ---------------------------------------------------------------------------

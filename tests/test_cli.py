@@ -189,6 +189,12 @@ def test_suite_run_builds_integral_forms_once_per_basis(monkeypatch, capsys):
     assert len({id(b) for b in built}) == len(built) <= 16  # 31 builds without the cache
 
 
+def test_genmac_suite_at_four_bosons(capsys):
+    # jack-tables takes a fourth weight whose eigenvalues separate
+    assert run_cli(["--suite", "genmac", "--N", "4", "--level", "2", "--points", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_shared_bases_are_read_only(monkeypatch, capsys):
     # a check that modified a shared basis would hand the next check a wrong one
     built = _recording_builds(monkeypatch)

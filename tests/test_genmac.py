@@ -331,6 +331,28 @@ def test_gen_jack_tables():
     assert gen_jack(0, beta, up)[1] == [[Fraction(1)]]
 
 
+@pytest.mark.parametrize("n_comp", [2, 3, 4, 5])
+def test_jack_weights_separate_the_eigenvalues(n_comp):
+    # the diagonal of the gen_jack operator is its closed form, and the
+    # check's weights keep every level's eigenvalues apart; up to three
+    # bosons they are the fixed JACK_WEIGHTS
+    for level in (1, 2, 3):
+        uprime = checks.jack_weights(level, n_comp)
+        assert len(set(uprime)) == n_comp
+        assert uprime[:3] == list(checks.JACK_WEIGHTS[:n_comp])
+        tuples, rows, eig = gen_jack(level, checks.JACK_BETA, uprime)
+        assert eig == [genmac.jack_eigenvalue(t, checks.JACK_BETA, uprime) for t in tuples]
+        assert len(set(eig)) == len(tuples)
+        assert checks.jack_tables(level, n_comp) == []
+
+
+def test_jack_weights_for_four_bosons_were_needed():
+    # repeating the third weight collides two tuples that differ by a swap
+    uprime = list(checks.JACK_WEIGHTS) + [checks.JACK_WEIGHTS[2]]
+    with pytest.raises(EigenvalueCollision):
+        gen_jack(2, checks.JACK_BETA, uprime)
+
+
 def test_ordering_vanishing(point3):
     assert ordering_vanishing_check(3, point3, n_comp=3) == []
 

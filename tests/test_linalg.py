@@ -7,7 +7,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dimfock import genmac, kacdet, linalg, symfunc
-from dimfock.fock import BosonModule, GeneratorFamily, operator_matrix
+from dimfock.fock import (
+    BosonModule,
+    GeneratorFamily,
+    column_matrix,
+    coordinates,
+    operator_matrix,
+    state_scale,
+)
 from dimfock.linalg import (
     EigenvalueCollision,
     SingularMatrix,
@@ -20,7 +27,16 @@ from dimfock.linalg import (
     transpose,
     triangular_eigenvector,
 )
-from dimfock.scalars import Laurent, PoleAtZero, Poly, PrecisionError, RatFunc, laurent, make_point
+from dimfock.scalars import (
+    Laurent,
+    PoleAtZero,
+    Poly,
+    PrecisionError,
+    RatFunc,
+    eigenvalue_of,
+    laurent,
+    make_point,
+)
 
 F = Fraction
 
@@ -595,14 +611,36 @@ def test_cleared_products_over_rational_functions(case):
     assert [hash(x) for x in mat_vec(a, v)] == [hash(x) for x in term_mat_vec(a, v)]
 
 
+def oracle_frame(module, level):
+    """(P, P^-1, N) at one level, each entry reduced: the kets as columns,
+    and P^-1 = N^-1 P^T G from the bras over their norms, with the norms
+    N_j = <bra_j, ket_j> summed term by term.  The oracle of
+    genmac.MacdonaldFrame."""
+    tuples = module.basis(level)
+    kets = [genmac.product_macdonald_state(module, t) for t in tuples]
+    grams = {m: module.monomial_gram(m) for m in tuples}
+    bras = [{m: c * grams[m] for m, c in ket.items()} for ket in kets]
+    norms = [module.pair(bra, ket) for bra, ket in zip(bras, kets)]
+    pinv = [coordinates(state_scale(bra, 1 / nj), tuples) for bra, nj in zip(bras, norms)]
+    return column_matrix(kets, tuples), pinv, norms
+
+
+def oracle_conjugation(level, family):
+    """(P, P^-1, N, P^-1 X0 P) at one level: the frame, then two mat_muls.
+    The oracle of genmac.zero_mode_conjugation."""
+    pmat, pinv, norms = oracle_frame(family.module, level)
+    x0 = operator_matrix(family.x_mode(1, 0), family.module, level, level)
+    return pmat, pinv, norms, mat_mul(pinv, mat_mul(x0, pmat))
+
+
 def symbolic_level3_data():
     """(P, X0, P^-1 X0 P, P^-1) at level 3 of the symbolic-q point
-    make_point(5, 2, 4, "q"): P^-1 X0 P as zero_mode_conjugation forms it,
+    make_point(5, 2, 4, "q"): P^-1 X0 P as oracle_conjugation forms it,
     through the orthogonality of the kets, and P^-1 from the Gauss-Jordan
     oracle."""
     pt = make_point(5, 2, 4, "q")
     family = GeneratorFamily(BosonModule(pt, 2, pt.u, 4, kind="qt"))
-    pmat, _, _, conj = genmac.zero_mode_conjugation(3, family)
+    pmat, _, _, conj = oracle_conjugation(3, family)
     x0 = operator_matrix(family.x_mode(1, 0), family.module, 3, 3)
     return pmat, x0, conj, gauss_inverse(pmat)
 
@@ -624,7 +662,7 @@ def test_cleared_products_at_a_symbolic_q_point():
 
 def test_symbolic_products_take_one_gcd_per_entry(monkeypatch):
     """A deterministic guard on the Q(s) products: the two level-3 products
-    of zero_mode_conjugation at make_point(5, 2, 4, "q"), X0 P and
+    of oracle_conjugation at make_point(5, 2, 4, "q"), X0 P and
     P^-1 (X0 P), take at most 100 Poly.gcd calls each, where sums reduced
     term by term took about 200-280."""
     pmat, x0, conj, pinv = symbolic_level3_data()
@@ -643,6 +681,101 @@ def test_symbolic_products_take_one_gcd_per_entry(monkeypatch):
     assert first <= 100 and second <= 100, (first, second)
 
 
+# -- the cleared conjugation against the mat_mul oracle -------------------------
+
+
+def assert_matches_oracle(level, family):
+    """The cleared pass gives the oracle's P, P^-1, norms and P^-1 X0 P, as
+    the same reduced scalars; at a symbolic-q point its series are the
+    `laurent` expansions of the oracle's entries at relative precisions 1-4."""
+    pmat, pinv, norms, conj = oracle_conjugation(level, family)
+    got = genmac.zero_mode_conjugation(level, family)
+    assert got.frame.pmat == pmat and got.frame.inverse() == pinv
+    assert got.frame.norms() == norms and hashes([got.frame.norms()]) == hashes([norms])
+    assert got.exact() == conj and hashes(got.exact()) == hashes(conj)
+    tuples = family.module.basis(level)
+    evs = [eigenvalue_of(t, family.module.point) for t in tuples]
+    assert all(got.diagonal_is(j, ev) for j, ev in enumerate(evs))
+    if not family.module.point.is_symbolic_q:
+        return
+    for prec in (1, 2, 3, 4):
+        series, series_norms = got.series(prec)
+        assert series == [[laurent(x, prec) for x in row] for row in conj], prec
+        assert series_norms == [laurent(x, prec) for x in norms], prec
+
+
+@pytest.mark.parametrize("n_comp", [2, 3])
+def test_cleared_conjugation_matches_the_oracle_at_numeric_points(n_comp):
+    for seed in (101, 198):
+        pt = make_point(seed, n_comp, 4)
+        for level in (1, 2, 3):
+            module = BosonModule(pt, n_comp, pt.u, level + 1, kind="qt")
+            assert_matches_oracle(level, GeneratorFamily(module))
+
+
+@pytest.mark.parametrize("crystal", [False, True])
+def test_cleared_conjugation_matches_the_oracle_at_symbolic_points(crystal):
+    for level in (1, 2, 3, 4):
+        pt = make_point(7, 2, level + 1, "q")
+        module = BosonModule(pt, 2, pt.u, level + 1, kind="qt")
+        assert_matches_oracle(level, GeneratorFamily(module, crystal_normalized=crystal))
+
+
+def planted(monkeypatch, plant):
+    """Every zero_mode_conjugation from now on has plant applied to its
+    numerators."""
+    original = genmac.zero_mode_conjugation
+
+    def tampered(level, family):
+        conj = original(level, family)
+        plant(conj.nums)
+        return conj
+
+    monkeypatch.setattr(genmac, "zero_mode_conjugation", tampered)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_planted_numerators_are_caught(monkeypatch, symbolic):
+    pt = make_point(7, 2, 3, "q" if symbolic else "none")
+
+    def build():
+        return genmac.GenMacBasis(2, GeneratorFamily(BosonModule(pt, 2, pt.u, 3, kind="qt")))
+
+    one = Poly((1,)) if symbolic else 1
+    n = len(build().tuples)
+    with monkeypatch.context() as m:
+        planted(m, lambda nums: nums[0].__setitem__(n - 1, one))
+        with pytest.raises(AssertionError, match="not triangular"):
+            build()
+    with monkeypatch.context() as m:
+        planted(m, lambda nums: nums[2].__setitem__(2, nums[2][2] + one))
+        with pytest.raises(AssertionError, match="diagonal eigenvalue mismatch"):
+            build()
+
+
+def test_conjugation_takes_few_gcds(monkeypatch):
+    """A deterministic guard on the cleared pass: at level 3 of
+    make_point(5, 2, 4, "q"), the conjugation, its diagonal checks and its
+    series take at most 40 Poly.gcd calls, where the oracle's reduced
+    frame and products took 294.  A first build fills the caches."""
+    pt = make_point(5, 2, 4, "q")
+    family = GeneratorFamily(BosonModule(pt, 2, pt.u, 4, kind="qt"))
+    genmac.zero_mode_conjugation(3, family)
+    evs = [eigenvalue_of(t, pt) for t in family.module.basis(3)]
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(self, other):
+        calls.append(1)
+        return gcd(self, other)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    conj = genmac.zero_mode_conjugation(3, family)
+    assert all(conj.diagonal_is(j, ev) for j, ev in enumerate(evs))
+    conj.series(genmac.SERIES_PREC)
+    assert len(calls) <= 40, len(calls)
+
+
 # -- eigenbases without inverses ----------------------------------------------
 
 
@@ -658,12 +791,12 @@ def test_state_matrix_inverse_matches_gauss_jordan(n_comp):
 
 def ratfunc_eigenvectors(level, family):
     """(tuples, P, P^-1, C, D, dual coefficients) over Q(s): the right and
-    left eigenvectors of the Q(s) zero_mode_conjugation by
+    left eigenvectors of the Q(s) oracle_conjugation by
     triangular_eigenvector, and the dual scaling d N_j / N_i, as the
     eigenbases of a numeric point take them.  The oracle of the series
     solves of a symbolic-q basis."""
     tuples = list(family.module.basis(level))
-    pmat, pinv, norms, conj = genmac.zero_mode_conjugation(level, family)
+    pmat, pinv, norms, conj = oracle_conjugation(level, family)
     n = len(tuples)
     coeff = [triangular_eigenvector(conj, j, tuples) for j in range(n)]
     conj_rev = [row[::-1] for row in transpose(conj)][::-1]
@@ -727,7 +860,7 @@ def test_series_solve_restarts_to_the_same_tables(monkeypatch):
     # the values the default start gives
     pt = make_point(7, 2, 4, "q")
     family = crystal_family(3, pt)
-    _, _, norms, conj = genmac.zero_mode_conjugation(3, family)
+    conj = genmac.zero_mode_conjugation(3, family)
     tuples = list(family.module.basis(3))
     precs = set()
     expand = genmac.laurent
@@ -737,10 +870,10 @@ def test_series_solve_restarts_to_the_same_tables(monkeypatch):
         return expand(x, prec)
 
     monkeypatch.setattr(genmac, "laurent", recording)
-    default = genmac._crystal_eigenvectors(conj, norms, tuples)
+    default = genmac._crystal_eigenvectors(conj, tuples)
     assert precs == {genmac.SERIES_PREC}
     precs.clear()
-    restarted = genmac._crystal_eigenvectors(conj, norms, tuples, prec=1)
+    restarted = genmac._crystal_eigenvectors(conj, tuples, prec=1)
     assert min(precs) == 1 and len(precs) > 1
     for k in (0, 2):  # C and the dual coefficients
         read = [[pt.at_crystal(x) for x in row] for row in restarted[k]]
@@ -751,7 +884,7 @@ def test_series_keep_the_exact_zero_pattern():
     # an entry is an exact 0 after the expansion exactly when it is 0 in Q(s),
     # so the triangularity check reads the Q(s) matrix
     pt = make_point(7, 2, 3, "q")
-    conj = genmac.zero_mode_conjugation(2, crystal_family(2, pt))[3]
+    conj = oracle_conjugation(2, crystal_family(2, pt))[3]
     series = [[laurent(x, 1) for x in row] for row in conj]
     assert [[bool(x) for x in row] for row in series] == [[bool(x) for x in row] for row in conj]
     assert any(isinstance(x, Laurent) for row in series for x in row)
