@@ -2,7 +2,7 @@
 
 Each suite runs a set of exact checks and emits a machine-readable report;
 the exit status is 0 when every check passes, 1 on any failure, 2 on usage
-errors.  Reports are deterministic in the seed.
+errors.  Reports are deterministic in the seed, apart from each check's `seconds`.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ normal-ordered products, argument shifts and inverses.
 Operator arithmetic runs over the integers: a mode image, an operator
 column or a relation's sum of terms is kept as integers over one common
 denominator, the lcm of the denominators that enter it.  Inside the
-relation checks states stay cleared, (D, {monomial: n}), from the columns
-to the zero test (LinOp.image, sum_is_zero).  A state is read out, each
-coefficient as one reduced Fraction, only where a public API returns it:
-LinOp.__call__, VertexOperator.mode_apply, operator_matrix and the PBW
+relation checks states stay cleared, (D, {monomial: n}), from the mode
+images to the zero test (mode_apply, LinOp.image, sum_is_zero).  A state
+is read out by read_out, each coefficient as one reduced Fraction, only
+where a public API returns it: LinOp.__call__, operator_matrix and the PBW
 kets and bras.  A RatFunc scalar of a symbolic-q point takes the same
 loops as its own numerator over the denominator 1.
 """
@@ -158,7 +158,7 @@ def column_matrix(states, monomials):
 
 def state_combination(terms):
     """sum of c * state over (c, state) terms, with one reduction per entry."""
-    return _read(*_sum([(c, cleared_state(state)) for c, state in terms]))
+    return read_out(*_sum([(c, cleared_state(state)) for c, state in terms]))
 
 
 def combination_is_zero(terms):
@@ -211,18 +211,18 @@ def _accumulate(pieces):
 
 
 def _least(d, acc):
-    """(d, acc) without its zero entries, over its least denominator when
-    the numerators are integers (over Q(s) they may be RatFuncs)."""
+    """(d, acc) without its zero entries, over its least denominator: d and
+    each numerator divided by the gcd of d and the integer numerators (a
+    RatFunc numerator of a symbolic-q point holds its own content)."""
     acc = {key: v for key, v in acc.items() if v}
-    if d != 1 and all(type(v) is int for v in acc.values()):
-        g = gcd(d, *acc.values())
-        if g != 1:
-            return d // g, {key: v // g for key, v in acc.items()}
+    g = gcd(d, *(v for v in acc.values() if type(v) is int))
+    if g != 1:
+        return d // g, {key: v // g if type(v) is int else v / g for key, v in acc.items()}
     return d, acc
 
 
-def _read(big, acc):
-    """The state {key: v / big} of an accumulator, without its zero entries."""
+def read_out(big, acc):
+    """The state {key: v / big} of a cleared image, without its zero entries."""
     return {key: quotient(v, big) for key, v in acc.items() if v}
 
 
@@ -381,13 +381,11 @@ class VertexOperator:
         return hit
 
     def mode_apply(self, k, state, module):
-        """Coefficient of z^(-k) acting on a state: lowers level by k.
-
-        Each contraction of each input monomial adds n / d times the
-        creation patterns of the level left over.  The sum runs over the
-        integers, scaled to the lcm of all the d, and each output
-        coefficient is reduced once.
-        """
+        """Coefficient of z^(-k) acting on a state, lowering its level by k,
+        as a cleared image (D, {monomial: n}) for read_out: each contraction
+        of each input monomial adds n / d times the creation patterns of the
+        level left over, summed as integers over the lcm D of all the d and
+        left unreduced, as LinOp.image leaves its sums."""
         pieces = []
         for tup, coeff in state.items():
             lev = tup.size
@@ -408,7 +406,7 @@ class VertexOperator:
                         zip(map(row.__getitem__, positions), nums),
                     )
                 )
-        return _read(*_accumulate(pieces))
+        return _accumulate(pieces)
 
 
 def _remove_parts(tup, removed):
@@ -473,7 +471,7 @@ class LinOp:
         return d * big, out
 
     def __call__(self, state):
-        return _read(*_accumulate(self._pieces(state.items())))
+        return read_out(*_accumulate(self._pieces(state.items())))
 
     def after(self, other):
         """self . other (apply other first)."""
@@ -486,8 +484,8 @@ class LinOp:
 class _ModeSum(LinOp):
     """Mode k of a sum of vertex operators.
 
-    A column is the terms' mode_apply images of the monomial, cleared once
-    over one lcm, summed as integers and reduced to its least denominator.
+    A column is the terms' cleared mode_apply images of the monomial summed
+    over the lcm of their denominators, reduced once to its least one.
     """
 
     __slots__ = ("_terms", "_k", "_module")
@@ -499,13 +497,7 @@ class _ModeSum(LinOp):
     def _column(self, tup):
         unit = {tup: 1}
         images = [term.mode_apply(self._k, unit, self._module) for term in self._terms]
-        d, nums = cleared([v for img in images for v in img.values()])
-        nums = iter(nums)
-        acc = {}
-        for img in images:
-            for key, v in zip(img, nums):
-                acc[key] = acc.get(key, 0) + v
-        return _least(d, acc)
+        return _least(*_accumulate((1, d, acc.items()) for d, acc in images))
 
 
 def vertex_mode(op: VertexOperator, k: int, module: BosonModule) -> LinOp:
@@ -514,7 +506,7 @@ def vertex_mode(op: VertexOperator, k: int, module: BosonModule) -> LinOp:
 
 def operator_matrix(op: LinOp, module: BosonModule, level_from: int, level_to: int):
     """Dense matrix of op between monomial bases (rows: target, cols: source)."""
-    images = [_read(*op.column(tup)) for tup in module.basis(level_from)]
+    images = [read_out(*op.column(tup)) for tup in module.basis(level_from)]
     if any(c and t.size != level_to for img in images for t, c in img.items()):
         raise ValueError("operator image leaked outside target level")
     return column_matrix(images, module.basis(level_to))
@@ -763,10 +755,11 @@ def jing_build(lam: Partition, point, level_max=None):
     level_max = level_max or max(lam.size, 1)
     module = BosonModule(point, 1, [ONE], level_max, kind="crystal")
     h = jing_operator(point, level_max)
-    state = module.vacuum()
+    d, state = 1, module.vacuum()
     for part in reversed(lam.parts):
-        state = h.mode_apply(-part, state, module)
-    return module, state
+        e, state = h.mode_apply(-part, state, module)
+        d *= e
+    return module, read_out(d, state)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .fock import (
     operator_matrix,
     pbw_state,
     pbw_bra,
+    read_out,
     state_scale,
 )
 from .linalg import EigenvalueCollision
@@ -651,7 +652,8 @@ def ordering_vanishing_check(level, point, n_comp=3):
         monos = module.basis(level - n)
         pinv = MacdonaldFrame(module, level - n).inverse()
         for lam in partitions(level):
-            img = current.mode_apply(n, product_macdonald_state(module, PartitionTuple([lam])), module)
+            ket = product_macdonald_state(module, PartitionTuple([lam]))
+            img = read_out(*current.mode_apply(n, ket, module))
             coords = linalg.mat_vec(pinv, coordinates(img, monos))
             for mu_tup, c in zip(monos, coords):
                 if c and not lam.contains(mu_tup[0]):

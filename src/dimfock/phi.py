@@ -32,6 +32,7 @@ from .fock import (
     pbw_gram,
     pbw_state,
     pbw_word,
+    read_out,
     vertex_mode,
 )
 
@@ -223,8 +224,7 @@ def phi_matrix_rank1(point_u, point_v, level_max):
         for s in mod.basis(lev):
             img = {}
             for lev2 in range(level_max + 1):
-                part = op.mode_apply(lev - lev2, {s: ONE}, mod)
-                img.update(part)
+                img.update(read_out(*op.mode_apply(lev - lev2, {s: ONE}, mod)))
             entries[s] = img
     return PhiMatrix(entries)
 
