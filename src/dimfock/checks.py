@@ -28,7 +28,6 @@ from .combinat import (
     PartitionTuple,
     b_factor,
     dominance_le,
-    enumerate_tuples,
     partitions,
 )
 from .fock import BosonModule, GeneratorFamily, column_matrix, coordinates, pbw_state, state_scale
@@ -197,24 +196,24 @@ JACK_WEIGHTS = (Fraction(5, 3), Fraction(2, 9), Fraction(7, 11))
 
 
 def jack_weights(level, n_comp):
-    """Weights u' for jack_tables: JACK_WEIGHTS for the first three bosons,
-    then seeded draws, drawn again until the level-n eigenvalues
-    (`genmac.jack_eigenvalue`) are distinct."""
-    tuples = enumerate_tuples(n_comp, level)
+    """(u', gen_jack(level, JACK_BETA, u')) for jack_tables.  u' is
+    JACK_WEIGHTS for the first three bosons, then seeded draws, drawn again
+    while the solve meets an eigenvalue collision."""
     rng = stable_rng("dimfock-jack-weights", n_comp, level)
     for _ in range(1000):
         extra = [Fraction(rng.randint(2, 50), rng.randint(2, 50)) for _ in range(n_comp - 3)]
         uprime = (list(JACK_WEIGHTS) + extra)[:n_comp]
-        if len({genmac.jack_eigenvalue(t, JACK_BETA, uprime) for t in tuples}) == len(tuples):
-            return uprime
-        if not extra:
-            break
-    raise ScalarError("no separating Jack weights for %d bosons at level %d" % (n_comp, level))
+        try:
+            return uprime, genmac.gen_jack(level, JACK_BETA, uprime)
+        except linalg.EigenvalueCollision:
+            if not extra:
+                raise
+    raise ScalarError("no Jack weights for %d bosons at level %d" % (n_comp, level))
 
 
 def jack_tables(level, n_comp):
     """Generalized Jack eigenfunctions are unitriangular at fixed beta and weights."""
-    tuples, rows, eig = genmac.gen_jack(level, JACK_BETA, jack_weights(level, n_comp))
+    tuples, rows, _ = jack_weights(level, n_comp)[1]
     return [tup for i, tup in enumerate(tuples) if rows[i][i] != 1]
 
 
@@ -476,7 +475,7 @@ def genmac_suite(opts):
          partial(integral_form_normalization, pt, level, n_comp)),
         ("crystal-limit", "q-to-zero-transition", partial(crystal_limit, spt, min(level, 3))),
         ("jack-tables", "degenerate-limit-eigenfunctions",
-         partial(jack_tables, min(level, 2), n_comp)),
+         partial(jack_tables, level, n_comp)),
         ("ordering-support", "refined-ordering-vanishing",
          partial(genmac.ordering_vanishing_check, min(level, 3), pt, n_comp=n_comp)),
     ]

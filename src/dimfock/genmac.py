@@ -33,6 +33,8 @@ from .combinat import (
     Partition,
     PartitionTuple,
     arm_leg,
+    enumerate_tuples,
+    partitions,
     star_refined_lt,
     star_lt,
 )
@@ -61,29 +63,19 @@ from .scalars import (
     laurent,
     quotient,
 )
-from .symfunc import macdonald_p, monomial_in_p
+from .symfunc import macdonald_p, monomial_eigenvectors, monomial_frame
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def product_state(module, tup, func_per_component):
-    """prod_i f_i(a^(i)_{-n}) |u> for symmetric functions f_i in the p basis."""
+def product_macdonald_state(module, tup):
+    """prod_i P_(lambda_i)(a^(i)_{-n}) |u> at the point's (q, t)."""
     state = module.vacuum()
-    for i, f in enumerate(func_per_component):
+    for i, lam in enumerate(tup.components):
+        f = macdonald_p(lam, module.point.q, module.point.t)
         state = apply_symfunc(module, f, [(i, ONE)], state)
     return state
-
-
-def product_macdonald_state(module, tup):
-    point = module.point
-    return product_state(
-        module, tup, [macdonald_p(lam, point.q, point.t) for lam in tup.components]
-    )
-
-
-def product_monomial_state(module, tup):
-    return product_state(module, tup, [monomial_in_p(lam) for lam in tup.components])
 
 
 class MacdonaldFrame:
@@ -354,9 +346,9 @@ class GenMacBasis:
         return {m: nj * x for m, x in zip(self.tuples, row) if x}
 
     def monomial_transition(self):
-        """Transition matrix over products of monomial symmetric functions."""
-        mono_states = [product_monomial_state(self.module, t) for t in self.tuples]
-        minv = linalg.inverse(column_matrix(mono_states, self.tuples))
+        """Transition matrix over products of monomial symmetric functions:
+        the rows of M^-1 S, M the tuples' `symfunc.monomial_frame`."""
+        minv = monomial_frame(self.tuples)[1]
         return linalg.transpose(linalg.mat_mul(minv, self.state_matrix()))
 
 
@@ -437,11 +429,14 @@ class IntegralForms:
             self.alpha[tup] = [a / a_des for a in avec]
             self.k_norm[tup] = 1 / a_des
         # dual side: the designated coefficient of the dual eigenvector over
-        # reversed-order PBW bras, one row of the inverse bra matrix
+        # reversed-order PBW bras, one row of the inverse bra matrix B^-1,
+        # solved from B^T x = e_des
         bmat = column_matrix([pbw_bra(t, family, prime=True) for t in tuples], tuples)
         duals = [coordinates(basis.dual_bra(tup), tuples) for tup in tuples]
+        e_des = [ONE if i == des else ZERO for i in range(len(tuples))]
+        row = linalg.solve_unique(linalg.transpose(bmat), e_des)
         self.k_norm_dual = {}
-        for tup, b_des in zip(tuples, linalg.mat_vec(duals, linalg.inverse(bmat)[des])):
+        for tup, b_des in zip(tuples, linalg.mat_vec(duals, row)):
             if not b_des:
                 raise ArithmeticError("designated dual coefficient vanishes at %r" % (tup,))
             self.k_norm_dual[tup] = 1 / b_des
@@ -583,50 +578,14 @@ def _hbeta_apply(state, beta, uprime):
     return out
 
 
-def jack_eigenvalue(tup, beta, uprime):
-    """The diagonal entry of the `gen_jack` operator at tup: the sum over
-    components i of u'_i |lam| + n(lam') - beta n(lam) + (1 - beta) |lam| / 2
-    for lam = tup[i], with n(lam) = sum_k (k - 1) lam_k."""
-    total = ZERO
-    for u, lam in zip(uprime, tup.components):
-        parts, size = lam.parts, lam.size
-        n_lam = sum(k * x for k, x in enumerate(parts))
-        n_conj = sum(x * (x - 1) // 2 for x in parts)
-        total += u * size + n_conj - beta * n_lam + (1 - beta) * Fraction(size, 2)
-    return total
-
-
 def gen_jack(level, beta, uprime):
-    """Generalized Jack transition matrix over products of monomials."""
-    from .combinat import enumerate_tuples
-
-    n_comp = len(uprime)
-    # the tuples also index the power-sum monomials of the same level
-    tuples = list(enumerate_tuples(n_comp, level))
-    # m-products in power-sum coordinates
-    m_products = []
-    for tup in tuples:
-        st = {PartitionTuple([EMPTY] * n_comp): ONE}
-        for i, lam in enumerate(tup):
-            f = monomial_in_p(lam)
-            nxt = {}
-            for base, c in st.items():
-                for plam, pc in f.coeffs.items():
-                    merged = base.replace(
-                        i, Partition(sorted(base[i].parts + plam.parts, reverse=True))
-                    )
-                    nxt[merged] = nxt.get(merged, ZERO) + c * pc
-            st = nxt
-        m_products.append(st)
-    mmat = column_matrix(m_products, tuples)
-    minv = linalg.inverse(mmat)
-    # operator matrix in the p-monomial basis, then over m-products
+    """Generalized Jack functions at level n for weights u': the
+    eigenvectors of H_beta (`_hbeta_apply`) over products of monomial
+    functions (`symfunc.monomial_eigenvectors`).  Returns (tuples, rows,
+    eigenvalues); row j has 1 in slot j and zeros before it."""
+    tuples = list(enumerate_tuples(len(uprime), level))
     hmat = column_matrix([_hbeta_apply({m: ONE}, beta, uprime) for m in tuples], tuples)
-    h_mm = linalg.mat_mul(minv, linalg.mat_mul(hmat, mmat))
-    n = len(tuples)
-    eigvals = [h_mm[j][j] for j in range(n)]
-    rows = [linalg.triangular_eigenvector(h_mm, j, tuples) for j in range(n)]
-    return tuples, rows, eigvals
+    return (tuples, *monomial_eigenvectors(hmat, tuples))
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +600,6 @@ def ordering_vanishing_check(level, point, n_comp=3):
     (b) the generalized Macdonald transition vanishes outside the refined
         ordering (and in particular outside the plain suffix ordering).
     """
-    from .combinat import partitions
-
     failures = []
     # (a) single-boson containment
     module = BosonModule(point, 1, [point.u[0]], level + 1, kind="qt")

@@ -2,26 +2,32 @@
 
 The power sums p_lambda are the working basis; monomial (m) expansions are
 handled through cached change-of-basis matrices per degree, built from the
-elementary functions e_mu, which have closed forms in both bases.  The (q,t)
-inner product is diagonal on power sums,
+elementary functions e_mu, which have closed forms in both bases; their
+tensor products change the basis of tuples (`monomial_frame`).  Every
+eigenbasis is one triangular solve on that frame (`monomial_eigenvectors`):
+Macdonald P_lambda for the one-boson zero mode of eta, Hall-Littlewood
+P_lambda(t) as its value at q = 0, solved at a formal q, and the generalized
+Jack functions (`genmac.gen_jack`).  The (q,t) inner product is diagonal on
+power sums,
 
-    <p_lambda, p_mu> = delta * z_lambda * prod_k (1-q^(lambda_k))/(1-t^(lambda_k)),
-
-and Macdonald functions are produced by Gram-Schmidt over the dominance
-order; Hall-Littlewood functions are the q = 0 case.
+    <p_lambda, p_mu> = delta * z_lambda * prod_k (1-q^(lambda_k))/(1-t^(lambda_k)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
+from types import SimpleNamespace
 
 from . import linalg
 from .combinat import EMPTY, Partition, b_factor, n_stat, partitions
+from .fock import BosonModule, eta, operator_matrix, vertex_mode
+from .scalars import RatFunc
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
 MAX_CONVERT_DEGREE = 12
-MAX_MACDONALD_DEGREE = 8
 
 
 class DegreeCapError(ValueError):
@@ -229,8 +235,34 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     return SymFunc({basis[i]: c for i, c in enumerate(out_vec)}, target)
 
 
-def monomial_in_p(lam: Partition) -> SymFunc:
-    return convert(SymFunc({lam: Fraction(1)}, "m"), "p")
+def monomial_frame(tuples):
+    """(M, M^-1) over partition tuples of one level, one set of power sums
+    per component: M[lambda][mu] = prod_i m2p[mu_i][lambda_i], the
+    coefficient of prod_i p_(lambda_i) in prod_i m_(mu_i), when |lambda_i| =
+    |mu_i| for every i, and 0 otherwise.  M^-1 is the same tensor product
+    of the per-degree p2m, so no inverse is taken."""
+    mats = {lam.size: _basis_matrices(lam.size) for tup in tuples for lam in tup}
+    pos = {mu: i for basis, _ in mats.values() for i, mu in enumerate(basis)}
+
+    def entry(name, row, col):
+        if any(a.size != b.size for a, b in zip(row, col)):
+            return ZERO
+        return prod((mats[a.size][1][name][pos[b]][pos[a]] for a, b in zip(row, col)), start=ONE)
+
+    return tuple([[entry(name, r, c) for c in tuples] for r in tuples] for name in ("m2p", "p2m"))
+
+
+def monomial_eigenvectors(x, tuples):
+    """(rows, eigenvalues) of an operator's matrix x over the power-sum
+    monomials of tuples (rows: target, columns: source), in the canonical
+    tuple order.  x is conjugated into products of monomial functions,
+    A = M^-1 x M (`monomial_frame`), which must be lower triangular; row j
+    is A's eigenvector with 1 in slot j (`linalg.triangular_eigenvector`),
+    and its eigenvalue is A[j][j]."""
+    m, minv = monomial_frame(tuples)
+    a = linalg.mat_mul(minv, linalg.mat_mul(x, m))
+    rows = [linalg.triangular_eigenvector(a, j, tuples) for j in range(len(tuples))]
+    return rows, [a[j][j] for j in range(len(tuples))]
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +291,31 @@ def inner_hl(f: SymFunc, g: SymFunc, tval):
 
 @lru_cache(maxsize=None)
 def _macdonald_degree(n: int, qval, tval):
-    """All Macdonald P for |lambda| = n at (q, t), by Gram-Schmidt."""
-    if n > MAX_MACDONALD_DEGREE:
-        raise DegreeCapError("degree %d exceeds Macdonald cap %d" % (n, MAX_MACDONALD_DEGREE))
-    basis = list(partitions(n))  # descending lex refines dominance
-    out = {}
-    norms = {}
-    for lam in reversed(basis):  # smallest first
-        f = monomial_in_p(lam)
-        for mu in basis:
-            if mu in out and mu != lam:
-                c = inner_prod(f, out[mu], qval, tval)
-                if c:
-                    f = f - out[mu].scale(c / norms[mu])
-        out[lam] = f
-        norms[lam] = inner_prod(f, f, qval, tval)
-        if not norms[lam]:
-            raise linalg.SingularMatrix("degenerate pairing at %r" % (lam.parts,))
-    return out, norms
+    """{lambda: P_lambda} for |lambda| = n at (q, t), in the power sums.
+
+    P_lambda is the eigenvector of the zero mode of eta on one boson
+    (`fock.eta`, Macdonald's operator E: I. G. Macdonald, Symmetric
+    Functions and Hall Polynomials, 2nd ed., VI.3-4), unitriangular over
+    m_lambda.  The module reads q only in its contraction and t in eta.
+    """
+    module = BosonModule(SimpleNamespace(q=qval, t=tval), 1, [ONE], n)
+    tuples = module.basis(n)
+    x0 = operator_matrix(vertex_mode(eta(0, module), 0, module), module, n, n)
+    rows, _ = monomial_eigenvectors(x0, tuples)
+    basis = [tup[0] for tup in tuples]
+    return {lam: convert(SymFunc(dict(zip(basis, row)), "m"), "p") for lam, row in zip(basis, rows)}
 
 
 def macdonald_p(lam: Partition, qval, tval) -> SymFunc:
-    return _macdonald_degree(lam.size, qval, tval)[0][lam]
+    return _macdonald_degree(lam.size, qval, tval)[lam]
 
 
 def hall_littlewood(lam: Partition, tval):
-    """Hall-Littlewood pair (P_lambda(;t), Q_lambda(;t)) = Macdonald at q=0."""
-    p_lam = macdonald_p(lam, Fraction(0), tval)
+    """Hall-Littlewood pair (P_lambda(;t), Q_lambda(;t)).  P is Macdonald's
+    at a formal q = s, read at s = 0: at q = 0 itself the zero-mode
+    eigenvalues collide."""
+    coeffs = macdonald_p(lam, RatFunc.variable(), tval).coeffs
+    p_lam = SymFunc({mu: c.eval(0) if isinstance(c, RatFunc) else c for mu, c in coeffs.items()})
     q_lam = p_lam.scale(b_factor(lam, tval))
     return p_lam, q_lam
 

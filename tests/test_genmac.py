@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimfock import checks, genmac
+from dimfock import checks, genmac, linalg
 from dimfock.combinat import (
     EMPTY,
     Partition,
@@ -13,7 +13,15 @@ from dimfock.combinat import (
     partitions,
     to_json,
 )
-from dimfock.fock import pbw_state, state_scale
+from dimfock.fock import (
+    BosonModule,
+    apply_symfunc,
+    column_matrix,
+    coordinates,
+    pbw_bra,
+    pbw_state,
+    state_scale,
+)
 from dimfock.genmac import (
     EigenvalueCollision,
     gen_hall_littlewood,
@@ -23,7 +31,7 @@ from dimfock.genmac import (
     ordering_vanishing_check,
 )
 from dimfock.scalars import eigenvalue_of, make_point
-from dimfock.symfunc import macdonald_p
+from dimfock.symfunc import SymFunc, convert, macdonald_p, monomial_frame
 
 
 def tup2(a, b):
@@ -331,19 +339,41 @@ def test_gen_jack_tables():
     assert gen_jack(0, beta, up)[1] == [[Fraction(1)]]
 
 
+def jack_eigenvalue(tup, beta, uprime):
+    """The diagonal entry of the `gen_jack` operator at tup, in closed form:
+    the sum over components i of u'_i |lam| + n(lam') - beta n(lam)
+    + (1 - beta) |lam| / 2 for lam = tup[i], with n(lam) = sum_k (k - 1) lam_k."""
+    total = Fraction(0)
+    for u, lam in zip(uprime, tup.components):
+        parts, size = lam.parts, lam.size
+        n_lam = sum(k * x for k, x in enumerate(parts))
+        n_conj = sum(x * (x - 1) // 2 for x in parts)
+        total += u * size + n_conj - beta * n_lam + (1 - beta) * Fraction(size, 2)
+    return total
+
+
 @pytest.mark.parametrize("n_comp", [2, 3, 4, 5])
 def test_jack_weights_separate_the_eigenvalues(n_comp):
-    # the diagonal of the gen_jack operator is its closed form, and the
-    # check's weights keep every level's eigenvalues apart; up to three
-    # bosons they are the fixed JACK_WEIGHTS
+    # the diagonal of the gen_jack operator is its closed form, and at
+    # these levels the check's weights keep the eigenvalues apart; up to
+    # three bosons they are the fixed JACK_WEIGHTS
     for level in (1, 2, 3):
-        uprime = checks.jack_weights(level, n_comp)
+        uprime, (tuples, rows, eig) = checks.jack_weights(level, n_comp)
         assert len(set(uprime)) == n_comp
         assert uprime[:3] == list(checks.JACK_WEIGHTS[:n_comp])
-        tuples, rows, eig = gen_jack(level, checks.JACK_BETA, uprime)
-        assert eig == [genmac.jack_eigenvalue(t, checks.JACK_BETA, uprime) for t in tuples]
+        assert eig == [jack_eigenvalue(t, checks.JACK_BETA, uprime) for t in tuples]
         assert len(set(eig)) == len(tuples)
         assert checks.jack_tables(level, n_comp) == []
+
+
+def test_jack_tables_need_no_separated_eigenvalues():
+    # level 4 has equal eigenvalues at the fixed weights, yet the solve
+    # succeeds: it divides only where a nonzero numerator needs it
+    for n_comp in (2, 3):
+        uprime, (tuples, _, eig) = checks.jack_weights(4, n_comp)
+        assert uprime == list(checks.JACK_WEIGHTS[:n_comp])
+        assert len(set(eig)) < len(tuples)
+        assert checks.jack_tables(4, n_comp) == []
 
 
 def test_jack_weights_for_four_bosons_were_needed():
@@ -351,6 +381,65 @@ def test_jack_weights_for_four_bosons_were_needed():
     uprime = list(checks.JACK_WEIGHTS) + [checks.JACK_WEIGHTS[2]]
     with pytest.raises(EigenvalueCollision):
         gen_jack(2, checks.JACK_BETA, uprime)
+
+
+def _monomial_products(n_comp, tuples):
+    """The products of monomial functions as columns over the power-sum
+    monomials, each built as a state (the oracle of `monomial_frame`)."""
+    module = BosonModule(None, n_comp, [], 0)
+    states = []
+    for tup in tuples:
+        state = module.vacuum()
+        for i, lam in enumerate(tup):
+            m_lam = convert(SymFunc({lam: Fraction(1)}, "m"), "p")
+            state = apply_symfunc(module, m_lam, [(i, 1)], state)
+        states.append(state)
+    return column_matrix(states, tuples)
+
+
+def test_monomial_frame_matches_the_product_states():
+    for n_comp, level in ((1, 5), (2, 3), (3, 2)):
+        tuples = list(enumerate_tuples(n_comp, level))
+        m, minv = monomial_frame(tuples)
+        assert m == _monomial_products(n_comp, tuples)
+        assert minv == linalg.inverse(m)
+
+
+def test_gen_jack_matches_the_inverse_route():
+    # H_beta over the monomial products by a general inverse of their matrix
+    beta = checks.JACK_BETA
+    for n_comp, top in ((1, 5), (2, 4), (3, 3), (4, 2)):
+        uprime = (list(checks.JACK_WEIGHTS) + [Fraction(13, 17)])[:n_comp]
+        for level in range(top + 1):
+            tuples, rows, eig = gen_jack(level, beta, uprime)
+            mmat = _monomial_products(n_comp, tuples)
+            hmat = column_matrix(
+                [genmac._hbeta_apply({m: Fraction(1)}, beta, uprime) for m in tuples], tuples
+            )
+            h_mm = linalg.mat_mul(linalg.inverse(mmat), linalg.mat_mul(hmat, mmat))
+            assert eig == [h_mm[j][j] for j in range(len(tuples))], (n_comp, level)
+            assert rows == [
+                linalg.triangular_eigenvector(h_mm, j, tuples) for j in range(len(tuples))
+            ], (n_comp, level)
+
+
+def test_monomial_transition_matches_the_inverse_route():
+    for n_comp, level in ((2, 2), (3, 2), (2, 3)):
+        basis = gen_macdonald(level, make_point(7, n_comp, level + 1))
+        mmat = _monomial_products(n_comp, basis.tuples)
+        want = linalg.mat_mul(linalg.inverse(mmat), basis.state_matrix())
+        assert basis.monomial_transition() == linalg.transpose(want), (n_comp, level)
+
+
+def test_dual_k_norms_match_the_inverse_bra_matrix(point3):
+    basis = gen_macdonald(3, point3)
+    forms = integral_forms(basis)
+    tuples = forms.tuples
+    bmat = column_matrix([pbw_bra(t, basis.family, prime=True) for t in tuples], tuples)
+    des = genmac._designated_index(tuples, 3)
+    duals = [coordinates(basis.dual_bra(t), tuples) for t in tuples]
+    for tup, b_des in zip(tuples, linalg.mat_vec(duals, linalg.inverse(bmat)[des])):
+        assert forms.k_norm_dual[tup] == 1 / b_des
 
 
 def test_ordering_vanishing(point3):

@@ -1,6 +1,7 @@
 """Every name a module of the package or of its tests imports is used in that
-module, every top-level definition of the package is read somewhere, and
-every default of the package is overridden somewhere.
+module, every top-level definition of the package is read somewhere, every
+default of the package is overridden somewhere, and the package's
+module-level imports form no cycle.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name bound by an
 import statement, at any scope, must appear as a name somewhere else in the
@@ -231,3 +232,72 @@ def test_checker_flags_an_unpassed_default():
         ("a", "C.m", "b"),
         ("a", "C.m", "c"),
     }
+
+
+def _module_level_imports(tree, modules):
+    """The package modules (names in modules) that tree imports relatively
+    while it is imported itself: the imports outside function bodies.  A
+    function-local import, as nekrasov and phi use to break a cycle, runs
+    only when the function is called."""
+    out = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out & set(modules)
+
+
+def _import_cycle(graph):
+    """A cycle [a, b, ..., a] of the graph {module: modules it imports}, or None."""
+    state = {}
+
+    def visit(path):
+        state[path[-1]] = "open"
+        for nxt in sorted(graph[path[-1]]):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                found = visit(path + [nxt])
+                if found:
+                    return found
+        state[path[-1]] = "done"
+        return None
+
+    for module in sorted(graph):
+        if module not in state:
+            found = visit([module])
+            if found:
+                return found
+    return None
+
+
+def _import_graph(trees):
+    return {stem: _module_level_imports(tree, trees) for stem, tree in trees.items()}
+
+
+def test_module_level_imports_are_acyclic():
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    graph = _import_graph(trees)
+    assert {"fock", "linalg"} <= graph["symfunc"] and "symfunc" in graph["genmac"]
+    assert _import_cycle(graph) is None
+
+
+def test_checker_flags_an_import_cycle():
+    trees = {
+        "a": ast.parse("from . import b\nfrom .c import x\n"),
+        "b": ast.parse("import os\n\ndef f():\n    from .a import y\n"),
+        "c": ast.parse("try:\n    from .d.e import z\nexcept ImportError:\n    pass\n"),
+        "d": ast.parse("class K:\n    from . import a\n"),
+    }
+    graph = _import_graph(trees)
+    assert graph == {"a": {"b", "c"}, "b": set(), "c": {"d"}, "d": {"a"}}
+    assert _import_cycle(graph) == ["a", "c", "d", "a"]
+    graph["d"] = set()
+    assert _import_cycle(graph) is None

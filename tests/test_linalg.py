@@ -7,6 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dimfock import genmac, kacdet, linalg, symfunc
+from dimfock.combinat import partitions
 from dimfock.fock import (
     BosonModule,
     GeneratorFamily,
@@ -1022,9 +1023,11 @@ def test_dual_side_matches_the_rmat_construction(point2, point3):
 
 def test_eigenbases_call_no_inverse(monkeypatch, point2):
     """No linalg.inverse call in a GenMacBasis build, its inverse state
-    matrix, its dual bras or gen_hall_littlewood(3).  symfunc's per-degree
-    conversion matrices, cached per process, invert; they are built first."""
-    for n in range(4):
+    matrix, its dual bras, its monomial transition, gen_hall_littlewood(3),
+    the Macdonald and Hall-Littlewood functions or gen_jack.  symfunc's
+    per-degree conversion matrices, cached per process, invert; they are
+    built first."""
+    for n in range(5):
         symfunc._basis_matrices(n)
     calls = []
     original = linalg.inverse
@@ -1038,5 +1041,11 @@ def test_eigenbases_call_no_inverse(monkeypatch, point2):
     basis.state_matrix_inverse()
     for tup in basis.tuples:
         basis.dual_bra(tup)
+    basis.monomial_transition()
     genmac.gen_hall_littlewood(3, make_point(7, 2, 4, "q"))
+    t = point2.fresh_rational("no-inverse")
+    for lam in partitions(4):
+        symfunc.macdonald_p(lam, point2.q, t)
+        symfunc.hall_littlewood(lam, t)
+    genmac.gen_jack(3, Fraction(3, 7), [Fraction(5, 3), Fraction(2, 9), Fraction(7, 11)])
     assert calls == []

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dimfock import checks, symfunc
 from dimfock.combinat import EMPTY, Partition, b_factor, dominance_le, partitions
 from dimfock.symfunc import (
     DegreeCapError,
@@ -13,11 +14,14 @@ from dimfock.symfunc import (
     inner_hl,
     inner_prod,
     macdonald_p,
-    monomial_in_p,
     principal_specialization,
     principal_specialization_closed,
     z_factor,
 )
+
+
+def monomial_in_p(lam):
+    return convert(SymFunc({lam: Fraction(1)}, "m"), "p")
 
 
 def test_conversion_examples():
@@ -91,6 +95,64 @@ def test_orthogonality_and_triangularity(points2):
                 for mu in macs:
                     if lam != mu:
                         assert inner_prod(macs[lam], macs[mu], q, t) == 0
+
+
+def gram_schmidt(n, q, t):
+    """{lambda: P_lambda} for |lambda| = n at (q, t): the m_lambda made
+    orthogonal for the (q, t) pairing, smallest first in an order that
+    refines dominance (the oracle of the eigenvector solve)."""
+    basis = list(partitions(n))
+    weight = {}
+    for lam in basis:
+        w = Fraction(z_factor(lam))
+        for part in lam.parts:
+            w = w * (1 - q**part) / (1 - t**part)
+        weight[lam] = w
+
+    def pair(f, g):
+        return sum((c * g[lam] * weight[lam] for lam, c in f.coeffs.items()), Fraction(0))
+
+    out, norms = {}, {}
+    for lam in reversed(basis):
+        f = monomial_in_p(lam)
+        for mu, p_mu in out.items():
+            c = pair(f, p_mu)
+            if c:
+                f = f - p_mu.scale(c / norms[mu])
+        out[lam] = f
+        norms[lam] = pair(f, f)
+    return out
+
+
+def test_macdonald_matches_gram_schmidt(point2, sym_point2):
+    for pt in (point2, sym_point2):
+        for n in range(7):
+            for lam, want in gram_schmidt(n, pt.q, pt.t).items():
+                assert macdonald_p(lam, pt.q, pt.t) == want, (pt.symbolic_slot, lam)
+
+
+def test_hall_littlewood_matches_gram_schmidt(point2):
+    for t in (point2.t, 1 / point2.t):
+        for n in range(7):
+            for lam, want in gram_schmidt(n, Fraction(0), t).items():
+                assert hall_littlewood(lam, t)[0] == want, (t, lam)
+
+
+def test_orthogonality_check_names_a_tampered_pair(monkeypatch, point1):
+    # P_(2,1) + m_(1,1,1)/3 stays triangular but is no longer orthogonal to
+    # P_(1,1,1): the orthogonality half of the check must name that pair
+    lam, mu = Partition((2, 1)), Partition((1, 1, 1))
+    untampered = symfunc.macdonald_p
+
+    def tampered(nu, q, t):
+        f = untampered(nu, q, t)
+        return f + monomial_in_p(mu).scale(Fraction(1, 3)) if nu == lam else f
+
+    assert checks.macdonald_basis([point1], 3) == []
+    monkeypatch.setattr(symfunc, "macdonald_p", tampered)
+    failures = checks.macdonald_basis([point1], 3)
+    assert ("orthogonality", point1.seed, lam, mu) in failures
+    assert all(f[0] == "orthogonality" and lam in f[2:] for f in failures)
 
 
 def test_hall_littlewood_examples(point2):
