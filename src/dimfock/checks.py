@@ -176,7 +176,7 @@ def integral_form_normalization(pt, level, n_comp):
         forms = genmac.integral_forms(genmac.gen_macdonald(n, pt, n_comp=n_comp))
         tuples, family = forms.tuples, forms.basis.family
         designated = genmac._designated_index(tuples, n)
-        kets = column_matrix([pbw_state(t, family, prime=True) for t in tuples], tuples)
+        kets = column_matrix([pbw_state(t, family) for t in tuples], tuples)
         for tup in tuples:
             alpha = forms.alpha[tup]
             k_state = coordinates(forms.k_state(tup), tuples)
@@ -212,9 +212,17 @@ def jack_weights(level, n_comp):
 
 
 def jack_tables(level, n_comp):
-    """Generalized Jack eigenfunctions are unitriangular at fixed beta and weights."""
-    tuples, rows, _ = jack_weights(level, n_comp)[1]
-    return [tup for i, tup in enumerate(tuples) if rows[i][i] != 1]
+    """Each generalized Jack row, read in power sums as v = M row
+    (`symfunc.monomial_frame`), is an eigenvector of H_beta at its eigenvalue."""
+    uprime, (tuples, rows, eig) = jack_weights(level, n_comp)
+    m, _ = symfunc.monomial_frame(tuples)
+    failures = []
+    for tup, row, ev in zip(tuples, rows, eig):
+        v = linalg.mat_vec(m, row)
+        image = genmac._hbeta_apply(dict(zip(tuples, v)), JACK_BETA, uprime)
+        if coordinates(image, tuples) != [ev * c for c in v]:
+            failures.append(tup)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +441,7 @@ def _level(opts, default, cap):
 
 def symfunc_suite(opts):
     level = _level(opts, 6, 6)
-    pts = _points(opts, 1, 3)
+    pts = _points(opts, 1, max(level, 3))
     pt = pts[0]
     return pts, [
         ("orthogonality-triangularity", "macdonald-basis", partial(macdonald_basis, pts, level)),

@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .checks import PASS_DETAILS, SUITES
+from .checks import JACK_BETA, JACK_WEIGHTS, PASS_DETAILS, SUITES
 from .combinat import to_json
 from .genmac import gen_jack, gen_macdonald, shared_bases
 from .report import CheckReport, timed
@@ -79,12 +78,11 @@ def _dump_r_block(opts, level):
 
 
 def _dump_gen_jack(opts, level):
-    beta = Fraction(3, 7)
-    uprime = [Fraction(5, 3), Fraction(2, 9)]
-    tuples, rows, _ = gen_jack(level, beta, uprime)
+    uprime = list(JACK_WEIGHTS[:2])
+    tuples, rows, _ = gen_jack(level, JACK_BETA, uprime)
     return {
         "level": level,
-        "beta": str(beta),
+        "beta": str(JACK_BETA),
         "uprime": [str(x) for x in uprime],
         "tuples": [to_json(t) for t in tuples],
         "matrix": [[str(c) for c in row] for row in rows],

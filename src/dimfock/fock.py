@@ -128,17 +128,6 @@ class BosonModule:
         return state.get(self.empty_tuple(), ZERO)
 
 
-def state_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, ZERO) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def state_scale(a, c):
     if not c:
         return {}
@@ -515,10 +504,6 @@ def operator_matrix(op: LinOp, module: BosonModule, level_from: int, level_to: i
 # -- bra functionals (values on creation monomials) --------------------------
 
 
-def vacuum_bra(module):
-    return {module.empty_tuple(): ONE}
-
-
 def bra_apply(op: LinOp, bra, module, level):
     """Append an operator on the right of a bra functional: <bra| op, read
     on the monomials of the one level it lands on.
@@ -766,11 +751,14 @@ def jing_build(lam: Partition, point, level_max=None):
 # PBW words, states and Gram matrices
 
 
-def pbw_word(tup: PartitionTuple, prime=False):
-    """Mode word of the PBW vector; entries (generator index, part)."""
-    n = tup.n_components
-    comp_order = range(n, 0, -1) if prime else range(1, n + 1)
-    return [(i, p) for i in comp_order for p in tup[i - 1].parts]
+def pbw_word(tup: PartitionTuple):
+    """Mode word of the PBW vector; entries (generator index, part).
+
+    The primed order: the parts of the last component come first, so the
+    ket X^(N)_{-lam^(N)} ... X^(1)_{-lam^(1)}|0> applies the first
+    component's modes to the vacuum first.  The unprimed words (components
+    1 ... N) span the same level with the same Gram determinant."""
+    return [(i, p) for i in range(tup.n_components, 0, -1) for p in tup[i - 1].parts]
 
 
 def _walk_word(family, letters, value, step):
@@ -800,12 +788,12 @@ def _word_ket(letters, family):
     )
 
 
-def pbw_state(tup, family, prime=False):
+def pbw_state(tup, family):
     """Apply the negative-mode word to the vacuum."""
-    return _word_ket(tuple((i, -part) for i, part in pbw_word(tup, prime=prime)), family)
+    return _word_ket(tuple((i, -part) for i, part in pbw_word(tup)), family)
 
 
-def pbw_bra(tup, family, prime=False):
+def pbw_bra(tup, family):
     """The adjoint-ordered positive-mode word applied to the vacuum bra.
 
     The bra of a suffix lives on the level its modes add up to."""
@@ -815,10 +803,10 @@ def pbw_bra(tup, family, prime=False):
         level = sum(part for _, part in suffix)
         return bra_apply(family.x_mode(*suffix[0]), bra, module, level)
 
-    return _walk_word(family, tuple(pbw_word(tup, prime=prime)), vacuum_bra(module), step)
+    return _walk_word(family, tuple(pbw_word(tup)), module.vacuum(), step)
 
 
-def pbw_gram(level, family, prime=False):
+def pbw_gram(level, family):
     """Gram matrix <X_lam | X_mu> over the canonical tuple order, over Q.
 
     Pairs over the integers: each ket and each bra, read on the monomials
@@ -829,8 +817,8 @@ def pbw_gram(level, family, prime=False):
     """
     module = family.module
     tuples = module.basis(level)
-    kets = [pbw_state(t, family, prime=prime) for t in tuples]
-    bras = [pbw_bra(t, family, prime=prime) for t in tuples]
+    kets = [pbw_state(t, family) for t in tuples]
+    bras = [pbw_bra(t, family) for t in tuples]
     support = list(dict.fromkeys(m for ket in kets for m in ket))
     kets = [cleared([ket.get(m, 0) for m in support]) for ket in kets]
     bras = [cleared([bra.get(m, 0) for m in support]) for bra in bras]

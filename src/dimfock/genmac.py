@@ -416,8 +416,8 @@ class IntegralForms:
         self.basis = basis
         family = basis.family
         self.tuples = tuples = basis.tuples
-        # PBW vectors with reversed component order
-        wmat = column_matrix([pbw_state(t, family, prime=True) for t in tuples], tuples)
+        # the PBW kets (`fock.pbw_word`: last component first)
+        wmat = column_matrix([pbw_state(t, family) for t in tuples], tuples)
         avecs = linalg.transpose(linalg.mat_mul(linalg.inverse(wmat), basis.state_matrix()))
         des = _designated_index(tuples, basis.level)
         self.alpha = {}
@@ -429,9 +429,9 @@ class IntegralForms:
             self.alpha[tup] = [a / a_des for a in avec]
             self.k_norm[tup] = 1 / a_des
         # dual side: the designated coefficient of the dual eigenvector over
-        # reversed-order PBW bras, one row of the inverse bra matrix B^-1,
-        # solved from B^T x = e_des
-        bmat = column_matrix([pbw_bra(t, family, prime=True) for t in tuples], tuples)
+        # the PBW bras, one row of the inverse bra matrix B^-1, solved from
+        # B^T x = e_des
+        bmat = column_matrix([pbw_bra(t, family) for t in tuples], tuples)
         duals = [coordinates(basis.dual_bra(tup), tuples) for tup in tuples]
         e_des = [ONE if i == des else ZERO for i in range(len(tuples))]
         row = linalg.solve_unique(linalg.transpose(bmat), e_des)

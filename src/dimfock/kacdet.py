@@ -2,8 +2,10 @@
 Whittaker vectors and singular-vector verification.
 
 The determinant of the level-n Gram matrix of PBW vectors factorizes into a
-(q,t) prefactor times products of weight-lattice lines (u_i - q^s t^-r u_j);
-specializing a weight onto such a line produces a singular vector, which is
+(q,t) prefactor times products of weight-lattice lines (u_i - q^s t^-r u_j).
+The Gram is `fock.pbw_gram`'s, on the primed PBW words (last component
+first); the unprimed order changes the basis but not the determinant.
+Specializing a weight onto such a line produces a singular vector, which is
 verified here through the annihilation conditions alone and then identified
 with a generalized Macdonald vector by its eigenvalue.
 """

@@ -307,10 +307,8 @@ class CrystalPhi:
     def _pbw_data(self, level):
         if level not in self._pbw:
             tuples = self.mod.basis(level)
-            words = [
-                tuple((a, -m) for a, m in pbw_word(t, prime=True)) for t in tuples
-            ]
-            kets = [pbw_state(t, self.gens, prime=True) for t in tuples]
+            words = [tuple((a, -m) for a, m in pbw_word(t)) for t in tuples]
+            kets = [pbw_state(t, self.gens) for t in tuples]
             self._pbw[level] = (words, linalg.inverse(column_matrix(kets, tuples)))
         return self._pbw[level]
 
@@ -384,11 +382,10 @@ class CrystalPhi:
         return val
 
     def bra_tuple_on_vacuum(self, tup: PartitionTuple):
-        word = tuple(reversed([(a, m) for a, m in pbw_word(tup, prime=True)]))
-        return self.braword_on_vacuum(word)
+        return self.braword_on_vacuum(tuple(reversed(pbw_word(tup))))
 
     def vac_on_tuple(self, tup: PartitionTuple):
-        word = tuple((a, -m) for a, m in pbw_word(tup, prime=True))
+        word = tuple((a, -m) for a, m in pbw_word(tup))
         if not word:
             return ONE
         return self.vac_on_word(word)
@@ -413,16 +410,10 @@ def crystal_four_point_pbw(order, point, u, v, w, z1, z2):
     coeffs = [ONE]
     for n in range(1, order + 1):
         # the Gram's kets and phi21's words share the family's memo
-        gram, tuples = pbw_gram(n, phi21.gens, prime=True)
-        ginv = linalg.inverse(gram)
+        gram, tuples = pbw_gram(n, phi21.gens)
         left = [phi21.vac_on_tuple(t) for t in tuples]
         right = [phi10.bra_tuple_on_vacuum(t) for t in tuples]
-        total = ZERO
-        for i in range(len(tuples)):
-            if not left[i]:
-                continue
-            for j in range(len(tuples)):
-                if ginv[i][j] and right[j]:
-                    total = total + left[i] * ginv[i][j] * right[j]
+        # left . G^-1 right, from one solve G x = right
+        total = sum((a * b for a, b in zip(left, linalg.solve_unique(gram, right))), ZERO)
         coeffs.append(total / x_val**n)
     return coeffs

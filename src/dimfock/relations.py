@@ -26,7 +26,6 @@ from .fock import (
     state_scale,
     structure_series,
     sum_is_zero,
-    vacuum_bra,
     vertex_mode,
 )
 from . import linalg
@@ -274,7 +273,7 @@ def check_jing(level, point):
             if not _holds([(ONE, state)], [(ONE, want)]):
                 failures.append(("ket", lam))
             # dual side
-            bra, landing = vacuum_bra(module), 0
+            bra, landing = module.vacuum(), 0
             for part in reversed(lam.parts):
                 landing += part
                 bra = bra_apply(vertex_mode(h_dag, part, module), bra, module, landing)
@@ -337,7 +336,7 @@ def check_crystal_pbw_hl(level, point, weights):
     for n in range(level + 1):
         for tup in module.basis(n):
             lam, mu = tup[0], tup[1]
-            state = pbw_state(tup, gens, prime=True)
+            state = pbw_state(tup, gens)
             plus = apply_symfunc(module, q_lambda(mu, tinv), [(1, ONE)], module.vacuum())
             both = apply_symfunc(module, q_lambda(lam, tinv), [(0, -ONE), (1, ONE)], plus)
             want = state_scale(both, (u1 * u2) ** mu.length * u2**lam.length)
@@ -387,7 +386,7 @@ def check_crystal_shapovalov(level, point, weights):
     u1, u2 = weights
     tinv = 1 / point.t
     for n in range(1, level + 1):
-        gram, tuples = pbw_gram(n, gens, prime=True)
+        gram, tuples = pbw_gram(n, gens)
         for i, lt in enumerate(tuples):
             for j, mt in enumerate(tuples):
                 if gram[i][j] != crystal_shapovalov_formula(lt, mt, point, weights):

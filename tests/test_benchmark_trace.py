@@ -5,7 +5,8 @@ refactor that stops calling one of the layers a workload names fails here,
 in the test suite, and not first in a benchmark run.  Each run here also
 names the layers it must reach beyond the workload's hot list: mode
 extraction in all four, operator application where the workload applies
-family modes to states.
+family modes to states, and the public PBW ket and bra walks of the Kac
+Gram.
 """
 
 import json
@@ -19,7 +20,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CALLED = {
     "suite-all": ("fock.mode_apply", "fock.linop_call", "genmac.basis_build"),
-    "kac-grid": ("fock.mode_apply", "fock.linop_call", "linalg.determinant"),
+    "kac-grid": (
+        "fock.mode_apply", "fock.linop_call", "fock.pbw_state", "fock.pbw_bra", "linalg.determinant",
+    ),
     "vertex-solve": ("fock.mode_apply", "linalg.solve_unique"),
     "symbolic-limit": ("fock.mode_apply", "genmac.basis_build"),
 }

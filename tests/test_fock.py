@@ -21,9 +21,7 @@ from dimfock.fock import (
     pbw_state,
     pbw_word,
     read_out,
-    state_add,
     state_scale,
-    vacuum_bra,
 )
 from dimfock.relations import (
     check_crystal_pbw_hl,
@@ -83,24 +81,19 @@ def test_commutator_example(point2):
     for lvl in range(3):
         for tup in mod.basis(lvl):
             st = {tup: ONE}
-            lhs = state_add(
-                fam.x_mode(1, 1)(fam.x_mode(1, -1)(st)),
-                state_scale(fam.x_mode(1, -1)(fam.x_mode(1, 1)(st)), Fraction(-1)),
-            )
-            rhs = state_scale(fam.x_mode(2, 0)(st), coef)
+            # lhs - rhs as (coefficient, state) terms
+            terms = [
+                (ONE, fam.x_mode(1, 1)(fam.x_mode(1, -1)(st))),
+                (-ONE, fam.x_mode(1, -1)(fam.x_mode(1, 1)(st))),
+                (-coef, fam.x_mode(2, 0)(st)),
+            ]
             from dimfock.fock import structure_series
 
             f1 = structure_series(pt, "x1", lvl + 4)
             for l in range(1, lvl + 2):
-                rhs = state_add(
-                    rhs,
-                    state_scale(fam.x_mode(1, 1 - l)(fam.x_mode(1, -1 + l)(st)), -f1[l]),
-                )
-                rhs = state_add(
-                    rhs,
-                    state_scale(fam.x_mode(1, -1 - l)(fam.x_mode(1, 1 + l)(st)), f1[l]),
-                )
-            assert combination_is_zero([(ONE, lhs), (-ONE, rhs)])
+                terms.append((f1[l], fam.x_mode(1, 1 - l)(fam.x_mode(1, -1 + l)(st))))
+                terms.append((-f1[l], fam.x_mode(1, -1 - l)(fam.x_mode(1, 1 + l)(st))))
+            assert combination_is_zero(terms)
 
 
 def test_virasoro_highest_weight(point2):
@@ -136,7 +129,7 @@ def test_crystal_virasoro_pbw_and_gram(point2):
             for part in reversed(lam.parts):
                 st = fam.x_mode(1, -part)(st)
             kets.append(st)
-            bra, landing = vacuum_bra(mod), 0
+            bra, landing = mod.vacuum(), 0
             for part in reversed(lam.parts):
                 landing += part
                 bra = bra_apply(fam.x_mode(1, part), bra, mod, landing)
@@ -265,17 +258,17 @@ def test_pbw_gram_matches_dict_pairing(point2):
     k = point2.fresh_rational("gram-k")
     u = [point2.fresh_rational(("gram-u", i)) for i in range(2)]
     cases = [
-        (3, GeneratorFamily(BosonModule(point2, 2, point2.u, 3, kind="qt")), False),
-        (3, VirasoroFamily(BosonModule(point2, 1, [k], 3, kind="qt")), False),
-        (3, CrystalVirasoro(BosonModule(point2, 1, [k], 3, kind="crystal")), False),
-        (2, CrystalGenerators(BosonModule(point2, 2, u, 2, kind="crystal")), True),
+        (3, GeneratorFamily(BosonModule(point2, 2, point2.u, 3, kind="qt"))),
+        (3, VirasoroFamily(BosonModule(point2, 1, [k], 3, kind="qt"))),
+        (3, CrystalVirasoro(BosonModule(point2, 1, [k], 3, kind="crystal"))),
+        (2, CrystalGenerators(BosonModule(point2, 2, u, 2, kind="crystal"))),
     ]
-    for level, fam, prime in cases:
+    for level, fam in cases:
         mod = fam.module
-        gram, tuples = pbw_gram(level, fam, prime=prime)
+        gram, tuples = pbw_gram(level, fam)
         assert tuples == mod.basis(level)
-        kets = [pbw_state(t, fam, prime=prime) for t in tuples]
-        bras = [pbw_bra(t, fam, prime=prime) for t in tuples]
+        kets = [pbw_state(t, fam) for t in tuples]
+        bras = [pbw_bra(t, fam) for t in tuples]
         want = [[mod.pair(bra, ket) for ket in kets] for bra in bras]
         assert gram == want, type(fam).__name__
         assert any(x for row in gram for x in row)
@@ -300,23 +293,23 @@ def test_pbw_words_match_the_full_scan_walk(point2, point3, sym_point2):
     k = point2.fresh_rational("walk-k")
     u = [point2.fresh_rational(("walk-u", i)) for i in range(2)]
     cases = [
-        (3, GeneratorFamily(BosonModule(point2, 2, point2.u, 4, kind="qt")), False),
-        (2, GeneratorFamily(BosonModule(point3, 3, point3.u, 3, kind="qt")), False),
-        (3, VirasoroFamily(BosonModule(point2, 1, [k], 4, kind="qt")), False),
-        (3, CrystalVirasoro(BosonModule(point2, 1, [k], 4, kind="crystal")), False),
-        (3, CrystalGenerators(BosonModule(point2, 2, u, 4, kind="crystal")), True),
-        (2, GeneratorFamily(BosonModule(sym_point2, 2, sym_point2.u, 3, kind="qt")), False),
+        (3, GeneratorFamily(BosonModule(point2, 2, point2.u, 4, kind="qt"))),
+        (2, GeneratorFamily(BosonModule(point3, 3, point3.u, 3, kind="qt"))),
+        (3, VirasoroFamily(BosonModule(point2, 1, [k], 4, kind="qt"))),
+        (3, CrystalVirasoro(BosonModule(point2, 1, [k], 4, kind="crystal"))),
+        (3, CrystalGenerators(BosonModule(point2, 2, u, 4, kind="crystal"))),
+        (2, GeneratorFamily(BosonModule(sym_point2, 2, sym_point2.u, 3, kind="qt"))),
     ]
-    for level, fam, prime in cases:
+    for level, fam in cases:
         mod = fam.module
         for n in range(level + 1):
             for tup in mod.basis(n):
-                state, bra = mod.vacuum(), vacuum_bra(mod)
-                for i, part in reversed(pbw_word(tup, prime=prime)):
+                state, bra = mod.vacuum(), mod.vacuum()
+                for i, part in reversed(pbw_word(tup)):
                     state = fam.x_mode(i, -part)(state)
                     bra = full_scan_bra_apply(fam.x_mode(i, part), bra, mod)
-                assert pbw_state(tup, fam, prime=prime) == state, (type(fam).__name__, tup)
-                assert pbw_bra(tup, fam, prime=prime) == bra, (type(fam).__name__, tup)
+                assert pbw_state(tup, fam) == state, (type(fam).__name__, tup)
+                assert pbw_bra(tup, fam) == bra, (type(fam).__name__, tup)
                 assert bra and all(m.size == n for m in bra)
     # the last case runs over Q(s)
     assert any(isinstance(v, RatFunc) for v in pbw_bra(tup, fam).values())

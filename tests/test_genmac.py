@@ -192,7 +192,7 @@ def test_integral_form_check_catches_a_tampered_k_state(point2, monkeypatch):
         state = k_state(self, tup)
         if tup != target:
             return state
-        extra = pbw_state(other, self.basis.family, prime=True)
+        extra = pbw_state(other, self.basis.family)
         return {m: state.get(m, 0) + extra.get(m, 0) for m in {*state, *extra}}
 
     monkeypatch.setattr(genmac.IntegralForms, "k_state", tampered)
@@ -376,6 +376,18 @@ def test_jack_tables_need_no_separated_eigenvalues():
         assert checks.jack_tables(4, n_comp) == []
 
 
+def test_jack_tables_name_a_tampered_row(monkeypatch):
+    # the check reads the eigen-equation of H_beta in power sums, so a row
+    # that is no eigenvector is named
+    for level, n_comp in ((1, 4), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2)):
+        assert checks.jack_tables(level, n_comp) == []
+    uprime, (tuples, rows, eig) = checks.jack_weights(2, 2)
+    tampered = [list(row) for row in rows]
+    tampered[0][-1] += Fraction(1, 3)
+    monkeypatch.setattr(checks, "jack_weights", lambda *_: (uprime, (tuples, tampered, eig)))
+    assert checks.jack_tables(2, 2) == [tuples[0]]
+
+
 def test_jack_weights_for_four_bosons_were_needed():
     # repeating the third weight collides two tuples that differ by a swap
     uprime = list(checks.JACK_WEIGHTS) + [checks.JACK_WEIGHTS[2]]
@@ -435,7 +447,7 @@ def test_dual_k_norms_match_the_inverse_bra_matrix(point3):
     basis = gen_macdonald(3, point3)
     forms = integral_forms(basis)
     tuples = forms.tuples
-    bmat = column_matrix([pbw_bra(t, basis.family, prime=True) for t in tuples], tuples)
+    bmat = column_matrix([pbw_bra(t, basis.family) for t in tuples], tuples)
     des = genmac._designated_index(tuples, 3)
     duals = [coordinates(basis.dual_bra(t), tuples) for t in tuples]
     for tup, b_des in zip(tuples, linalg.mat_vec(duals, linalg.inverse(bmat)[des])):

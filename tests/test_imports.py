@@ -64,7 +64,6 @@ def test_checker_flags_an_unused_import():
 
 # (module, name) -> why the definition stays although nothing reads it
 KEPT_DEFINITIONS = {
-    ("fock", "state_add"): "the tests' oracle for summing states",
     ("rmatrix_tables", "eigen_block_level1_n2"): "reference table of test_level1_two_boson_corner",
 }
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from dimfock import linalg
 from dimfock.combinat import EMPTY, Partition, PartitionTuple, b_factor, b_factor_neg, partitions
 from dimfock.fock import BosonModule, GeneratorFamily, VirasoroFamily, pbw_gram
 from dimfock.genmac import GenMacBasis
@@ -44,6 +45,42 @@ def test_kac_det_larger_sizes(point2, point3):
     for n, n_comp, pt in ((4, 2, point2), (3, 3, point3), (4, 3, point3_5)):
         lhs, rhs = kac_det_check(n, n_comp, pt)
         assert lhs == rhs != 0, (n_comp, n)
+
+
+def unprimed_gram(level, family):
+    """The Gram matrix over the unprimed PBW words (components 1 ... N), an
+    oracle: each entry is <0| X(a_k, p_k) ... X(a_1, p_1) X_{-word'} |0>, the
+    positive word applied letter by letter to the ket, read at the vacuum."""
+    module = family.module
+    tuples = module.basis(level)
+    words = [[(i, p) for i in range(1, t.n_components + 1) for p in t[i - 1].parts] for t in tuples]
+    kets = []
+    for word in words:
+        state = module.vacuum()
+        for i, p in reversed(word):
+            state = family.x_mode(i, -p)(state)
+        kets.append(state)
+    gram = []
+    for word in words:
+        row = []
+        for ket in kets:
+            state = ket
+            for i, p in word:
+                state = family.x_mode(i, p)(state)
+            row.append(module.vacuum_coefficient(state))
+        gram.append(row)
+    return gram
+
+
+def test_unprimed_gram_has_the_kac_determinant(point2, point3):
+    # the PBW words run over the last component first; the unprimed words
+    # span the same level with the same determinant
+    for n, n_comp, pt in ((4, 2, point2), (3, 3, point3), (2, 4, make_point(101, 4, 3))):
+        family = GeneratorFamily(BosonModule(pt, n_comp, pt.u[:n_comp], n, kind="qt"))
+        gram, oracle = pbw_gram(n, family)[0], unprimed_gram(n, family)
+        assert oracle != gram, (n_comp, n)
+        det = linalg.determinant(oracle)
+        assert det == linalg.determinant(gram) == kac_det_formula(n, n_comp, pt) != 0, (n_comp, n)
 
 
 def test_kac_det_level6_two_bosons():

@@ -21,7 +21,6 @@ from dimfock.fock import (
     combination_is_zero,
     pbw_gram,
     read_out,
-    state_add,
     state_scale,
     sum_is_zero,
     vertex_mode,
@@ -48,6 +47,18 @@ def families(point2, sym_point2):
         kind: GeneratorFamily(BosonModule(pt, 2, pt.u[:2], LEVEL_MAX))
         for kind, pt in (("fraction", point2), ("symbolic-q", sym_point2))
     }
+
+
+def state_add(a, b):
+    """a + b, dropping the monomials that cancel."""
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, Fraction(0)) + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
 def reference_mode(fam, gen, n, state):

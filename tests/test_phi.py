@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dimfock.combinat import EMPTY, Partition, PartitionTuple, enumerate_tuples, n_stat, partitions
-from dimfock.fock import BosonModule, GeneratorFamily, VertexOperator, operator_matrix
+from dimfock import linalg
+from dimfock.fock import BosonModule, GeneratorFamily, VertexOperator, operator_matrix, pbw_gram
 from dimfock.phi import (
     CrystalPhi,
     crystal_four_point_pbw,
@@ -169,6 +170,36 @@ def test_crystal_phi_single_modes(point2):
         base = (1 / (v[0] * v[1] * z)) ** n
         assert phi.vac_on_word(((1, -n),)) == base * (u[0] + u[1] - v[0] - v[1])
         assert phi.vac_on_word(((2, -n),)) == base * (u[0] * u[1] - v[0] * v[1])
+
+
+def inverse_four_point(order, point, u, v, w, z1, z2):
+    """`crystal_four_point_pbw` through the whole inverse Gram, an oracle:
+    the double sum left_i G^-1_ij right_j."""
+    phi21 = CrystalPhi(BosonModule(point, 2, v, order + 1, kind="crystal"), w, z2)
+    phi10 = CrystalPhi(BosonModule(point, 2, u, order + 1, kind="crystal"), v, z1)
+    x_val = u[0] * u[1] * z1 / (w[0] * w[1] * z2)
+    coeffs = [Fraction(1)]
+    for n in range(1, order + 1):
+        gram, tuples = pbw_gram(n, phi21.gens)
+        ginv = linalg.inverse(gram)
+        left = [phi21.vac_on_tuple(t) for t in tuples]
+        right = [phi10.bra_tuple_on_vacuum(t) for t in tuples]
+        total = sum(
+            left[i] * ginv[i][j] * right[j] for i in range(len(tuples)) for j in range(len(tuples))
+        )
+        coeffs.append(total / x_val**n)
+    return coeffs
+
+
+@pytest.mark.parametrize("seed", [7, 101, 198])
+def test_crystal_four_point_matches_the_inverse_route(seed):
+    pt = make_point(seed, 2, 5)
+    u, v, w = ([pt.fresh_rational((name, i)) for i in range(2)] for name in ("4u", "4v", "4w"))
+    z1, z2 = pt.fresh_rational("4z1"), pt.fresh_rational("4z2")
+    for order in (3, 4):
+        assert crystal_four_point_pbw(order, pt, u, v, w, z1, z2) == inverse_four_point(
+            order, pt, u, v, w, z1, z2
+        ), (seed, order)
 
 
 def test_crystal_four_point_order5(point2):

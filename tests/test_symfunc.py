@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -153,6 +154,16 @@ def test_orthogonality_check_names_a_tampered_pair(monkeypatch, point1):
     failures = checks.macdonald_basis([point1], 3)
     assert ("orthogonality", point1.seed, lam, mu) in failures
     assert all(f[0] == "orthogonality" and lam in f[2:] for f in failures)
+
+
+def test_symfunc_suite_points_reach_its_level():
+    # make_point certifies separated eigenvalues up to its level_max, and
+    # the Macdonald solves of the suite reach its level
+    for level in (None, 2, 4, 6):
+        opts = SimpleNamespace(seed=7, points=2, level=level, n_comp=None)
+        pts, _ = checks.symfunc_suite(opts)
+        assert len(pts) == 2
+        assert all(pt.level_max >= (level or 6) for pt in pts), level
 
 
 def test_hall_littlewood_examples(point2):
