@@ -225,12 +225,13 @@ def monomial_product(a: PartitionTuple, b: PartitionTuple) -> PartitionTuple:
 def apply_symfunc(module, f, bosons, state):
     """Multiply a state by f with p_n replaced by a creation combination.
 
-    bosons lists (boson index, scalar) pairs, and p_n becomes the sum of
-    scalar * a^(i)_{-n} over them; f must be in the power-sum basis.  Used
-    for Macdonald/Hall-Littlewood dressed states.
+    f is a symmetric function as a power-sum dict {Partition: c}; bosons
+    lists (boson index, scalar) pairs, and p_n becomes the sum of scalar *
+    a^(i)_{-n} over them.  Used for Macdonald/Hall-Littlewood dressed
+    states.
     """
     out = {}
-    for lam, coeff in f.coeffs.items():
+    for lam, coeff in f.items():
         expanded = {module.empty_tuple(): coeff}
         for n in lam.parts:
             nxt = {}

@@ -246,7 +246,7 @@ def restriction_matches_macdonald(state, tup, module):
     }
     mac = macdonald_p(lam, module.point.q, module.point.t)
     expected = {}
-    for plam, c in mac.coeffs.items():
+    for plam, c in mac.items():
         comps = [EMPTY] * (n_comp - 1) + [plam]
         expected[PartitionTuple(comps)] = c
     keys = set(restricted) | set(expected)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .combinat import PartitionTuple, enumerate_tuples
+from .combinat import PartitionTuple, enumerate_tuples, n_stat
 from .fock import (
     BosonModule,
     CrystalGenerators,
@@ -35,6 +35,8 @@ from .fock import (
     read_out,
     vertex_mode,
 )
+from .genmac import gen_macdonald, integral_forms
+from .nekrasov import nek_factor
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -231,9 +233,6 @@ def phi_matrix_rank1(point_u, point_v, level_max):
 
 def phi_element_formula(lam_tup, mu_tup, point_u, point_v, w_value):
     """Closed Nekrasov-factor form of the integral-form matrix elements."""
-    from .combinat import n_stat
-    from .nekrasov import nek_factor
-
     n = lam_tup.n_components
     q, t = point_u.q, point_u.t
     u = point_u.u[:n]
@@ -257,8 +256,6 @@ def phi_element_formula(lam_tup, mu_tup, point_u, point_v, w_value):
 
 def phi_element_conjecture_check(level, point_u, point_v, n_comp):
     """Integral-form matrix elements of the solved operator vs closed form."""
-    from .genmac import gen_macdonald, integral_forms
-
     if n_comp == 1:
         matrix = phi_matrix_rank1(point_u, point_v, level)
     else:

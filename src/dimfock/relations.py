@@ -16,6 +16,7 @@ from .fock import (
     CrystalVirasoro,
     GeneratorFamily,
     VirasoroFamily,
+    apply_symfunc,
     bra_apply,
     combination_is_zero,
     jing_build,
@@ -29,7 +30,7 @@ from .fock import (
     vertex_mode,
 )
 from . import linalg
-from .symfunc import SymFunc, hall_littlewood, inner_prod
+from .symfunc import hall_littlewood, inner_prod, negate_argument
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -256,8 +257,6 @@ def check_crystal_virasoro_relations(level, point, k_weight):
 
 def hl_in_bosons(lam, tval, module, bosons):
     """Q_lambda at parameter tval as a creation polynomial on the module."""
-    from .fock import apply_symfunc
-
     _, q_lam = hall_littlewood(lam, tval)
     return apply_symfunc(module, q_lam, bosons, module.vacuum())
 
@@ -288,15 +287,14 @@ def q_lambda(lam, tval):
     return q_lam
 
 
-def _symfunc_bra(f: SymFunc, module, sign=1):
+def _symfunc_bra(f, module):
     """<0| f(b_n) as a functional on creation monomials (single boson)."""
     out = {}
-    for plam, c in f.coeffs.items():
+    for plam, c in f.items():
         tup = PartitionTuple([plam])
-        g = module.monomial_gram(tup)
-        val = c * g * (Fraction(sign) ** plam.length)
+        val = c * module.monomial_gram(tup)
         if val:
-            out[tup] = out.get(tup, ZERO) + val
+            out[tup] = val
     return out
 
 
@@ -314,7 +312,7 @@ def check_crystal_virasoro_pbw(level, point, k_weight):
             if not _holds([(ONE, state)], [(ONE, want)]):
                 failures.append(("ket", lam))
             bra = pbw_bra(PartitionTuple([lam]), fam)
-            want_bra = _symfunc_bra(q_lambda(lam, tinv), module, sign=-1)
+            want_bra = _symfunc_bra(negate_argument(q_lambda(lam, tinv)), module)
             want_bra = {
                 kk: v * k_weight ** (-lam.length) * point.t**lam.size
                 for kk, v in want_bra.items()
@@ -326,8 +324,6 @@ def check_crystal_virasoro_pbw(level, point, k_weight):
 
 def check_crystal_pbw_hl(level, point, weights):
     """Two-boson crystal PBW vectors as products of Hall-Littlewood functions."""
-    from .fock import apply_symfunc
-
     module = BosonModule(point, 2, weights, max(level, 1), kind="crystal")
     gens = CrystalGenerators(module)
     u1, u2 = weights
@@ -358,7 +354,7 @@ def crystal_shapovalov_formula(lam_tup, mu_tup, point, weights):
     # inverse pairing instead)
     val = val * b_factor(l1, tinv)
     pairing = inner_prod(
-        q_lambda(l2, tinv), q_lambda(m2, tinv).negate_argument(), ZERO, tinv
+        q_lambda(l2, tinv), negate_argument(q_lambda(m2, tinv)), ZERO, tinv
     )
     return val * pairing
 
@@ -373,7 +369,7 @@ def crystal_inverse_shapovalov_formula(lam_tup, mu_tup, point, weights):
     val = (u1 * u2) ** -(l2.length + m2.length) * u1 ** (-m1.length) * u2 ** (-l1.length)
     val = val / (b_factor(m1, tinv) * b_factor(l2, tinv) * b_factor(m2, tinv))
     pairing = inner_prod(
-        q_lambda(l2, tinv).negate_argument(), q_lambda(m2, tinv), ZERO, tinv
+        negate_argument(q_lambda(l2, tinv)), q_lambda(m2, tinv), ZERO, tinv
     )
     return val * pairing
 

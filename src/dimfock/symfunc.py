@@ -1,14 +1,15 @@
 """Symmetric functions in the power-sum basis with exact coefficients.
 
-The power sums p_lambda are the working basis; monomial (m) expansions are
-handled through cached change-of-basis matrices per degree, built from the
-elementary functions e_mu, which have closed forms in both bases; their
-tensor products change the basis of tuples (`monomial_frame`).  Every
-eigenbasis is one triangular solve on that frame (`monomial_eigenvectors`):
-Macdonald P_lambda for the one-boson zero mode of eta, Hall-Littlewood
-P_lambda(t) as its value at q = 0, solved at a formal q, and the generalized
-Jack functions (`genmac.gen_jack`).  The (q,t) inner product is diagonal on
-power sums,
+A symmetric function is a dict {Partition: nonzero coefficient} over the
+power sums p_lambda, the one-boson state it becomes under p_n <-> a_{-n};
+two are equal when their dicts are.  Monomial (m) expansions go through
+one cached pair of matrices per degree: p2m is counted and m2p is its
+inverse (`_basis_matrices`); their tensor products change the basis of
+tuples (`monomial_frame`).  Every eigenbasis is one triangular solve on
+that frame (`monomial_eigenvectors`): Macdonald P_lambda for the one-boson
+zero mode of eta, Hall-Littlewood P_lambda(t) as its value at q = 0, solved
+at a formal q, and the generalized Jack functions (`genmac.gen_jack`).  The
+(q,t) inner product is diagonal on power sums,
 
     <p_lambda, p_mu> = delta * z_lambda * prod_k (1-q^(lambda_k))/(1-t^(lambda_k)).
 """
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 from types import SimpleNamespace
 
 from . import linalg
-from .combinat import EMPTY, Partition, b_factor, n_stat, partitions
+from .combinat import Partition, b_factor, n_stat, partitions
 from .fock import BosonModule, eta, operator_matrix, vertex_mode
 from .scalars import RatFunc
 
@@ -43,99 +44,15 @@ def z_factor(lam: Partition) -> int:
     return out
 
 
-class SymFunc:
-    """Finitely supported coefficient map over partitions, in one basis."""
+def negate_argument(f):
+    """The substitution p_n -> -p_n."""
+    return {lam: (-1) ** lam.length * c for lam, c in f.items()}
 
-    __slots__ = ("coeffs", "basis")
 
-    def __init__(self, coeffs=None, basis="p"):
-        self.basis = basis
-        self.coeffs = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                if c:
-                    self.coeffs[lam] = c
-
-    @classmethod
-    def one(cls):
-        return cls({EMPTY: Fraction(1)})
-
-    @classmethod
-    def power_sum(cls, lam):
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        return cls({lam: Fraction(1)}, "p")
-
-    def __add__(self, other):
-        assert self.basis == other.basis
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return SymFunc(out, self.basis)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c):
-        return SymFunc({lam: c * v for lam, v in self.coeffs.items()}, self.basis)
-
-    def __mul__(self, other):
-        if self.basis != "p" or other.basis != "p":
-            raise ValueError("products only in the power-sum basis")
-        out = {}
-        for lam, a in self.coeffs.items():
-            for mu, b in other.coeffs.items():
-                merged = Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
-                out[merged] = out.get(merged, Fraction(0)) + a * b
-        return SymFunc(out, "p")
-
-    def map_power_sums(self, fn):
-        """Algebra map p_n -> fn(n) * p_n (power-sum basis only)."""
-        assert self.basis == "p"
-        out = {}
-        for lam, c in self.coeffs.items():
-            for n in lam.parts:
-                c = c * fn(n)
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return SymFunc(out, "p")
-
-    def negate_argument(self):
-        """The substitution p_n -> -p_n."""
-        return self.map_power_sums(lambda n: Fraction(-1))
-
-    def evaluate(self, values_fn):
-        """Evaluate at p_n = values_fn(n); power-sum basis only."""
-        assert self.basis == "p"
-        total = Fraction(0)
-        for lam, c in self.coeffs.items():
-            term = c
-            for n in lam.parts:
-                term = term * values_fn(n)
-            total = total + term
-        return total
-
-    def degree(self):
-        return max((lam.size for lam in self.coeffs), default=0)
-
-    def is_homogeneous(self):
-        sizes = {lam.size for lam in self.coeffs}
-        return len(sizes) <= 1
-
-    def __getitem__(self, lam):
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        return self.coeffs.get(lam, Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, SymFunc) or self.basis != other.basis:
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self[k] == other[k] for k in keys)
-
-    def __repr__(self):
-        items = ", ".join("%r: %s" % (l.parts, c) for l, c in sorted(
-            self.coeffs.items(), key=lambda kv: kv[0].parts))
-        return "SymFunc({%s}, %r)" % (items, self.basis)
+def elementary(n: int):
+    """e_n = sum over lambda |- n of (-1)^(n - l(lambda)) p_lambda / z_lambda
+    (Macdonald, I (2.14'))."""
+    return {lam: Fraction((-1) ** (n - lam.length), z_factor(lam)) for lam in partitions(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -143,96 +60,54 @@ class SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _e_in_p(k: int) -> SymFunc:
-    # Newton recursion: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
-    if k == 0:
-        return SymFunc.one()
-    acc = SymFunc()
-    for i in range(1, k + 1):
-        term = _e_in_p(k - i) * SymFunc.power_sum(Partition((i,)))
-        acc = acc + term.scale(Fraction((-1) ** (i - 1), k))
-    return acc
-
-
-def elementary_in_p(mu: Partition) -> SymFunc:
-    out = SymFunc.one()
-    for part in mu.parts:
-        out = out * _e_in_p(part)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _zero_one_matrix_count(rows: tuple, cols: tuple) -> int:
-    """Number of 0-1 matrices with given row and column sums."""
-    if not cols:
-        return 1 if not rows else 0
-    c, rest = cols[0], cols[1:]
-    vals = sorted(set(rows), reverse=True)
-    counts = {v: rows.count(v) for v in vals}
-    total = 0
-    for picks in _bounded_compositions(c, [counts[v] for v in vals]):
-        ways = 1
-        new_rows = []
-        for v, k in zip(vals, picks):
-            ways *= comb(counts[v], k)
-            new_rows.extend([v - 1] * k)
-            new_rows.extend([v] * (counts[v] - k))
-        nr = tuple(sorted((x for x in new_rows if x > 0), reverse=True))
-        if sum(nr) != sum(rest):
-            continue
-        total += ways * _zero_one_matrix_count(nr, rest)
-    return total
-
-
-def _bounded_compositions(total, bounds):
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, bounds[0]) + 1):
-        for rest in _bounded_compositions(total - first, bounds[1:]):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
 def _basis_matrices(n: int):
-    """Per-degree conversion data: basis list and the matrices between p and m."""
+    """Per-degree conversion data: the partitions of n and the matrices
+    between p and m.  p2m[lambda][mu], the coefficient of m_mu in p_lambda,
+    counts the ways to put the parts of lambda into the rows of mu so that
+    each row sums to its part (Macdonald, I.6); m2p is its inverse."""
     if n > MAX_CONVERT_DEGREE:
         raise DegreeCapError("degree %d exceeds conversion cap %d" % (n, MAX_CONVERT_DEGREE))
     basis = list(partitions(n))
-    # e_mu = sum_nu E[mu][nu] m_nu  (0-1 matrix counts)
-    e2m = [
-        [Fraction(_zero_one_matrix_count(mu.parts, nu.parts)) for nu in basis] for mu in basis
-    ]
-    # e_mu in power sums
-    e2p = []
-    for mu in basis:
-        f = elementary_in_p(mu)
-        e2p.append([f[lam] for lam in basis])
-    # m_nu in power sums: m = (e2m)^(-1) e
-    m2p = linalg.mat_mul(linalg.inverse(e2m), e2p)
-    return basis, {"m2p": m2p, "p2m": linalg.inverse(m2p)}
+    memo = {}
+
+    def ways(parts, rows):
+        # rows: the sums still open, largest first, none zero
+        if not parts:
+            return 1
+        if (parts, rows) not in memo:
+            first, rest = parts[0], parts[1:]
+            total = 0
+            for r in set(rows):
+                if r >= first:
+                    left = list(rows)
+                    left[left.index(r)] = r - first
+                    left = tuple(sorted(filter(None, left), reverse=True))
+                    total += rows.count(r) * ways(rest, left)
+            memo[parts, rows] = total
+        return memo[parts, rows]
+
+    p2m = [[Fraction(ways(lam.parts, mu.parts)) for mu in basis] for lam in basis]
+    return basis, {"m2p": linalg.inverse(p2m), "p2m": p2m}
 
 
-def convert(f: SymFunc, target: str) -> SymFunc:
-    """Exact change of basis between power sums "p" and monomials "m"."""
-    if target not in ("p", "m"):
-        raise ValueError(target)
-    if target == f.basis:
-        return f
-    if not f.is_homogeneous():
-        # split by degree and recombine
-        out = SymFunc({}, target)
-        for n in sorted({lam.size for lam in f.coeffs}):
-            part = SymFunc({l: c for l, c in f.coeffs.items() if l.size == n}, f.basis)
-            out = out + convert(part, target)
-        return out
-    n = f.degree()
-    basis, mats = _basis_matrices(n)
-    mat = mats[f.basis + "2" + target]
-    vec = [f[lam] for lam in basis]
-    out_vec = linalg.mat_vec(linalg.transpose(mat), vec)
-    return SymFunc({basis[i]: c for i, c in enumerate(out_vec)}, target)
+def _change_basis(f, name):
+    """f, {partition: c}, through the per-degree matrices mats[name]."""
+    out = {}
+    for n in sorted({lam.size for lam in f}):
+        basis, mats = _basis_matrices(n)
+        vec = linalg.mat_vec(linalg.transpose(mats[name]), [f.get(lam, ZERO) for lam in basis])
+        out.update((mu, c) for mu, c in zip(basis, vec) if c)
+    return out
+
+
+def to_monomials(f):
+    """f in the power sums, {lambda: c}, as {mu: c} over the monomials m_mu."""
+    return _change_basis(f, "p2m")
+
+
+def from_monomials(f):
+    """f over the monomials m_mu, {mu: c}, in the power sums."""
+    return _change_basis(f, "m2p")
 
 
 def monomial_frame(tuples):
@@ -269,12 +144,11 @@ def monomial_eigenvectors(x, tuples):
 # Inner products and Macdonald / Hall-Littlewood functions
 
 
-def inner_prod(f: SymFunc, g: SymFunc, qval, tval):
+def inner_prod(f, g, qval, tval):
     """The (q,t) pairing, diagonal on power sums."""
-    assert f.basis == "p" and g.basis == "p"
     total = Fraction(0)
-    for lam, a in f.coeffs.items():
-        b = g.coeffs.get(lam)
+    for lam, a in f.items():
+        b = g.get(lam)
         if not b:
             continue
         w = Fraction(z_factor(lam))
@@ -282,11 +156,6 @@ def inner_prod(f: SymFunc, g: SymFunc, qval, tval):
             w = w * (1 - qval**part) / (1 - tval**part)
         total = total + a * b * w
     return total
-
-
-def inner_hl(f: SymFunc, g: SymFunc, tval):
-    """Hall-Littlewood pairing <,>_{0,t}."""
-    return inner_prod(f, g, Fraction(0), tval)
 
 
 @lru_cache(maxsize=None)
@@ -297,16 +166,20 @@ def _macdonald_degree(n: int, qval, tval):
     (`fock.eta`, Macdonald's operator E: I. G. Macdonald, Symmetric
     Functions and Hall Polynomials, 2nd ed., VI.3-4), unitriangular over
     m_lambda.  The module reads q only in its contraction and t in eta.
+    The cache hands the same dicts to every caller, which only read them.
     """
     module = BosonModule(SimpleNamespace(q=qval, t=tval), 1, [ONE], n)
     tuples = module.basis(n)
     x0 = operator_matrix(vertex_mode(eta(0, module), 0, module), module, n, n)
     rows, _ = monomial_eigenvectors(x0, tuples)
     basis = [tup[0] for tup in tuples]
-    return {lam: convert(SymFunc(dict(zip(basis, row)), "m"), "p") for lam, row in zip(basis, rows)}
+    return {
+        lam: from_monomials({mu: c for mu, c in zip(basis, row) if c})
+        for lam, row in zip(basis, rows)
+    }
 
 
-def macdonald_p(lam: Partition, qval, tval) -> SymFunc:
+def macdonald_p(lam: Partition, qval, tval):
     return _macdonald_degree(lam.size, qval, tval)[lam]
 
 
@@ -314,16 +187,22 @@ def hall_littlewood(lam: Partition, tval):
     """Hall-Littlewood pair (P_lambda(;t), Q_lambda(;t)).  P is Macdonald's
     at a formal q = s, read at s = 0: at q = 0 itself the zero-mode
     eigenvalues collide."""
-    coeffs = macdonald_p(lam, RatFunc.variable(), tval).coeffs
-    p_lam = SymFunc({mu: c.eval(0) if isinstance(c, RatFunc) else c for mu, c in coeffs.items()})
-    q_lam = p_lam.scale(b_factor(lam, tval))
-    return p_lam, q_lam
+    at_zero = (
+        (mu, c.eval(0) if isinstance(c, RatFunc) else c)
+        for mu, c in macdonald_p(lam, RatFunc.variable(), tval).items()
+    )
+    p_lam = {mu: c for mu, c in at_zero if c}
+    b = b_factor(lam, tval)
+    return p_lam, {mu: b * c for mu, c in p_lam.items()}
 
 
 def principal_specialization(lam: Partition, r, tval):
     """Q_lambda(p_n; t) at p_n = (1-r^n)/(1-t^n); equals the closed product."""
     _, q_lam = hall_littlewood(lam, tval)
-    return q_lam.evaluate(lambda n: (1 - r**n) / (1 - tval**n))
+    total = Fraction(0)
+    for mu, c in q_lam.items():
+        total = total + prod(((1 - r**n) / (1 - tval**n) for n in mu.parts), start=c)
+    return total
 
 
 def principal_specialization_closed(lam: Partition, r, tval):
@@ -342,11 +221,10 @@ def hl_pairing_identities(lam: Partition, tval):
     """
     s = lam.size
     _, q_lam = hall_littlewood(lam, tval)
-    e_s = elementary_in_p(Partition((s,) if s else ()))
-    lhs1 = inner_hl(e_s.negate_argument(), q_lam, tval)
+    lhs1 = inner_prod(negate_argument(elementary(s)), q_lam, ZERO, tval)
     rhs1 = Fraction(-1) ** s * tval ** n_stat(lam)
     _, q_row = hall_littlewood(Partition((s,) if s else ()), tval)
-    lhs2 = inner_hl(q_row.negate_argument(), q_lam, tval)
+    lhs2 = inner_prod(negate_argument(q_row), q_lam, ZERO, tval)
     rhs2 = tval ** (s + n_stat(lam))
     for k in range(1, lam.length + 1):
         rhs2 = rhs2 * (1 - tval ** (-k))

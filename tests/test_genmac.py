@@ -31,7 +31,7 @@ from dimfock.genmac import (
     ordering_vanishing_check,
 )
 from dimfock.scalars import eigenvalue_of, make_point
-from dimfock.symfunc import SymFunc, convert, macdonald_p, monomial_frame
+from dimfock.symfunc import from_monomials, macdonald_p, monomial_frame
 
 
 def tup2(a, b):
@@ -214,7 +214,7 @@ def test_restriction_to_single_component(point3):
         tup = PartitionTuple([lam, EMPTY, EMPTY])
         st = basis.state(tup)
         mac = macdonald_p(lam, point3.q, point3.t)
-        expected = {PartitionTuple([m, EMPTY, EMPTY]): c for m, c in mac.coeffs.items()}
+        expected = {PartitionTuple([m, EMPTY, EMPTY]): c for m, c in mac.items()}
         assert st == expected
 
 
@@ -403,7 +403,7 @@ def _monomial_products(n_comp, tuples):
     for tup in tuples:
         state = module.vacuum()
         for i, lam in enumerate(tup):
-            m_lam = convert(SymFunc({lam: Fraction(1)}, "m"), "p")
+            m_lam = from_monomials({lam: Fraction(1)})
             state = apply_symfunc(module, m_lam, [(i, 1)], state)
         states.append(state)
     return column_matrix(states, tuples)

@@ -1,7 +1,7 @@
 """Every name a module of the package or of its tests imports is used in that
 module, every top-level definition of the package is read somewhere, every
-default of the package is overridden somewhere, and the package's
-module-level imports form no cycle.
+default of the package is overridden somewhere, the package's module-level
+imports form no cycle, and each import inside a function would close one.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name bound by an
 import statement, at any scope, must appear as a name somewhere else in the
@@ -233,24 +233,44 @@ def test_checker_flags_an_unpassed_default():
     }
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _relative_targets(node):
+    """The modules a relative import statement names."""
+    if node.module:
+        return {node.module.split(".")[0]}
+    return {alias.name for alias in node.names}
+
+
 def _module_level_imports(tree, modules):
     """The package modules (names in modules) that tree imports relatively
     while it is imported itself: the imports outside function bodies.  A
-    function-local import, as nekrasov and phi use to break a cycle, runs
-    only when the function is called."""
+    function-local import, as nekrasov uses to break a cycle, runs only
+    when the function is called."""
     out = set()
     stack = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(node, FUNCTIONS):
             continue
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            if node.module:
-                out.add(node.module.split(".")[0])
-            else:
-                out.update(alias.name for alias in node.names)
+            out |= _relative_targets(node)
         stack.extend(ast.iter_child_nodes(node))
     return out & set(modules)
+
+
+def _function_local_imports(tree, modules):
+    """(module, line) of each package module (names in modules) that tree
+    imports relatively inside a function body."""
+    return {
+        (target, node.lineno)
+        for func in ast.walk(tree)
+        if isinstance(func, FUNCTIONS)
+        for node in ast.walk(func)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for target in _relative_targets(node) & set(modules)
+    }
 
 
 def _import_cycle(graph):
@@ -288,6 +308,21 @@ def test_module_level_imports_are_acyclic():
     assert _import_cycle(graph) is None
 
 
+def test_function_local_imports_close_a_cycle():
+    # an import that a function defers without breaking a cycle belongs at
+    # module level; the module-level graph is acyclic, so a cycle after the
+    # edge is added runs through it
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    graph = _import_graph(trees)
+    found = [
+        "%s.py:%d %s" % (stem, line, target)
+        for stem, tree in sorted(trees.items())
+        for target, line in sorted(_function_local_imports(tree, trees))
+        if _import_cycle({**graph, stem: graph[stem] | {target}}) is None
+    ]
+    assert found == []
+
+
 def test_checker_flags_an_import_cycle():
     trees = {
         "a": ast.parse("from . import b\nfrom .c import x\n"),
@@ -297,6 +332,8 @@ def test_checker_flags_an_import_cycle():
     }
     graph = _import_graph(trees)
     assert graph == {"a": {"b", "c"}, "b": set(), "c": {"d"}, "d": {"a"}}
+    assert _function_local_imports(trees["b"], trees) == {("a", 4)}
+    assert _function_local_imports(trees["d"], trees) == set()
     assert _import_cycle(graph) == ["a", "c", "d", "a"]
     graph["d"] = set()
     assert _import_cycle(graph) is None

@@ -1,57 +1,176 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from types import SimpleNamespace
 
 import pytest
 
-from dimfock import checks, symfunc
+from dimfock import checks, linalg, symfunc
 from dimfock.combinat import EMPTY, Partition, b_factor, dominance_le, partitions
+from dimfock.scalars import RatFunc
 from dimfock.symfunc import (
     DegreeCapError,
-    SymFunc,
-    convert,
-    elementary_in_p,
+    elementary,
+    from_monomials,
     hall_littlewood,
     hl_pairing_identities,
-    inner_hl,
     inner_prod,
     macdonald_p,
     principal_specialization,
     principal_specialization_closed,
+    to_monomials,
     z_factor,
 )
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def combine(*terms):
+    """sum of c * f over the (c, f) terms, zero-free."""
+    out = {}
+    for c, f in terms:
+        for lam, v in f.items():
+            out[lam] = out.get(lam, ZERO) + c * v
+    return {lam: v for lam, v in out.items() if v}
+
 
 def monomial_in_p(lam):
-    return convert(SymFunc({lam: Fraction(1)}, "m"), "p")
+    return from_monomials({lam: ONE})
 
 
 def test_conversion_examples():
-    assert monomial_in_p(Partition((1,))) == SymFunc.power_sum((1,))
+    assert monomial_in_p(Partition((1,))) == {Partition((1,)): ONE}
     half = Fraction(1, 2)
-    expected = SymFunc({Partition((1, 1)): half, Partition((2,)): -half})
+    expected = {Partition((1, 1)): half, Partition((2,)): -half}
     assert monomial_in_p(Partition((1, 1))) == expected
-    assert elementary_in_p(Partition((2,))) == expected
+    assert elementary(2) == expected
 
 
 def test_conversion_roundtrip():
     for n in range(1, 7):
         for lam in partitions(n):
             f = monomial_in_p(lam)
-            assert convert(convert(f, "m"), "p") == f
+            assert from_monomials(to_monomials(f)) == f
         # e_n = m_(1^n)
-        assert convert(elementary_in_p(Partition((n,))), "m") == SymFunc(
-            {Partition((1,) * n): Fraction(1)}, "m"
-        )
+        assert to_monomials(elementary(n)) == {Partition((1,) * n): ONE}
+
+
+# The route from the monomials to the power sums through the elementary
+# functions, the oracle of the counted p2m and its inverse: e_mu has 0-1
+# matrix counts over the m_nu and Newton's identities over the p_lambda.
+
+
+@lru_cache(maxsize=None)
+def zero_one_matrix_count(rows, cols):
+    """Number of 0-1 matrices with given row and column sums."""
+    if not cols:
+        return 1 if not rows else 0
+    c, rest = cols[0], cols[1:]
+    vals = sorted(set(rows), reverse=True)
+    counts = {v: rows.count(v) for v in vals}
+    total = 0
+    for picks in bounded_compositions(c, [counts[v] for v in vals]):
+        ways = 1
+        new_rows = []
+        for v, k in zip(vals, picks):
+            ways *= comb(counts[v], k)
+            new_rows.extend([v - 1] * k)
+            new_rows.extend([v] * (counts[v] - k))
+        nr = tuple(sorted((x for x in new_rows if x > 0), reverse=True))
+        if sum(nr) != sum(rest):
+            continue
+        total += ways * zero_one_matrix_count(nr, rest)
+    return total
+
+
+def bounded_compositions(total, bounds):
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, bounds[0]) + 1):
+        for rest in bounded_compositions(total - first, bounds[1:]):
+            yield (first,) + rest
+
+
+def power_sum_product(f, g):
+    out = {}
+    for lam, a in f.items():
+        for mu, b in g.items():
+            merged = Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
+            out[merged] = out.get(merged, ZERO) + a * b
+    return {lam: c for lam, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def newton_elementary(k):
+    # Newton's identities: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
+    if k == 0:
+        return {EMPTY: ONE}
+    terms = []
+    for i in range(1, k + 1):
+        term = power_sum_product(newton_elementary(k - i), {Partition((i,)): ONE})
+        terms.append((Fraction((-1) ** (i - 1), k), term))
+    return combine(*terms)
+
+
+def elementary_route(n):
+    """(p2m, m2p) at degree n from m2p = (e2m)^-1 e2p."""
+    basis = list(partitions(n))
+    e2m = [[Fraction(zero_one_matrix_count(mu.parts, nu.parts)) for nu in basis] for mu in basis]
+    e2p = []
+    for mu in basis:
+        f = {EMPTY: ONE}
+        for part in mu.parts:
+            f = power_sum_product(f, newton_elementary(part))
+        e2p.append([f.get(lam, ZERO) for lam in basis])
+    m2p = linalg.mat_mul(linalg.inverse(e2m), e2p)
+    return linalg.inverse(m2p), m2p
+
+
+def test_basis_matrices_match_the_elementary_route():
+    for n in range(9):
+        basis, mats = symfunc._basis_matrices(n)
+        assert basis == list(partitions(n))
+        p2m, m2p = elementary_route(n)
+        assert mats["p2m"] == p2m, n
+        assert mats["m2p"] == m2p, n
+
+
+def test_elementary_matches_newton():
+    for n in range(9):
+        assert elementary(n) == newton_elementary(n), n
+
+
+def test_symmetric_functions_are_zero_free(point2, sym_point2):
+    # dict equality of symmetric functions needs every zero dropped
+    def zero_free(f):
+        return all(c for c in f.values())
+
+    for n in range(7):
+        assert zero_free(elementary(n))
+        for lam in partitions(n):
+            assert zero_free(monomial_in_p(lam))
+            for pt in (point2, sym_point2):
+                mac = macdonald_p(lam, pt.q, pt.t)
+                assert zero_free(mac) and zero_free(to_monomials(mac)), (pt.symbolic_slot, lam)
+            for f in hall_littlewood(lam, point2.t):
+                assert zero_free(f) and zero_free(to_monomials(f)), lam
+    assert any(
+        isinstance(c, RatFunc)
+        for c in macdonald_p(Partition((2,)), sym_point2.q, sym_point2.t).values()
+    )
 
 
 def test_macdonald_tends_to_hall_littlewood(sym_point2):
     # the rank-1 crystal limit: P_lambda(q, t) -> P_lambda(t) as q -> 0
     q, t = sym_point2.q, sym_point2.t
     for lam in partitions(3):
-        mac = convert(macdonald_p(lam, q, t), "m")
-        hl = convert(hall_littlewood(lam, t)[0], "m")
+        mac = to_monomials(macdonald_p(lam, q, t))
+        hl = to_monomials(hall_littlewood(lam, t)[0])
         for mu in partitions(3):
-            assert sym_point2.at_crystal(mac[mu]) == hl[mu]
+            assert sym_point2.at_crystal(mac.get(mu, ZERO)) == hl.get(mu, ZERO)
 
 
 def test_degree_cap():
@@ -61,10 +180,10 @@ def test_degree_cap():
 
 def test_inner_product_examples(point2):
     q, t = point2.q, point2.t
-    p1 = SymFunc.power_sum((1,))
+    p1 = {Partition((1,)): ONE}
+    p2 = {Partition((2,)): ONE}
     assert inner_prod(p1, p1, q, t) == (1 - q) / (1 - t)
-    assert inner_prod(SymFunc.power_sum((2,)), SymFunc.power_sum((1, 1)), q, t) == 0
-    p2 = SymFunc.power_sum((2,))
+    assert inner_prod(p2, {Partition((1, 1)): ONE}, q, t) == 0
     assert inner_prod(p2, p2, q, t) == 2 * (1 - q**2) / (1 - t**2)
 
 
@@ -72,8 +191,9 @@ def test_macdonald_examples(point2):
     q, t = point2.q, point2.t
     assert macdonald_p(Partition((1,)), q, t) == monomial_in_p(Partition((1,)))
     got = macdonald_p(Partition((2,)), q, t)
-    want = monomial_in_p(Partition((2,))) + monomial_in_p(Partition((1, 1))).scale(
-        (1 + q) * (1 - t) / (1 - q * t)
+    want = combine(
+        (ONE, monomial_in_p(Partition((2,)))),
+        ((1 + q) * (1 - t) / (1 - q * t), monomial_in_p(Partition((1, 1)))),
     )
     assert got == want
     p1 = macdonald_p(Partition((1,)), q, t)
@@ -87,9 +207,9 @@ def test_orthogonality_and_triangularity(points2):
         for n in range(1, 7):
             macs = {lam: macdonald_p(lam, q, t) for lam in partitions(n)}
             for lam, f in macs.items():
-                fm = convert(f, "m")
-                assert fm[lam] == 1
-                for mu, c in fm.coeffs.items():
+                fm = to_monomials(f)
+                assert fm.get(lam) == 1
+                for mu, c in fm.items():
                     if c:
                         assert dominance_le(mu, lam)
             for lam in macs:
@@ -111,7 +231,7 @@ def gram_schmidt(n, q, t):
         weight[lam] = w
 
     def pair(f, g):
-        return sum((c * g[lam] * weight[lam] for lam, c in f.coeffs.items()), Fraction(0))
+        return sum((c * g.get(lam, ZERO) * weight[lam] for lam, c in f.items()), ZERO)
 
     out, norms = {}, {}
     for lam in reversed(basis):
@@ -119,7 +239,7 @@ def gram_schmidt(n, q, t):
         for mu, p_mu in out.items():
             c = pair(f, p_mu)
             if c:
-                f = f - p_mu.scale(c / norms[mu])
+                f = combine((ONE, f), (-c / norms[mu], p_mu))
         out[lam] = f
         norms[lam] = pair(f, f)
     return out
@@ -147,7 +267,7 @@ def test_orthogonality_check_names_a_tampered_pair(monkeypatch, point1):
 
     def tampered(nu, q, t):
         f = untampered(nu, q, t)
-        return f + monomial_in_p(mu).scale(Fraction(1, 3)) if nu == lam else f
+        return combine((ONE, f), (Fraction(1, 3), monomial_in_p(mu))) if nu == lam else f
 
     assert checks.macdonald_basis([point1], 3) == []
     monkeypatch.setattr(symfunc, "macdonald_p", tampered)
@@ -169,13 +289,12 @@ def test_symfunc_suite_points_reach_its_level():
 def test_hall_littlewood_examples(point2):
     t = point2.t
     _, q1 = hall_littlewood(Partition((1,)), tval=t)
-    assert inner_hl(q1, q1, t) == 1 - t
+    assert inner_prod(q1, q1, ZERO, t) == 1 - t
     for s in (1, 2, 3):
         _, qs = hall_littlewood(Partition((1,) * s), tval=t)
-        es = elementary_in_p(Partition((s,)))
-        assert qs == es.scale(b_factor(Partition((1,) * s), t))
+        assert qs == combine((b_factor(Partition((1,) * s), t), elementary(s)))
     p_empty, _ = hall_littlewood(EMPTY, tval=t)
-    assert p_empty == SymFunc.one()
+    assert p_empty == {EMPTY: ONE}
 
 
 def test_hl_b_duality(point2):
@@ -184,8 +303,8 @@ def test_hl_b_duality(point2):
     for n in range(1, 6):
         for lam in partitions(n):
             p_lam, q_lam = hall_littlewood(lam, tval=t)
-            norm = inner_prod(p_lam, p_lam, Fraction(0), t)
-            assert q_lam == p_lam.scale(1 / norm)
+            norm = inner_prod(p_lam, p_lam, ZERO, t)
+            assert q_lam == combine((1 / norm, p_lam))
 
 
 def test_principal_specialization(point2):
