@@ -452,11 +452,13 @@ def symfunc_suite(opts):
 
 
 def fock_relations_suite(opts):
-    level = _level(opts, 3, 3)
+    level = _level(opts, 3, 4)
     pts = _points(opts, 2, level + 5)
-    pt, low = pts[0], min(level, 2)
+    # the oracle's own cost grows fastest, so it stops at level 3
+    pt, low, oracle = pts[0], min(level, 2), min(level, 3)
     return pts, [
-        ("mode-oracle", "vertex-mode-extraction", partial(mode_oracle, pt, level, 1, level + 2)),
+        ("mode-oracle", "vertex-mode-extraction",
+         partial(mode_oracle, pt, oracle, 1, oracle + 2)),
         ("current-relations", "two-boson-exchange-relations",
          partial(current_relations, pts, level)),
         ("virasoro-relation", "deformed-virasoro-exchange",
@@ -513,7 +515,7 @@ def kacdet_suite(opts):
 
 
 def agt_generic_suite(opts):
-    order = _level(opts, 2, 2)
+    order = _level(opts, 2, 5)
     pts = _points(opts, 2, 3)
     pt1 = make_point(opts.seed, 1, 3)
     return pts, [

@@ -15,15 +15,19 @@ contraction patterns.  Every current is built from the dressed boson
 current eta, the phi-dressing, the Virasoro Lambda+ and Jing's H by
 normal-ordered products, argument shifts and inverses.
 
-Operator arithmetic runs over the integers: a mode image, an operator
+Operator arithmetic runs over the integers and over integer keys.  Each
+module numbers its monomials (BosonModule.index and monomial; ids are
+contiguous per level, in basis(level) order).  A mode image, an operator
 column or a relation's sum of terms is kept as integers over one common
-denominator, the lcm of the denominators that enter it.  Inside the
-relation checks states stay cleared, (D, {monomial: n}), from the mode
-images to the zero test (mode_apply, LinOp.image, sum_is_zero).  A state
-is read out by read_out, each coefficient as one reduced Fraction, only
-where a public API returns it: LinOp.__call__, operator_matrix and the PBW
-kets and bras.  A RatFunc scalar of a symbolic-q point takes the same
-loops as its own numerator over the denominator 1.
+denominator, the lcm of the denominators that enter it, keyed by those
+ids: (D, {id: n}), from the mode images to the zero test (mode_apply,
+LinOp.image, sum_is_zero).  PartitionTuple keys appear only at the
+boundaries: a public state is mapped to ids once (BosonModule.indexed),
+and an image is read out once (BosonModule.read_out), each coefficient as
+one reduced Fraction, only where a public API returns it: LinOp.__call__,
+operator_matrix, the PBW kets and bras.  A RatFunc scalar of a
+symbolic-q point takes the same loops as its own numerator over the
+denominator 1.
 """
 
 from __future__ import annotations
@@ -47,8 +51,47 @@ class LevelOverflow(ValueError):
 # Modules and states
 
 
+class MonomialIndex:
+    """The integer ids of the creation monomials of an N-boson module.
+
+    The monomials of a level take the contiguous ids offset(level),
+    offset(level) + 1, ... in basis(level) order, the first time the level
+    is touched.  Each module holds its own index, so ids are never shared
+    between modules, and the table dies with its module.
+    """
+
+    __slots__ = ("n_bosons", "ids", "monomials", "offsets", "__weakref__")
+
+    def __init__(self, n_bosons):
+        self.n_bosons = n_bosons
+        self.ids = {}  # PartitionTuple -> id
+        self.monomials = []  # id -> PartitionTuple, the basis(level) objects
+        self.offsets = {}  # level -> id of its first monomial
+
+    def offset(self, level: int) -> int:
+        off = self.offsets.get(level)
+        if off is None:
+            basis = enumerate_tuples(self.n_bosons, level)
+            off = self.offsets[level] = len(self.monomials)
+            self.ids.update(zip(basis, range(off, off + len(basis))))
+            self.monomials.extend(basis)
+        return off
+
+    def index(self, tup: PartitionTuple) -> int:
+        i = self.ids.get(tup)
+        if i is None:
+            self.offset(tup.size)
+            i = self.ids[tup]
+        return i
+
+
 class BosonModule:
-    """N boson families over a scalar point, truncated at level_max."""
+    """N boson families over a scalar point, truncated at level_max.
+
+    The module's operators work on its monomials by their integer ids
+    (index, monomial, offset); states handed in or out are keyed by
+    PartitionTuples, mapped by indexed and read_out.
+    """
 
     def __init__(self, point, n_bosons, weights, level_max, kind="qt"):
         if kind not in ("qt", "crystal"):
@@ -59,27 +102,39 @@ class BosonModule:
         self.level_max = level_max
         self.kind = kind
         self._rho = {}
-        # interned monomials: every key the module's operators produce is
-        # the module's own object for it, the basis object where there is one
-        self._keys = {}
-        self._seeded = set()
+        self._index = MonomialIndex(n_bosons)
         self._products = {}
 
-    def intern(self, tup: PartitionTuple) -> PartitionTuple:
-        """The module's object equal to tup; the basis(level) objects come first."""
-        level = tup.size
-        if level not in self._seeded:
-            self._seeded.add(level)
-            for t in self.basis(level):
-                self._keys.setdefault(t, t)
-        return self._keys.setdefault(tup, tup)
+    def index(self, tup: PartitionTuple) -> int:
+        """The id of a monomial; its level is seeded on first touch."""
+        return self._index.index(tup)
 
-    def products(self, base: PartitionTuple, c: int):
-        """base times each level-c monomial, interned, in basis(c) order."""
+    def monomial(self, i: int) -> PartitionTuple:
+        """The monomial of id i, the basis(level) object."""
+        return self._index.monomials[i]
+
+    def offset(self, level: int) -> int:
+        """The id of basis(level)[0]; basis(level)[j] has id offset(level) + j."""
+        return self._index.offset(level)
+
+    def indexed(self, state):
+        """A state keyed by monomial ids, for the module's operators."""
+        index = self._index.index
+        return {index(tup): c for tup, c in state.items()}
+
+    def read_out(self, big, acc):
+        """The state {monomial: v / big} of a cleared image keyed by ids,
+        without its zero entries."""
+        monomials = self._index.monomials
+        return {monomials[i]: quotient(v, big) for i, v in acc.items() if v}
+
+    def products(self, base: int, c: int):
+        """The ids of monomial base times each level-c monomial, in basis(c) order."""
         row = self._products.get((base, c))
         if row is None:
+            tup, index = self.monomial(base), self._index.index
             row = self._products[(base, c)] = [
-                self.intern(monomial_product(base, pat)) for pat in self.basis(c)
+                index(monomial_product(tup, pat)) for pat in self.basis(c)
             ]
         return row
 
@@ -333,19 +388,19 @@ class VertexOperator:
             hit = self._cre_cache[c] = (positions, *cleared(factors))
         return hit
 
-    def _contractions(self, module, tup):
-        """(base, m, n, d) per way to contract annihilators with tup.
-
-        base is the module's interned monomial left when j copies of each
-        contracted part are removed, m the level they take away and n / d
-        the weight: the product of binom(mult, j) (B * rho)^j over the
-        contracted parts.  The list is memoized per (module, monomial), so
-        the modes of every index k share it.
+    def _contractions(self, module, idx):
+        """(level, [(base, m, n, d), ...]) for monomial id idx: its level and,
+        per way to contract annihilators with it, the id base of the
+        monomial left when j copies of each contracted part are removed, m
+        the level they take away and n / d the weight: the product of
+        binom(mult, j) (B * rho)^j over the contracted parts.  The list is
+        memoized per (module, id), so the modes of every index k share it.
         """
-        key = (module, tup)
+        key = (module, idx)
         hit = self._contracted.get(key)
         if hit is not None:
             return hit
+        tup = module.monomial(idx)
         options = []
         for i, lam in enumerate(tup):
             for n in sorted(set(lam.parts)):
@@ -358,7 +413,7 @@ class VertexOperator:
                         [(i, n, 0, 1, 1)]
                         + [(i, n, j, comb(m, j) * num**j, den**j) for j in range(1, m + 1)]
                     )
-        hit = self._contracted[key] = []
+        found = []
         for picks in itertools.product(*options):
             removed = tuple((i, n, j) for i, n, j, _, _ in picks if j)
             m_tot, num, den = 0, 1, 1
@@ -367,19 +422,21 @@ class VertexOperator:
                     num = num * pn if m_tot else pn
                     m_tot += n * j
                     den *= pd
-            hit.append((module.intern(_remove_parts(tup, removed)), m_tot, num, den))
+            found.append((module.index(_remove_parts(tup, removed)), m_tot, num, den))
+        hit = self._contracted[key] = (tup.size, found)
         return hit
 
     def mode_apply(self, k, state, module):
-        """Coefficient of z^(-k) acting on a state, lowering its level by k,
-        as a cleared image (D, {monomial: n}) for read_out: each contraction
-        of each input monomial adds n / d times the creation patterns of the
-        level left over, summed as integers over the lcm D of all the d and
-        left unreduced, as LinOp.image leaves its sums."""
+        """Coefficient of z^(-k) acting on a state keyed by the module's
+        monomial ids, lowering its level by k, as a cleared image
+        (D, {id: n}) for module.read_out: each contraction of each input
+        monomial adds n / d times the creation patterns of the level left
+        over, summed as integers over the lcm D of all the d and left
+        unreduced, as LinOp.image leaves its sums."""
         pieces = []
-        for tup, coeff in state.items():
-            lev = tup.size
-            for base, m_tot, num, den in self._contractions(module, tup):
+        for i, coeff in state.items():
+            lev, contractions = self._contractions(module, i)
+            for base, m_tot, num, den in contractions:
                 c = m_tot - k
                 if c < 0:
                     continue
@@ -415,20 +472,25 @@ def _remove_parts(tup, removed):
 
 
 class LinOp:
-    """A linear operator on a module, memoized column by column.
+    """A linear operator, memoized column by column.
 
     apply_fn maps a state to a state.  The operator evaluates apply_fn once
-    per basis monomial, on {monomial: 1}, and caches that image (the
-    operator's column) on the operator, cleared to integers over its least
-    denominator D as (D, {monomial: n}).  ``image`` maps a cleared state to
-    its cleared image by summing the cached columns over the lcm of their
+    per basis key, on {key: 1}, and caches that image (the operator's
+    column) on the operator, cleared to integers over its least
+    denominator D as (D, {key: n}).  ``image`` maps a cleared state to its
+    cleared image by summing the cached columns over the lcm of their
     denominators; a call is the same sum read out as a fresh state.
-    Composites built with ``after`` and ``commutator`` are LinOps too, so a
-    composite applied repeatedly (a nested commutator of
-    ``vertical.hamiltonian``) keeps its own columns.  A composite refers to
-    its factors and never the reverse, so the caches form no reference
-    cycle: they are freed with the last reference to the operator, which
-    for family modes is the family.
+
+    Columns and ``image`` work in the operator's key space.  A plain LinOp's
+    is its caller's keys: PartitionTuples for ``after`` and ``commutator``
+    composites of a module's operators, the diagrams of
+    ``vertical._x_op``.  A family mode (``_ModeSum``) works on its module's
+    monomial ids; its calls take and return states keyed by PartitionTuples.
+    Composites are LinOps too, so a composite applied repeatedly (a nested
+    commutator of ``vertical.hamiltonian``) keeps its own columns.  A
+    composite refers to its factors and never the reverse, so the caches
+    form no reference cycle: they are freed with the last reference to the
+    operator, which for family modes is the family.
     """
 
     __slots__ = ("_apply", "_columns", "__weakref__")
@@ -438,30 +500,38 @@ class LinOp:
         self._apply = apply_fn
         self._columns = {}
 
-    def _column(self, tup):
-        return cleared_state(self._apply({tup: ONE}))
+    def _column(self, key):
+        return cleared_state(self._apply({key: ONE}))
 
-    def column(self, tup):
-        """The cached image (D, {monomial: n}) of the basis monomial tup."""
-        col = self._columns.get(tup)
+    def column(self, key):
+        """The cached image (D, {key: n}) of the basis key."""
+        col = self._columns.get(key)
         if col is None:
-            col = self._columns[tup] = self._column(tup)
+            col = self._columns[key] = self._column(key)
         return col
 
     def _pieces(self, items):
         columns = self._columns
-        for tup, c in items:
+        for key, c in items:
             if c:
-                d, col = columns.get(tup) or self.column(tup)
+                d, col = columns.get(key) or self.column(key)
                 yield c.numerator, c.denominator * d, col.items()
 
     def image(self, d, acc):
-        """The cleared image (D', {monomial: n'}) of the cleared state (d, acc)."""
+        """The cleared image (D', {key: n'}) of the cleared state (d, acc)."""
         big, out = _accumulate(self._pieces(acc.items()))
         return d * big, out
 
+    def _keyed(self, state):
+        """A caller's state in the operator's key space."""
+        return state
+
+    def _read_out(self, big, acc):
+        """A cleared image of the operator's key space as a caller's state."""
+        return read_out(big, acc)
+
     def __call__(self, state):
-        return read_out(*_accumulate(self._pieces(state.items())))
+        return self._read_out(*_accumulate(self._pieces(self._keyed(state).items())))
 
     def after(self, other):
         """self . other (apply other first)."""
@@ -472,7 +542,7 @@ class LinOp:
 
 
 class _ModeSum(LinOp):
-    """Mode k of a sum of vertex operators.
+    """Mode k of a sum of vertex operators, on the monomial ids of a module.
 
     A column is the terms' cleared mode_apply images of the monomial summed
     over the lcm of their denominators, reduced once to its least one.
@@ -484,10 +554,16 @@ class _ModeSum(LinOp):
         super().__init__(None)
         self._terms, self._k, self._module = terms, k, module
 
-    def _column(self, tup):
-        unit = {tup: 1}
+    def _column(self, i):
+        unit = {i: 1}
         images = [term.mode_apply(self._k, unit, self._module) for term in self._terms]
         return _least(*_accumulate((1, d, acc.items()) for d, acc in images))
+
+    def _keyed(self, state):
+        return self._module.indexed(state)
+
+    def _read_out(self, big, acc):
+        return self._module.read_out(big, acc)
 
 
 def vertex_mode(op: VertexOperator, k: int, module: BosonModule) -> LinOp:
@@ -495,32 +571,44 @@ def vertex_mode(op: VertexOperator, k: int, module: BosonModule) -> LinOp:
 
 
 def operator_matrix(op: LinOp, module: BosonModule, level_from: int, level_to: int):
-    """Dense matrix of op between monomial bases (rows: target, cols: source)."""
-    images = [read_out(*op.column(tup)) for tup in module.basis(level_from)]
-    if any(c and t.size != level_to for img in images for t, c in img.items()):
-        raise ValueError("operator image leaked outside target level")
-    return column_matrix(images, module.basis(level_to))
+    """Dense matrix of a family mode between monomial bases (rows: target,
+    cols: source).  Column j is the cached column of id offset(level_from)
+    + j; the entry of id i sits in row i - offset(level_to)."""
+    first, sources = module.offset(level_from), len(module.basis(level_from))
+    off, rows = module.offset(level_to), len(module.basis(level_to))
+    mat = [[ZERO] * sources for _ in range(rows)]
+    for j in range(sources):
+        d, col = op.column(first + j)
+        for i, v in col.items():
+            if v:
+                if not 0 <= i - off < rows:
+                    raise ValueError("operator image leaked outside target level")
+                mat[i - off][j] = quotient(v, d)
+    return mat
 
 
 # -- bra functionals (values on creation monomials) --------------------------
 
 
 def bra_apply(op: LinOp, bra, module, level):
-    """Append an operator on the right of a bra functional: <bra| op, read
+    """Append a family mode on the right of a bra functional: <bra| op, read
     on the monomials of the one level it lands on.
 
-    Pairs over the integers: the bra is cleared once to n_m / D, and each
-    value is the dot product of those n_m with the op's cached column of
-    the monomial, read out once over D times the column's denominator.
+    Pairs over the integers: the bra is cleared once to n_m / D and keyed
+    by monomial ids, and each value is the dot product of those n_m with
+    the op's cached column of the monomial, read out once over D times the
+    column's denominator.
     """
     d, nums = cleared(bra.values())
-    bra_nums = dict(zip(bra, nums))
+    index = module.index
+    bra_nums = {index(tup): n for tup, n in zip(bra, nums) if n}
+    first = module.offset(level)
     out = {}
-    for tup in module.basis(level):
-        d_col, col = op.column(tup)
+    for j, tup in enumerate(module.basis(level)):
+        d_col, col = op.column(first + j)
         total = 0
-        for m, v in col.items():
-            b = bra_nums.get(m)
+        for i, v in col.items():
+            b = bra_nums.get(i)
             if b:
                 total += b * v
         if total:
@@ -741,11 +829,11 @@ def jing_build(lam: Partition, point, level_max=None):
     level_max = level_max or max(lam.size, 1)
     module = BosonModule(point, 1, [ONE], level_max, kind="crystal")
     h = jing_operator(point, level_max)
-    d, state = 1, module.vacuum()
+    d, state = 1, {module.index(module.empty_tuple()): 1}
     for part in reversed(lam.parts):
         e, state = h.mode_apply(-part, state, module)
         d *= e
-    return module, read_out(d, state)
+    return module, module.read_out(d, state)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from .fock import (
     operator_matrix,
     pbw_state,
     pbw_bra,
-    read_out,
     state_scale,
 )
 from .linalg import EigenvalueCollision
@@ -610,7 +609,7 @@ def ordering_vanishing_check(level, point, n_comp=3):
         pinv = MacdonaldFrame(module, level - n).inverse()
         for lam in partitions(level):
             ket = product_macdonald_state(module, PartitionTuple([lam]))
-            img = read_out(*current.mode_apply(n, ket, module))
+            img = module.read_out(*current.mode_apply(n, module.indexed(ket), module))
             coords = linalg.mat_vec(pinv, coordinates(img, monos))
             for mu_tup, c in zip(monos, coords):
                 if c and not lam.contains(mu_tup[0]):

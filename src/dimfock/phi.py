@@ -32,7 +32,6 @@ from .fock import (
     pbw_gram,
     pbw_state,
     pbw_word,
-    read_out,
     vertex_mode,
 )
 from .genmac import gen_macdonald, integral_forms
@@ -226,7 +225,7 @@ def phi_matrix_rank1(point_u, point_v, level_max):
         for s in mod.basis(lev):
             img = {}
             for lev2 in range(level_max + 1):
-                img.update(read_out(*op.mode_apply(lev - lev2, {s: ONE}, mod)))
+                img.update(mod.read_out(*op.mode_apply(lev - lev2, {mod.index(s): 1}, mod)))
             entries[s] = img
     return PhiMatrix(entries)
 

@@ -42,7 +42,8 @@ MODE_BOUND = 2
 
 def _products(key):
     """product(ops) = ops[0](ops[1](... ({key: 1}))) as a cleared image, the
-    image of the basis state {key: 1} under a tuple of operators.
+    image of the basis state {key: 1} under a tuple of operators, in their
+    key space: the monomial ids of a module for its family modes.
 
     Images are memoized by operator tuple, and their suffixes with them, for
     this state only: a check meets each (operators, monomial) key under one
@@ -66,19 +67,20 @@ def _holds(lhs, rhs):
     return combination_is_zero(lhs + [(-c, state) for c, state in rhs])
 
 
-def relation_failures(basis, level, relations):
+def relation_failures(basis, index, level, relations):
     """Witnesses of the exchange relations that fail on basis states.
 
     For every key of basis(n), n <= level, relations(key, n) yields
     (witness, A, B, rhs): the relation [A, B] = rhs on the state {key: 1},
-    with rhs a list of (c, ops) terms, each c times product(ops).  A product
-    that several relations share is applied once per state, and the sums
-    run over the cleared images without reading them out.
+    with rhs a list of (c, ops) terms, each c times product(ops).  index(key)
+    is the key in the operators' key space (module.index for family modes).
+    A product that several relations share is applied once per state, and
+    the sums run over the cleared images without reading them out.
     """
     failures = []
     for n_lvl in range(level + 1):
         for key in basis(n_lvl):
-            product = _products(key)
+            product = _products(index(key))
             for witness, a, b, rhs in relations(key, n_lvl):
                 terms = [(ONE, product((a, b))), (MINUS_ONE, product((b, a)))]
                 terms += [(-c, product(ops)) for c, ops in rhs]
@@ -126,7 +128,7 @@ def check_x_relations_n2(level, point):
                 rhs = _exchange_terms(x1, x2, n, m, n_lvl, lambda l: f1(l) * p**l, f1)
                 yield ("x1-x2", n, m, tup), x1(n), x2(m), rhs
 
-    return relation_failures(module.basis, level, relations)
+    return relation_failures(module.basis, module.index, level, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +152,7 @@ def check_virasoro_relation(level, point, k_weight):
                     rhs.append((-cc * (p**n - p ** (-n)), ()))
                 yield (n, m, tup[0]), tmode(n), tmode(m), rhs
 
-    return relation_failures(module.basis, level, relations)
+    return relation_failures(module.basis, module.index, level, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +209,7 @@ def check_crystal_x_relations(level, point, weights):
                 rhs = _exchange_terms(x2, x2, n, m, n_lvl, const, const)
                 yield ("x2-x2", n, m, tup), x2(n), x2(m), rhs
 
-    return relation_failures(module.basis, level, relations)
+    return relation_failures(module.basis, module.index, level, relations)
 
 
 def check_crystal_virasoro_relations(level, point, k_weight):
@@ -248,7 +250,7 @@ def check_crystal_virasoro_relations(level, point, k_weight):
                     continue
                 yield (n, m, tup[0]), tmode(n), tmode(m), rhs
 
-    return relation_failures(module.basis, level, relations)
+    return relation_failures(module.basis, module.index, level, relations)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def dim_relation_check(level, point, u_weight):
                 psi = (plus[k] if k >= 0 else ZERO) - (minus[-k] if k <= 0 else ZERO)
                 yield (lam, m, n), ops["x+", m], ops["x-", n], [(c * psi, ())]
 
-    return relation_failures(partitions, level, relations)
+    return relation_failures(partitions, lambda lam: lam, level, relations)
 
 
 # ---------------------------------------------------------------------------

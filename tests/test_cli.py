@@ -52,6 +52,12 @@ def test_whittaker_at_lattice_seed(capsys):
     capsys.readouterr()
 
 
+def test_agt_generic_suite_at_level5(capsys):
+    # the suite's cap is 5, so whittaker-vs-instanton runs to order 5
+    assert run_cli(["--suite", "agt-generic", "--level", "5", "--points", "1"]) == 0
+    capsys.readouterr()
+
+
 def test_suite_report_roundtrip(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = run_cli(

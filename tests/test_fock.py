@@ -20,7 +20,6 @@ from dimfock.fock import (
     pbw_gram,
     pbw_state,
     pbw_word,
-    read_out,
     state_scale,
 )
 from dimfock.relations import (
@@ -46,8 +45,8 @@ def test_eta_modes(point2):
     fam = GeneratorFamily(mod)
     current = eta(0, mod)
     vac = mod.vacuum()
-    assert read_out(*current.mode_apply(0, vac, mod)) == vac
-    got = read_out(*current.mode_apply(-1, vac, mod))
+    assert mod.read_out(*current.mode_apply(0, mod.indexed(vac), mod)) == vac
+    got = mod.read_out(*current.mode_apply(-1, mod.indexed(vac), mod))
     assert got == {PartitionTuple([(1,)]): 1 - 1 / point2.t}
     # any generator mode annihilates below level zero
     for k in (1, 2, 3):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimfock import fock, relations, vertical
+from dimfock.combinat import PartitionTuple
 from dimfock.fock import (
     BosonModule,
     CrystalGenerators,
@@ -20,7 +21,6 @@ from dimfock.fock import (
     cleared_state,
     combination_is_zero,
     pbw_gram,
-    read_out,
     state_scale,
     sum_is_zero,
     vertex_mode,
@@ -63,10 +63,16 @@ def state_add(a, b):
 
 def reference_mode(fam, gen, n, state):
     """Mode n of generator gen, term by term through VertexOperator.mode_apply."""
-    out = {}
+    mod, out = fam.module, {}
     for term in fam.mode_terms(gen, n):
-        out = state_add(out, read_out(*term.mode_apply(n, state, fam.module)))
+        out = state_add(out, mod.read_out(*term.mode_apply(n, mod.indexed(state), mod)))
     return out
+
+
+def by_monomial(mod, image):
+    """A cleared image keyed by mod's monomial ids, keyed by the monomials."""
+    d, acc = image
+    return d, {mod.monomial(i): v for i, v in acc.items()}
 
 
 def oracle_column(fam, gen, n, tup):
@@ -77,8 +83,10 @@ def oracle_column(fam, gen, n, tup):
     symbolic-q point, which holds its own integer content, is divided by g
     in Q(s); the integer denominator left is then the lcm of the column's
     Fraction entries, whatever the terms' split."""
+    mod = fam.module
     images = [
-        read_out(*term.mode_apply(n, {tup: 1}, fam.module)) for term in fam.mode_terms(gen, n)
+        mod.read_out(*term.mode_apply(n, {mod.index(tup): 1}, mod))
+        for term in fam.mode_terms(gen, n)
     ]
     d, nums = cleared([v for img in images for v in img.values()])
     nums = iter(nums)
@@ -120,16 +128,17 @@ def test_mode_columns_equal_the_per_term_oracle(point3_any):
             for tup in mod.basis(lev):
                 for gen in gens:
                     for n in range(lev - CAP, lev + 1):
-                        d, col = fam.x_mode(gen, n).column(tup)
-                        assert (d, col) == oracle_column(fam, gen, n, tup), (fam, gen, n, tup)
+                        d, col = fam.x_mode(gen, n).column(mod.index(tup))
+                        got = by_monomial(mod, (d, col))
+                        assert got == oracle_column(fam, gen, n, tup), (fam, gen, n, tup)
                         checked += 1
                         nonzero += bool(col)
     assert checked == 764 and nonzero > checked // 2, (checked, nonzero)
 
 
 def test_mode_apply_reads_out_to_the_naive_mode(point2, sym_point2):
-    """read_out of mode_apply equals relations.naive_mode_apply on states that
-    mix levels and hold int, Fraction and RatFunc values."""
+    """The module's read-out of mode_apply equals relations.naive_mode_apply
+    on states that mix levels and hold int, Fraction and RatFunc values."""
     for pt, odd in ((point2, Fraction(-3, 7)), (sym_point2, sym_point2.q)):
         mod = BosonModule(pt, 2, pt.u[:2], 4)
         fam = GeneratorFamily(mod)
@@ -139,9 +148,9 @@ def test_mode_apply_reads_out_to_the_naive_mode(point2, sym_point2):
         for gen in (1, 2):
             for n in range(-2, 3):
                 for term in fam.mode_terms(gen, n):
-                    d, acc = term.mode_apply(n, state, mod)
+                    d, acc = term.mode_apply(n, mod.indexed(state), mod)
                     want = relations.naive_mode_apply(term, n, state, mod)
-                    assert read_out(d, acc) == want, (gen, n)
+                    assert mod.read_out(d, acc) == want, (gen, n)
 
 
 def same_state(image, state):
@@ -154,9 +163,9 @@ def same_state(image, state):
     )
 
 
-def assert_least_integer_column(op, tup):
+def assert_least_integer_column(op, key):
     """A column over Q: int numerators, none zero, over their least int D."""
-    d, col = op.column(tup)
+    d, col = op.column(key)
     assert type(d) is int and all(type(v) is int and v for v in col.values())
     assert gcd(d, *col.values()) == 1
 
@@ -204,26 +213,33 @@ def test_memoized_operators_match_term_by_term_modes(families, kind, terms, canc
     def ref_b(s):
         return reference_mode(fam, b[0], b[1], s)
 
+    mod = fam.module
     single = fam.x_mode(a[0], n)
+    same = lambda key: key
+    # (op, expected image, op's key of a monomial, monomial of an op's key):
+    # a family mode works on monomial ids, a composite on the monomials
     cases = [
-        (single, reference_mode(fam, a[0], n, state)),
-        (op_a.after(op_b), ref_a(ref_b(state))),
+        (single, reference_mode(fam, a[0], n, state), mod.index, mod.monomial),
+        (op_a.after(op_b), ref_a(ref_b(state)), same, same),
         (
             op_a.commutator(op_b),
             state_add(ref_a(ref_b(state)), state_scale(ref_b(ref_a(state)), MINUS_ONE)),
+            same,
+            same,
         ),
     ]
-    basis = {t: t for lev in range(LEVEL_MAX + 1) for t in fam.module.basis(lev)}
-    for op, want in cases:
+    basis = {t: t for lev in range(LEVEL_MAX + 1) for t in mod.basis(lev)}
+    for op, want, key, monomial in cases:
         got = op(state)
         assert got == want
         assert all(got.values())
         # the cleared image is the same sum, before its read-out
-        assert same_state(op.image(*cleared_state(state)), got)
+        d, acc = op.image(*cleared_state({key(tup): c for tup, c in state.items()}))
+        assert same_state((d, {monomial(k): v for k, v in acc.items()}), got)
         if kind == "fraction":
             assert all(type(v) is Fraction for v in got.values())
             for tup in state:
-                assert_least_integer_column(op, tup)
+                assert_least_integer_column(op, key(tup))
         # outputs and column images are keyed by the module's basis objects
         images = [got] + [op({tup: ONE}) for tup in state]
         assert all(basis[key] is key for img in images for key in img)
@@ -254,12 +270,13 @@ def test_mode_columns_are_reduced_to_their_least_denominator(families):
         single = vertex_mode(op, n, fam.module)
         for lev in range(STATE_LEVEL + 1):
             for tup in fam.module.basis(lev):
-                d, col = single.column(tup)
+                i = fam.module.index(tup)
+                d, col = single.column(i)
                 even += d % 2 == 0
                 doubled = {k: 2 * Fraction(v, d) for k, v in col.items()}
-                assert same_state(twice.x_mode(1, n).column(tup), doubled)
-                assert_least_integer_column(twice.x_mode(1, n), tup)
-                assert_least_integer_column(single, tup)
+                assert same_state(twice.x_mode(1, n).column(i), doubled)
+                assert_least_integer_column(twice.x_mode(1, n), i)
+                assert_least_integer_column(single, i)
     assert even  # the reduction was exercised
 
 
@@ -277,17 +294,18 @@ def test_cleared_zero_test_matches_the_fraction_sum(families, kind, picks, cance
     """sum_is_zero over cleared images, and combination_is_zero over states,
     agree with the Fraction sum of the read-out states, cancelling or not."""
     fam = families[kind]
+    mod = fam.module
     ops = [fam.x_mode(gen, n) for gen in (1, 2) for n in (-1, 0, 1)]
-    basis = [t for lev in range(STATE_LEVEL + 1) for t in fam.module.basis(lev)]
-    terms = []  # (c, read-out state, cleared image)
+    basis = [t for lev in range(STATE_LEVEL + 1) for t in mod.basis(lev)]
+    terms = []  # (c, read-out state, cleared image keyed by monomial ids)
     for i, j, k, c in picks:
         # one operator (j past the list) or a product of two on {tup: 1}
         a, tup = ops[i], basis[k % len(basis)]
         if j < len(ops):
-            image = a.image(*ops[j].image(1, {tup: 1}))
+            image = a.image(*ops[j].image(1, {mod.index(tup): 1}))
             state = a(ops[j]({tup: ONE}))
         else:
-            image, state = a.image(1, {tup: 1}), a({tup: ONE})
+            image, state = a.image(1, {mod.index(tup): 1}), a({tup: ONE})
         terms.append((c, state, image))
     if cancel == "first":
         terms.append((-terms[0][0], terms[0][1], terms[0][2]))
@@ -295,7 +313,7 @@ def test_cleared_zero_test_matches_the_fraction_sum(families, kind, picks, cance
         total = {}
         for c, state, _ in terms:
             total = state_add(total, state_scale(state, c))
-        terms.append((MINUS_ONE, total, cleared_state(total)))
+        terms.append((MINUS_ONE, total, cleared_state(mod.indexed(total))))
     oracle = {}
     for c, state, _ in terms:
         oracle = state_add(oracle, state_scale(state, c))
@@ -319,6 +337,29 @@ def test_relation_check_clears_and_reads_out_once_per_column(monkeypatch):
     assert counts["cleared"] <= 1000 and counts["quotient"] == 0, counts
 
 
+def test_monomial_ids_are_contiguous_per_level_and_per_module(point2):
+    """index and monomial are inverse; each level takes contiguous ids in
+    basis(level) order when first touched; two modules at one point, touched
+    in different orders, keep separate tables with different ids."""
+    first, second = (BosonModule(point2, 2, point2.u[:2], LEVEL_MAX) for _ in range(2))
+    for lev in (2, 0, 3):
+        first.offset(lev)
+    for lev in range(4):  # seeded through index, from fresh equal objects
+        second.index(PartitionTuple(list(second.basis(lev)[-1])))
+    for mod in (first, second):
+        ids = []
+        for lev in range(4):
+            basis, off = mod.basis(lev), mod.offset(lev)
+            assert [mod.index(t) for t in basis] == list(range(off, off + len(basis)))
+            assert all(mod.monomial(off + j) is t for j, t in enumerate(basis))
+            ids += range(off, off + len(basis))
+        assert sorted(ids) == list(range(len(ids)))
+        assert all(mod.index(mod.monomial(i)) == i for i in ids)
+    assert first._index is not second._index
+    assert (first.offset(0), first.offset(2)) == (5, 0)
+    assert (second.offset(0), second.offset(2)) == (0, 3)
+
+
 def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
     """Caches live as long as their family: no reference cycle keeps them."""
     made = []  # weakrefs to the check's family and to the operators it hands out
@@ -326,7 +367,7 @@ def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
     class RecordingFamily(GeneratorFamily):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            made.extend([weakref.ref(self), weakref.ref(self.module)])
+            made.extend([weakref.ref(x) for x in (self, self.module, self.module._index)])
 
         def x_mode(self, gen, n):
             op = super().x_mode(gen, n)
@@ -346,12 +387,13 @@ def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
         # the terms' contraction memos refer to the module, so it outlives
         # the family only if they do
         assert all(term._contracted for term in fam.mode_terms(1, -1))
-        mine = [weakref.ref(fam), weakref.ref(a), weakref.ref(fam.module)]
+        # and the module's monomial index dies with the module
+        mine = [weakref.ref(x) for x in (fam, a, fam.module, fam.module._index)]
         assert check_x_relations_n2(1, point2) == []
-        assert len(made) > 2
+        assert len(made) > 3
         assert [r() for r in made] == [None] * len(made)
         del fam, a, b, st_in
-        assert [r() for r in mine] == [None, None, None]
+        assert [r() for r in mine] == [None] * 4
     finally:
         if was_enabled:
             gc.enable()
