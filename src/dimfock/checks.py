@@ -131,8 +131,7 @@ def crystal_pbw_hl(pt, level):
     u = _crystal_weights(pt)
     return (
         relations.check_crystal_virasoro_pbw(level, pt, pt.fresh_rational("k"))
-        + relations.check_crystal_pbw_hl(level, pt, u)
-        + relations.check_crystal_shapovalov(level, pt, u)
+        + relations.check_crystal_pbw(level, pt, u)
     )
 
 

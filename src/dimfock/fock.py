@@ -16,18 +16,18 @@ current eta, the phi-dressing, the Virasoro Lambda+ and Jing's H by
 normal-ordered products, argument shifts and inverses.
 
 Operator arithmetic runs over the integers and over integer keys.  Each
-module numbers its monomials (BosonModule.index and monomial; ids are
-contiguous per level, in basis(level) order).  A mode image, an operator
-column or a relation's sum of terms is kept as integers over one common
-denominator, the lcm of the denominators that enter it, keyed by those
-ids: (D, {id: n}), from the mode images to the zero test (mode_apply,
-LinOp.image, sum_is_zero).  PartitionTuple keys appear only at the
-boundaries: a public state is mapped to ids once (BosonModule.indexed),
-and an image is read out once (BosonModule.read_out), each coefficient as
-one reduced Fraction, only where a public API returns it: LinOp.__call__,
-operator_matrix, the PBW kets and bras.  A RatFunc scalar of a
-symbolic-q point takes the same loops as its own numerator over the
-denominator 1.
+module is its own table of monomial ids (BosonModule.index, monomial and
+offset; ids are contiguous per level, in basis(level) order, and die with
+the module).  A mode image, an operator column or a relation's sum of
+terms is kept as integers over one common denominator, the lcm of the
+denominators that enter it, keyed by those ids: (D, {id: n}), from the
+mode images to the zero test (mode_apply, LinOp.image, sum_is_zero).
+PartitionTuple keys appear only at the boundaries: a public state is
+mapped to ids once (BosonModule.indexed), and an image is read out once
+(BosonModule.read_out), each coefficient as one reduced Fraction, only
+where a public API returns it: LinOp.__call__, operator_matrix, the PBW
+kets and bras.  A RatFunc scalar of a symbolic-q point takes the same
+loops as its own numerator over the denominator 1.
 """
 
 from __future__ import annotations
@@ -51,46 +51,16 @@ class LevelOverflow(ValueError):
 # Modules and states
 
 
-class MonomialIndex:
-    """The integer ids of the creation monomials of an N-boson module.
-
-    The monomials of a level take the contiguous ids offset(level),
-    offset(level) + 1, ... in basis(level) order, the first time the level
-    is touched.  Each module holds its own index, so ids are never shared
-    between modules, and the table dies with its module.
-    """
-
-    __slots__ = ("n_bosons", "ids", "monomials", "offsets", "__weakref__")
-
-    def __init__(self, n_bosons):
-        self.n_bosons = n_bosons
-        self.ids = {}  # PartitionTuple -> id
-        self.monomials = []  # id -> PartitionTuple, the basis(level) objects
-        self.offsets = {}  # level -> id of its first monomial
-
-    def offset(self, level: int) -> int:
-        off = self.offsets.get(level)
-        if off is None:
-            basis = enumerate_tuples(self.n_bosons, level)
-            off = self.offsets[level] = len(self.monomials)
-            self.ids.update(zip(basis, range(off, off + len(basis))))
-            self.monomials.extend(basis)
-        return off
-
-    def index(self, tup: PartitionTuple) -> int:
-        i = self.ids.get(tup)
-        if i is None:
-            self.offset(tup.size)
-            i = self.ids[tup]
-        return i
-
-
 class BosonModule:
     """N boson families over a scalar point, truncated at level_max.
 
     The module's operators work on its monomials by their integer ids
     (index, monomial, offset); states handed in or out are keyed by
-    PartitionTuples, mapped by indexed and read_out.
+    PartitionTuples, mapped by indexed and read_out.  The monomials of a
+    level take the contiguous ids offset(level), offset(level) + 1, ... in
+    basis(level) order, the first time the level is touched.  The table
+    lives on the module, so ids are never shared between modules, and it
+    dies with the module.
     """
 
     def __init__(self, point, n_bosons, weights, level_max, kind="qt"):
@@ -102,37 +72,50 @@ class BosonModule:
         self.level_max = level_max
         self.kind = kind
         self._rho = {}
-        self._index = MonomialIndex(n_bosons)
+        self._ids = {}  # PartitionTuple -> id
+        self._monomials = []  # id -> PartitionTuple, the basis(level) objects
+        self._offsets = {}  # level -> id of its first monomial
         self._products = {}
+
+    def offset(self, level: int) -> int:
+        """The id of basis(level)[0]; basis(level)[j] has id offset(level) + j.
+        The level's ids are handed out here, the first time it is touched."""
+        off = self._offsets.get(level)
+        if off is None:
+            basis = self.basis(level)
+            off = self._offsets[level] = len(self._monomials)
+            self._ids.update(zip(basis, range(off, off + len(basis))))
+            self._monomials.extend(basis)
+        return off
 
     def index(self, tup: PartitionTuple) -> int:
         """The id of a monomial; its level is seeded on first touch."""
-        return self._index.index(tup)
+        i = self._ids.get(tup)
+        if i is None:
+            self.offset(tup.size)
+            i = self._ids[tup]
+        return i
 
     def monomial(self, i: int) -> PartitionTuple:
         """The monomial of id i, the basis(level) object."""
-        return self._index.monomials[i]
-
-    def offset(self, level: int) -> int:
-        """The id of basis(level)[0]; basis(level)[j] has id offset(level) + j."""
-        return self._index.offset(level)
+        return self._monomials[i]
 
     def indexed(self, state):
         """A state keyed by monomial ids, for the module's operators."""
-        index = self._index.index
+        index = self.index
         return {index(tup): c for tup, c in state.items()}
 
     def read_out(self, big, acc):
         """The state {monomial: v / big} of a cleared image keyed by ids,
         without its zero entries."""
-        monomials = self._index.monomials
+        monomials = self._monomials
         return {monomials[i]: quotient(v, big) for i, v in acc.items() if v}
 
     def products(self, base: int, c: int):
         """The ids of monomial base times each level-c monomial, in basis(c) order."""
         row = self._products.get((base, c))
         if row is None:
-            tup, index = self.monomial(base), self._index.index
+            tup, index = self.monomial(base), self.index
             row = self._products[(base, c)] = [
                 index(monomial_product(tup, pat)) for pat in self.basis(c)
             ]
@@ -203,11 +186,6 @@ def column_matrix(states, monomials):
 def state_combination(terms):
     """sum of c * state over (c, state) terms, with one reduction per entry."""
     return read_out(*_sum([(c, cleared_state(state)) for c, state in terms]))
-
-
-def combination_is_zero(terms):
-    """Whether sum of c * state over (c, state) terms is exactly zero."""
-    return sum_is_zero([(c, cleared_state(state)) for c, state in terms])
 
 
 def sum_is_zero(terms):

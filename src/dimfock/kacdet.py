@@ -86,28 +86,21 @@ def whittaker_norm(order, k_weight, point):
     Lambda^(4n), n <= order.
 
     B is the Shapovalov (PBW Gram) matrix of the deformed Virasoro modes.
+    One family on a module of cap order serves every level, so the levels
+    share its memo of PBW word suffixes.
     """
-    out = [ONE]
-    for n in range(1, order + 1):
-        module = BosonModule(point, 1, [k_weight], n, kind="qt")
-        out.append(_ones_inverse_entry(n, VirasoroFamily(module)))
-    return out
+    family = VirasoroFamily(BosonModule(point, 1, [k_weight], order, kind="qt"))
+    return [ONE] + [_ones_inverse_entry(n, family) for n in range(1, order + 1)]
 
 
 def crystal_whittaker_norm(order, point, direct=False):
     """Crystal Whittaker norm by instanton order; closed form or via direct Gram
     inversion."""
-    out = []
-    t = point.t
-    for n in range(order + 1):
-        if direct:
-            k_weight = point.fresh_rational("crystal-k")
-            module = BosonModule(point, 1, [k_weight], n, kind="crystal")
-            coeff = _ones_inverse_entry(n, CrystalVirasoro(module))
-        else:
-            coeff = 1 / b_factor(Partition((1,) * n), 1 / t)
-        out.append(coeff)
-    return out
+    if direct:
+        module = BosonModule(point, 1, [point.fresh_rational("crystal-k")], order, kind="crystal")
+        family = CrystalVirasoro(module)
+        return [_ones_inverse_entry(n, family) for n in range(order + 1)]
+    return [1 / b_factor(Partition((1,) * n), 1 / point.t) for n in range(order + 1)]
 
 
 def _ones_inverse_entry(n, family):
@@ -201,6 +194,16 @@ def annihilation_report(state, family, level, n_comp):
     return bad
 
 
+def _singular_vector(cpt, n_comp, tup):
+    """(module, state, bad modes) of the eigenvector of tup at the constrained
+    point cpt: the raising modes that do not annihilate it."""
+    level = tup.size
+    module = BosonModule(cpt, n_comp, cpt.u, level + 1, kind="qt")
+    family = GeneratorFamily(module)
+    state = single_eigenvector(level, family, tup)
+    return module, state, annihilation_report(state, family, level, n_comp)
+
+
 def singular_vector_check(point, n_comp, i, r, s):
     """Annihilation + Macdonald-restriction checks at the constrained point.
 
@@ -208,28 +211,18 @@ def singular_vector_check(point, n_comp, i, r, s):
     result of comparing the last-component restriction with the ordinary
     Macdonald function of the rectangle.
     """
-    cpt = constrained_point_single(point, n_comp, i, r, s)
-    level = r * s
-    module = BosonModule(cpt, n_comp, cpt.u, level + 1, kind="qt")
-    family = GeneratorFamily(module)
     tup = rectangle_tuple(n_comp, i, r, s)
-    state = single_eigenvector(level, family, tup)
-    bad = annihilation_report(state, family, level, n_comp)
+    module, state, bad = _singular_vector(
+        constrained_point_single(point, n_comp, i, r, s), n_comp, tup
+    )
     restriction_ok = restriction_matches_macdonald(state, tup, module)
     return {"tuple": tup, "bad_modes": bad, "restriction_ok": restriction_ok}
 
 
 def singular_vector_check_multi(point, n_comp, rs, ss, case):
-    cpt = constrained_point_multi(point, n_comp, rs, ss)
-    if case == "A":
-        tup = staircase_tuple_A(n_comp, rs, ss)
-    else:
-        tup = staircase_tuple_B(n_comp, rs, ss)
-    level = tup.size
-    module = BosonModule(cpt, n_comp, cpt.u, level + 1, kind="qt")
-    family = GeneratorFamily(module)
-    state = single_eigenvector(level, family, tup)
-    bad = annihilation_report(state, family, level, n_comp)
+    staircase = staircase_tuple_A if case == "A" else staircase_tuple_B
+    tup = staircase(n_comp, rs, ss)
+    _, _, bad = _singular_vector(constrained_point_multi(point, n_comp, rs, ss), n_comp, tup)
     return {"tuple": tup, "bad_modes": bad}
 
 

@@ -809,7 +809,6 @@ class ScalarPoint:
         self.seed = seed
         self.n_weights = n_weights
         self.level_max = level_max
-        self.symbolic_slot = symbolic_slot
         rng = stable_rng("dimfock-point", seed, _resample)
         bound = 2 * level_max + 4
         for _ in range(1000):
@@ -822,6 +821,22 @@ class ScalarPoint:
             raise ScalarError("could not sample generic (q0, t0) after 1000 tries")
         self.q0, self.t0 = q0, t0
         self.u = self._sample_weights(rng, q0**4, t0**4, n_weights, 2 * level_max)
+        self.symbolic_slot = symbolic_slot
+
+    @property
+    def symbolic_slot(self):
+        return self._slot
+
+    @symbolic_slot.setter
+    def symbolic_slot(self, slot):
+        """Setting the slot derives the field elements from (q0, t0), so none
+        outlives the slot it was read at: s = (q/t)^(1/2), the formal variable
+        at a symbolic-q point or (q0/t0)^2, t = t0^4, p = s^2 and q = p t."""
+        self._slot = slot
+        self.s = RatFunc.variable() if self.is_symbolic_q else (self.q0 / self.t0) ** 2
+        self.t = self.t0**4
+        self.p = self.s**2
+        self.q = self.p * self.t
 
     @staticmethod
     def _qt_ok(q0, t0, bound):
@@ -870,31 +885,9 @@ class ScalarPoint:
     def is_symbolic_q(self):
         return self.symbolic_slot == "q"
 
-    def _sym(self):
-        return RatFunc.variable()
-
-    @property
-    def t(self):
-        return self.t0**4
-
-    @property
-    def q(self):
-        if self.is_symbolic_q:
-            return self._sym() ** 2 * self.t
-        return self.q0**4
-
-    @property
-    def p(self):
-        """p = q/t."""
-        if self.is_symbolic_q:
-            return self._sym() ** 2
-        return (self.q0 / self.t0) ** 4
-
     def p_half(self, k=1):
         """p^(k/2) for any integer k."""
-        if self.is_symbolic_q:
-            return self._sym() ** k
-        return (self.q0 / self.t0) ** (2 * k)
+        return self.s**k
 
     def at_crystal(self, x):
         """Evaluate a scalar at q = 0 (s = 0); raises PoleAtZero on a pole.
@@ -918,17 +911,11 @@ class ScalarPoint:
 
     def with_weights(self, tag):
         """A sibling point sharing (q0, t0) but with fresh generic weights."""
-        other = ScalarPoint.__new__(ScalarPoint)
-        other.seed = self.seed
-        other.n_weights = self.n_weights
-        other.level_max = self.level_max
-        other.symbolic_slot = self.symbolic_slot
-        other.q0, other.t0 = self.q0, self.t0
         rng = stable_rng("dimfock-weights", self.seed, tag)
-        other.u = self._sample_weights(
+        u = self._sample_weights(
             rng, self.q0**4, self.t0**4, self.n_weights, 2 * self.level_max, forbid=tuple(self.u)
         )
-        return other
+        return self.with_params(self.q0, self.t0, u)
 
     def with_u(self, u):
         """Clone with explicitly prescribed weights (used for constrained points)."""
@@ -940,9 +927,9 @@ class ScalarPoint:
         other.seed = self.seed
         other.n_weights = len(u)
         other.level_max = self.level_max
-        other.symbolic_slot = self.symbolic_slot
         other.q0, other.t0 = Fraction(q0), Fraction(t0)
         other.u = list(u)
+        other.symbolic_slot = self.symbolic_slot
         return other
 
     def describe(self):

@@ -17,11 +17,9 @@ from .combinat import (
     Partition,
     PartitionTuple,
     add_remove_sets,
-    enumerate_tuples,
     partitions,
 )
 from .fock import (
-    BosonModule,
     GeneratorFamily,
     LinOp,
     state_combination,
@@ -234,27 +232,24 @@ def higher_eigenvalues(k_max, tup: PartitionTuple, point):
 
 
 def higher_hamiltonian_check(k_max, level, point, n_comp):
-    """Commutation and eigenvalue checks for the Hamiltonian tower."""
-    module = BosonModule(point, n_comp, point.u[:n_comp], level + 2, kind="qt")
-    family = GeneratorFamily(module)
+    """Commutation and eigenvalue checks for the Hamiltonian tower.
+
+    The tower runs on the family of the level basis, whose module reaches
+    level + 1: as far as X_{+-1} and the tower's commutators take a state of
+    the level."""
+    bases = [gen_macdonald(n, point, n_comp) for n in range(level + 1)]
+    tuples = [tup for basis in bases for tup in basis.tuples]
     failures = []
-    hams = {k: hamiltonian(k, family) for k in range(1, k_max + 1)}
+    hams = {k: hamiltonian(k, bases[-1].family) for k in range(1, k_max + 1)}
     # pairwise commutation on every basis state up to the level
     for ka in range(1, min(k_max, 3) + 1):
         for kb in range(ka + 1, min(k_max, 3) + 1):
-            for n in range(level + 1):
-                for tup in module.basis(n):
-                    st = {tup: ONE}
-                    if hams[ka].commutator(hams[kb])(st):
-                        failures.append(("commutator", ka, kb, tup))
-    towers = {
-        tup: higher_eigenvalues(k_max, tup, point)
-        for n in range(level + 1)
-        for tup in enumerate_tuples(n_comp, n)
-    }
+            for tup in tuples:
+                if hams[ka].commutator(hams[kb])({tup: ONE}):
+                    failures.append(("commutator", ka, kb, tup))
+    towers = {tup: higher_eigenvalues(k_max, tup, point) for tup in tuples}
     # eigenvalues on the eigenbasis
-    for n in range(level + 1):
-        basis = gen_macdonald(n, point, n_comp)
+    for basis in bases:
         for tup in basis.tuples:
             st = basis.state(tup)
             for k in range(1, k_max + 1):
@@ -263,10 +258,9 @@ def higher_hamiltonian_check(k_max, level, point, n_comp):
                 if img != want:
                     failures.append(("eigenvalue", k, tup))
     # the first Hamiltonian eigenvalue is the proved closed form
-    for n in range(level + 1):
-        for tup in enumerate_tuples(n_comp, n):
-            if towers[tup][0] != eigenvalue_of(tup, point):
-                failures.append(("first-eigenvalue", tup))
+    for tup in tuples:
+        if towers[tup][0] != eigenvalue_of(tup, point):
+            failures.append(("first-eigenvalue", tup))
     return failures
 
 
@@ -342,14 +336,12 @@ def action_conjecture_check(level, point, n_comp):
     move lam -> mu is the plain one times m_tilde(lam) / m_tilde(mu).
     """
     failures = []
-    module = BosonModule(point, n_comp, point.u[:n_comp], level + 1, kind="qt")
-    family = GeneratorFamily(module)
     bases = [gen_macdonald(n, point, n_comp) for n in range(level + 2)]
     norms = [integral_forms(basis).m_tilde_norm for basis in bases]
     for n in range(level + 1):
         # per move: its name, sign, target level and coefficient table
         moves = [
-            (name, sign, n - sign, _moves(family, sign, bases[n], bases[n - sign]))
+            (name, sign, n - sign, _moves(sign, bases[n], bases[n - sign]))
             for name, sign in (("raising", +1), ("lowering", -1))
             if n - sign >= 0
         ]
@@ -371,18 +363,18 @@ def _contains(big: PartitionTuple, small: PartitionTuple) -> bool:
     return all(b.contains(s) for b, s in zip(big, small))
 
 
-def _moves(family, sign, source, target):
-    """X_{+1} (sign +1) or X_{-1} (sign -1) of the family on each eigenvector
-    of source, expanded over the eigenvectors of target: {tup: {mu: c}}."""
-    op = family.x_mode(1, sign)
+def _moves(sign, source, target):
+    """X_{+1} (sign +1) or X_{-1} (sign -1) on each eigenvector of source,
+    expanded over the eigenvectors of target: {tup: {mu: c}}.  The mode is
+    the source family's: a level-n basis module reaches level n + 1."""
+    op = source.family.x_mode(1, sign)
     return {tup: target.expand(op(source.state(tup))) for tup in source.tuples}
 
 
 def eigen_move_coefficients(sign, level, point, n_comp):
     """Expansion of X_{+-1} over the plain eigenbasis (no renormalization)."""
-    module = BosonModule(point, n_comp, point.u[:n_comp], level + 2, kind="qt")
     source, target = (gen_macdonald(n, point, n_comp) for n in (level, level - sign))
-    return _moves(GeneratorFamily(module), sign, source, target)
+    return _moves(sign, source, target)
 
 
 def raising_lowering_duality_check(level, point, n_comp):

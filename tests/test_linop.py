@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dimfock import fock, relations, vertical
+from dimfock import fock, genmac, kacdet, relations, vertical
 from dimfock.combinat import PartitionTuple
 from dimfock.fock import (
     BosonModule,
@@ -19,8 +19,8 @@ from dimfock.fock import (
     ModeFamily,
     VirasoroFamily,
     cleared_state,
-    combination_is_zero,
     pbw_gram,
+    state_combination,
     state_scale,
     sum_is_zero,
     vertex_mode,
@@ -291,7 +291,7 @@ def test_mode_columns_are_reduced_to_their_least_denominator(families):
     cancel=st.sampled_from(["none", "first", "all"]),
 )
 def test_cleared_zero_test_matches_the_fraction_sum(families, kind, picks, cancel):
-    """sum_is_zero over cleared images, and combination_is_zero over states,
+    """sum_is_zero over cleared images, and state_combination over states,
     agree with the Fraction sum of the read-out states, cancelling or not."""
     fam = families[kind]
     mod = fam.module
@@ -319,7 +319,7 @@ def test_cleared_zero_test_matches_the_fraction_sum(families, kind, picks, cance
         oracle = state_add(oracle, state_scale(state, c))
     assert cancel != "all" or not oracle
     assert sum_is_zero([(c, image) for c, _, image in terms]) == (not oracle)
-    assert combination_is_zero([(c, state) for c, state, _ in terms]) == (not oracle)
+    assert (not state_combination([(c, state) for c, state, _ in terms])) == (not oracle)
 
 
 def test_relation_check_clears_and_reads_out_once_per_column(monkeypatch):
@@ -355,7 +355,7 @@ def test_monomial_ids_are_contiguous_per_level_and_per_module(point2):
             ids += range(off, off + len(basis))
         assert sorted(ids) == list(range(len(ids)))
         assert all(mod.index(mod.monomial(i)) == i for i in ids)
-    assert first._index is not second._index
+    assert first._ids != second._ids
     assert (first.offset(0), first.offset(2)) == (5, 0)
     assert (second.offset(0), second.offset(2)) == (0, 3)
 
@@ -367,7 +367,7 @@ def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
     class RecordingFamily(GeneratorFamily):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            made.extend([weakref.ref(x) for x in (self, self.module, self.module._index)])
+            made.extend([weakref.ref(x) for x in (self, self.module)])
 
         def x_mode(self, gen, n):
             op = super().x_mode(gen, n)
@@ -387,16 +387,49 @@ def test_family_and_operators_are_freed_without_gc(point2, monkeypatch):
         # the terms' contraction memos refer to the module, so it outlives
         # the family only if they do
         assert all(term._contracted for term in fam.mode_terms(1, -1))
-        # and the module's monomial index dies with the module
-        mine = [weakref.ref(x) for x in (fam, a, fam.module, fam.module._index)]
+        # and the module's monomial table dies with the module
+        mine = [weakref.ref(x) for x in (fam, a, fam.module)]
         assert check_x_relations_n2(1, point2) == []
         assert len(made) > 3
         assert [r() for r in made] == [None] * len(made)
         del fam, a, b, st_in
-        assert [r() for r in mine] == [None] * 4
+        assert [r() for r in mine] == [None] * 3
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_checks_build_no_second_module(point2, monkeypatch):
+    """A check that holds an eigenbasis applies its family's modes, and a
+    Whittaker series or the crystal PBW check builds one module in all.
+    Counted are the modules at the check's point; symfunc's one-boson
+    modules at a (q, t) namespace belong to its per-degree caches."""
+    built = []
+    original = BosonModule.__init__
+
+    def counting(self, point, *args, **kwargs):
+        if point is point2:
+            built.append(self)
+        original(self, point, *args, **kwargs)
+
+    monkeypatch.setattr(BosonModule, "__init__", counting)
+
+    def builds(check, *args, **kwargs):
+        del built[:]
+        check(*args, **kwargs)
+        return len(built)
+
+    with genmac.shared_bases():
+        for n in range(4):
+            genmac.gen_macdonald(n, point2, 2)
+        assert builds(vertical.action_conjecture_check, 2, point2, 2) == 0
+        assert builds(vertical.eigen_move_coefficients, +1, 2, point2, 2) == 0
+        assert builds(vertical.eigen_move_coefficients, -1, 2, point2, 2) == 0
+        assert builds(vertical.higher_hamiltonian_check, 3, 2, point2, 2) == 0
+    u = [point2.fresh_rational(("cu", i)) for i in range(2)]
+    assert builds(kacdet.whittaker_norm, 3, point2.fresh_rational("k"), point2) == 1
+    assert builds(kacdet.crystal_whittaker_norm, 3, point2, direct=True) == 1
+    assert builds(relations.check_crystal_pbw, 2, point2, u) == 1
 
 
 def _perturbed_structure_series(original):

@@ -40,6 +40,22 @@ def test_symbolic_mode_contract():
     assert spt.p_half() ** 2 == spt.p
 
 
+def test_switching_the_slot_rederives_the_field():
+    """A symbolic point cloned and switched to 'none' reads q, t, p and p^(1/2)
+    at the rational q0, t0, and switched back reads them over Q(s) again."""
+    spt = make_point(7, 2, 3, "q")
+    probe = spt.with_params(spt.q0, spt.t0, spt.u)
+    probe.symbolic_slot = "none"
+    assert not probe.is_symbolic_q
+    assert probe.q == spt.q0**4 and type(probe.q) is Fraction
+    assert probe.t == spt.t0**4
+    assert probe.p == (spt.q0 / spt.t0) ** 4
+    assert probe.p_half() == (spt.q0 / spt.t0) ** 2
+    assert probe.describe() == make_point(7, 2, 3).with_params(spt.q0, spt.t0, spt.u).describe()
+    probe.symbolic_slot = "q"
+    assert isinstance(probe.q, RatFunc) and probe.q == spt.q and probe.p_half() == spt.p_half()
+
+
 def test_point_determinism():
     a = make_point(11, 2, 3).describe()
     b = make_point(11, 2, 3).describe()
